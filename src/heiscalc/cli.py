@@ -140,7 +140,7 @@ def _suite_conformal(rng, tol, n=40):
 
 
 def _suite_cocycles(rng, tol, n=25):
-    from .group import Invert, LinearSL2, Translate
+    from .group import Invert, LinearSL2
     lines = []
     worst_chain = worst_right = worst_left = 0.0
     base = word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5)])
@@ -281,14 +281,12 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     region = _parse_grid(args.grid)
     rep = harmonic.subharmonicity_scan(args.u, region)
-    rows = _scan_rows(args.u, region)
     if args.out and args.out.endswith(".csv"):
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["x", "y", "t", "lap_abs_zf2", "cleared_log_abs_zf2",
                     "lap_abs_f2", "lap_grad_u2", "geom", "flag"])
-        for row in rows:
-            w.writerow(row)
+        w.writerows(_scan_rows(args.u, region))
         _write_atomic(args.out, buf.getvalue())
     elif args.out:
         _emit({"scan": rep.to_dict()}, args.out)

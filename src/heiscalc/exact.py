@@ -80,6 +80,7 @@ class QQi:
 
 
 QQI_I = QQi(0, 1)
+_MINUS_I = QQi(0, -1)
 
 
 def _qqi(v) -> QQi:
@@ -303,24 +304,23 @@ def frame_t(p: RatPoly) -> RatPoly:
     return d_coord(p, 2)
 
 
-def frame_z(p: RatPoly) -> RatPoly:
+def _frame_complex(p: RatPoly, unit: QQi) -> RatPoly:
+    """(X + unit Y)/2 applied to p: Z for unit = -i, Zbar for unit = i."""
     fx, fy = frame_x(p), frame_y(p)
     r = RatPoly()
     for m in set(fx.terms) | set(fy.terms):
-        c = (fx.terms.get(m, QQi()) - QQI_I * fy.terms.get(m, QQi())) * _HALF
+        c = (fx.terms.get(m, QQi()) + unit * fy.terms.get(m, QQi())) * _HALF
         if c:
             r.terms[m] = c
     return r
+
+
+def frame_z(p: RatPoly) -> RatPoly:
+    return _frame_complex(p, _MINUS_I)
 
 
 def frame_zbar(p: RatPoly) -> RatPoly:
-    fx, fy = frame_x(p), frame_y(p)
-    r = RatPoly()
-    for m in set(fx.terms) | set(fy.terms):
-        c = (fx.terms.get(m, QQi()) + QQI_I * fy.terms.get(m, QQi())) * _HALF
-        if c:
-            r.terms[m] = c
-    return r
+    return _frame_complex(p, QQI_I)
 
 
 _FRAME_OPS = {"X": frame_x, "Y": frame_y, "T": frame_t,
@@ -349,13 +349,6 @@ def word_apply(word, p: RatPoly) -> RatPoly:
     for letter in reversed(parse_frame_word(word)):
         p = _FRAME_OPS[letter](p)
     return p
-
-
-def derive(op: str, p: RatPoly) -> RatPoly:
-    """Single exact frame derivative; op in X, Y, T, Z, Zb."""
-    if op not in _FRAME_OPS:
-        raise EvalError(f"unknown frame operator {op!r}")
-    return _FRAME_OPS[op](p)
 
 
 def laplacian_h(p: RatPoly) -> RatPoly:
@@ -484,18 +477,6 @@ def vzerosol_nullspace(dmax: int, tmax: int | None = None):
     return len(basis), basis
 
 
-def word_op(word):
-    """Composition of exact frame operators, leftmost letter applied last."""
-    letters = parse_frame_word(word)
-
-    def apply(p: RatPoly) -> RatPoly:
-        for letter in reversed(letters):
-            p = _FRAME_OPS[letter](p)
-        return p
-
-    return apply
-
-
 def appendix_identities(dmax: int = 6) -> list[tuple[str, str, bool]]:
     """Exact operator identities: (name, scope, holds).
 
@@ -506,35 +487,35 @@ def appendix_identities(dmax: int = 6) -> list[tuple[str, str, bool]]:
     monos = [RatPoly.monomial(*m) for m in monomials_wdeg(dmax)]
     _, kernel = vzerosol_nullspace(dmax)
 
-    w = word_op
+    w = word_apply
     unconditional = [
         ("commutator [Zb,Z] = 2iT",
-         lambda p: w("ZbZ")(p) - w("ZZb")(p) - frame_t(p) * (2 * QQI_I)),
+         lambda p: w("ZbZ", p) - w("ZZb", p) - frame_t(p) * (2 * QQI_I)),
         ("commutator [X,Y] = -4T",
-         lambda p: w("XY")(p) - w("YX")(p) + frame_t(p) * 4),
+         lambda p: w("XY", p) - w("YX", p) + frame_t(p) * 4),
         ("2 ZZbZ = ZZZb + ZbZZ",
-         lambda p: w("ZZbZ")(p) * 2 - w("ZZZb")(p) - w("ZbZZ")(p)),
+         lambda p: w("ZZbZ", p) * 2 - w("ZZZb", p) - w("ZbZZ", p)),
         ("2 ZbZZb = ZbZbZ + ZZbZb",
-         lambda p: w("ZbZZb")(p) * 2 - w("ZbZbZ")(p) - w("ZZbZb")(p)),
+         lambda p: w("ZbZZb", p) * 2 - w("ZbZbZ", p) - w("ZZbZb", p)),
         ("ZbZZZb = ZZbZbZ",
-         lambda p: w("ZbZZZb")(p) - w("ZZbZbZ")(p)),
+         lambda p: w("ZbZZZb", p) - w("ZZbZbZ", p)),
         ("8 T^2 = -ZZZbZb + ZZbZbZ + ZbZZZb - ZbZbZZ",
-         lambda p: (frame_t(frame_t(p)) * 8 + w("ZZZbZb")(p) - w("ZZbZbZ")(p)
-                    - w("ZbZZZb")(p) + w("ZbZbZZ")(p))),
+         lambda p: (frame_t(frame_t(p)) * 8 + w("ZZZbZb", p) - w("ZZbZbZ", p)
+                    - w("ZbZZZb", p) + w("ZbZbZZ", p))),
     ]
     conditional = [
         ("4 T^2 v = ZZbZbZ v",
-         lambda p: frame_t(frame_t(p)) * 4 - w("ZZbZbZ")(p)),
+         lambda p: frame_t(frame_t(p)) * 4 - w("ZZbZbZ", p)),
         ("4 T^2 v = ZbZZZb v",
-         lambda p: frame_t(frame_t(p)) * 4 - w("ZbZZZb")(p)),
+         lambda p: frame_t(frame_t(p)) * 4 - w("ZbZZZb", p)),
         ("ZZZb v = 2 ZZbZ v",
-         lambda p: w("ZZZb")(p) - w("ZZbZ")(p) * 2),
+         lambda p: w("ZZZb", p) - w("ZZbZ", p) * 2),
         ("ZbZbZ v = 2 ZbZZb v",
-         lambda p: w("ZbZbZ")(p) - w("ZbZZb")(p) * 2),
+         lambda p: w("ZbZbZ", p) - w("ZbZZb", p) * 2),
         ("(ZbZ)^2 v = (ZZb)^2 v",
-         lambda p: w("ZbZZbZ")(p) - w("ZZbZZb")(p)),
+         lambda p: w("ZbZZbZ", p) - w("ZZbZZb", p)),
         ("(ZbZ)^3 v = 0",
-         lambda p: w("ZbZZbZZbZ")(p)),
+         lambda p: w("ZbZZbZZbZ", p)),
         ("T^3 v = 0",
          lambda p: frame_t(frame_t(frame_t(p)))),
     ]

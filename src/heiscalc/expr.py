@@ -1,12 +1,17 @@
 """Expression DAGs over the coordinates (x, y, t).
 
 Maps and scalar fields are built as small expression trees with shared
-subtrees. The same tree evaluates over plain complex scalars or over Jet
-values; evaluation memoizes on node identity so composed words stay cheap.
+subtrees. One entry point, `evaluate`, takes one root or a tuple of roots
+that share a DAG and evaluates them over complex scalars or over Jet values
+(`eval_at` and `jet_eval` only make the seeds). Each call memoizes on node
+identity for its own duration, so a shared subtree is evaluated once per
+call and no memo outlives the trees it was built on; `subs` and `diff` work
+the same way.
 
-Constants keep their exact type (int / Fraction) until evaluation, which is
-what lets the exact polynomial kernel read coefficients off parsed input
-without float noise.
+Constants keep their exact type (int / Fraction) on the tree, which is what
+lets the exact polynomial kernel read coefficients off parsed input without
+float noise. Evaluation lowers every constant to complex, so jet
+coefficients stay complex128.
 """
 from __future__ import annotations
 
@@ -218,23 +223,36 @@ def _eval_scalar_unary(op: str, v: complex):
     raise EvalError(f"unknown unary node '{op}'")
 
 
-def evaluate(e: Expr, vx, vy, vt, memo=None):
-    """Evaluate over whatever algebra the seeds belong to (complex or Jet)."""
-    if memo is None:
-        memo = {}
+_JET_METHODS = {"exp": "exp", "log": "log", "sin": "sin", "cos": "cos",
+                "sqrt": "sqrt", "conj": "conj", "re": "real", "im": "imag"}
+
+
+def _over_roots(roots, walk):
+    """walk applied to one Expr, or to each root of a tuple in turn."""
+    if isinstance(roots, Expr):
+        return walk(roots)
+    return tuple(walk(r) for r in roots)
+
+
+def evaluate(roots, vx, vy, vt):
+    """Value of an Expr, or a tuple of Exprs sharing a DAG, at the seeds.
+
+    The seeds are complex scalars or Jets. Constants are lowered to complex
+    here; in jet mode a root that comes out as a scalar becomes a constant
+    jet. The memo lives for this one call.
+    """
+    memo = {}
     seeds = (vx, vy, vt)
-    jetmode = isinstance(vx, Jet)
 
     def ev(node: Expr):
-        key = id(node)
-        got = memo.get(key)
+        got = memo.get(node)
         if got is not None:
             return got
         op = node.op
         if op == "coord":
             r = seeds[node.val]
         elif op == "const":
-            r = node.val if jetmode else complex(node.val)
+            r = complex(node.val)
         elif op == "add":
             r = ev(node.args[0]) + ev(node.args[1])
         elif op == "sub":
@@ -256,41 +274,41 @@ def evaluate(e: Expr, vx, vy, vt, memo=None):
         elif op in _FUNCS:
             a = ev(node.args[0])
             if isinstance(a, Jet):
-                meth = {"exp": a.exp, "log": a.log, "sin": a.sin, "cos": a.cos,
-                        "sqrt": a.sqrt, "conj": a.conj, "re": a.real, "im": a.imag}[op]
-                r = meth()
+                r = getattr(a, _JET_METHODS[op])()
             else:
-                r = _eval_scalar_unary(op, complex(a))
+                r = _eval_scalar_unary(op, a)
         else:
             raise EvalError(f"unknown node '{op}'")
-        memo[key] = r
+        memo[node] = r
         return r
 
-    return ev(e)
+    def root(node: Expr):
+        r = ev(node)
+        if isinstance(vx, Jet) and not isinstance(r, Jet):
+            r = Jet.constant(r, vx.base, vx.order)
+        return r
+
+    return _over_roots(roots, root)
 
 
-def eval_at(e: Expr, p) -> complex:
-    """Scalar value of e at the point p = (x, y, t)."""
-    return evaluate(e, complex(p[0]), complex(p[1]), complex(p[2]))
+def eval_at(roots, p):
+    """Complex value of an Expr, or a tuple of them, at p = (x, y, t)."""
+    return evaluate(roots, complex(p[0]), complex(p[1]), complex(p[2]))
 
 
-def jet_eval(e: Expr, p, order: int) -> Jet:
-    jx, jy, jt = jet_seed(p, order)
-    r = evaluate(e, jx, jy, jt)
-    if not isinstance(r, Jet):
-        r = Jet.constant(r, tuple(p), order)
-    return r
+def jet_eval(roots, p, order: int):
+    """Order-`order` jet of an Expr, or a tuple of them, at p."""
+    return evaluate(roots, *jet_seed(p, order))
 
 
-def subs(e: Expr, ex: Expr, ey: Expr, et: Expr, memo=None) -> Expr:
-    """Substitute expressions for the three coordinates (composition)."""
-    if memo is None:
-        memo = {}
+def subs(roots, ex: Expr, ey: Expr, et: Expr):
+    """Substitute expressions for the three coordinates (composition) in an
+    Expr or a tuple of Exprs; subtrees shared between roots stay shared."""
+    memo = {}
     seeds = (ex, ey, et)
 
     def walk(node: Expr) -> Expr:
-        key = id(node)
-        got = memo.get(key)
+        got = memo.get(node)
         if got is not None:
             return got
         op = node.op
@@ -301,10 +319,10 @@ def subs(e: Expr, ex: Expr, ey: Expr, et: Expr, memo=None) -> Expr:
         else:
             kids = tuple(walk(a) for a in node.args)
             r = _REBUILD[op](kids, node.val)
-        memo[key] = r
+        memo[node] = r
         return r
 
-    return walk(e)
+    return _over_roots(roots, walk)
 
 
 _REBUILD = {
@@ -325,14 +343,12 @@ _REBUILD = {
 }
 
 
-def diff(e: Expr, var: int, memo=None) -> Expr:
+def diff(e: Expr, var: int) -> Expr:
     """Symbolic partial derivative in coordinate var (0=x, 1=y, 2=t)."""
-    if memo is None:
-        memo = {}
+    memo = {}
 
     def d(node: Expr) -> Expr:
-        key = id(node)
-        got = memo.get(key)
+        got = memo.get(node)
         if got is not None:
             return got
         op = node.op
@@ -373,7 +389,7 @@ def diff(e: Expr, var: int, memo=None) -> Expr:
             r = im_(d(node.args[0]))
         else:
             raise EvalError(f"cannot differentiate node '{op}'")
-        memo[key] = r
+        memo[node] = r
         return r
 
     return d(e)

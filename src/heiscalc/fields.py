@@ -8,14 +8,14 @@ exactly when Z^2 v0 = 0.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import expr as ex
 from .errors import BadPotential, DomainError
-from .exact import RatPoly, ratpoly_from_expr
+from .exact import RatPoly
 from .expr import Expr, eval_at, jet_eval
 from .group import HeisMap, Point
-from .horizontal import jz, lambda_jet, sym_x, sym_y, word_jet
+from .horizontal import lambda_jet, sym_x, sym_y, word_jet
 from .jets import Jet
 
 # Exact potential family spanning the conformal fields; entry k matches
@@ -82,11 +82,8 @@ def field_components(v0) -> tuple[Expr, Expr, Expr]:
 
 def vector_field_at(v0, p) -> tuple[float, float, float]:
     """Coordinate velocity (dx, dy, dt) of the field at p."""
-    v1e, v2e, v0e = v0 if isinstance(v0, tuple) else field_components(v0)
+    v1, v2, v0v = (v.real for v in eval_at(field_components(v0), p))
     x, y, _ = p
-    v1 = eval_at(v1e, p).real
-    v2 = eval_at(v2e, p).real
-    v0v = eval_at(v0e, p).real
     return v1, v2, 2.0 * y * v1 - 2.0 * x * v2 - 4.0 * v0v
 
 

@@ -2,8 +2,11 @@
 generators, and words of generators compiled to coordinate maps.
 
 A map is held as three expression trees (e1, e2, e3) in the source
-coordinates. Composition is substitution, so a word of generators becomes a
-single shared DAG that the jet engine evaluates in one pass.
+coordinates. Composition is one substitution over the three components
+together, so subtrees they share (the common denominator of the inversion,
+for one) stay shared, and a word of generators, folded through `compose`,
+becomes a single DAG. Its values and jets come from one evaluation of the
+three roots, with a memo private to that call.
 """
 from __future__ import annotations
 
@@ -13,8 +16,7 @@ from typing import NamedTuple
 
 from . import expr as ex
 from .errors import DomainError, NotPositive, ParseError
-from .expr import Expr, evaluate, jet_seed
-from .jets import Jet
+from .expr import Expr, eval_at, jet_eval
 
 
 class Point(NamedTuple):
@@ -163,33 +165,15 @@ class HeisMap:
         self.name = name
 
     def __call__(self, p) -> Point:
-        vals = self.values(p)
-        return Point(vals[0].real, vals[1].real, vals[2].real)
-
-    def values(self, p):
-        memo = {}
-        seeds = (complex(p[0]), complex(p[1]), complex(p[2]))
-        return tuple(evaluate(e, *seeds, memo=memo) for e in (self.e1, self.e2, self.e3))
+        return Point(*(v.real for v in eval_at((self.e1, self.e2, self.e3), p)))
 
     def jets(self, p, order: int):
-        seeds = jet_seed(p, order)
-        memo = {}
-        out = []
-        for e in (self.e1, self.e2, self.e3):
-            j = evaluate(e, *seeds, memo=memo)
-            if not isinstance(j, Jet):
-                j = Jet.constant(j, tuple(p), order)
-            out.append(j)
-        return tuple(out)
+        return jet_eval((self.e1, self.e2, self.e3), p, order)
 
     def compose(self, inner: "HeisMap") -> "HeisMap":
         """self after inner: (self.compose(g))(p) = self(g(p))."""
-        memo = {}
-        return HeisMap(
-            ex.subs(self.e1, inner.e1, inner.e2, inner.e3, memo),
-            ex.subs(self.e2, inner.e1, inner.e2, inner.e3, memo),
-            ex.subs(self.e3, inner.e1, inner.e2, inner.e3, memo),
-            name=f"{self.name or '?'}∘{inner.name or '?'}")
+        return HeisMap(*ex.subs((self.e1, self.e2, self.e3), inner.e1, inner.e2, inner.e3),
+                       name=f"{self.name or '?'}∘{inner.name or '?'}")
 
     def __repr__(self):
         return f"HeisMap({self.name or 'anonymous'})"
@@ -200,17 +184,11 @@ IDENTITY = HeisMap(ex.X, ex.Y, ex.T, name="id")
 
 def word_to_map(word) -> HeisMap:
     """Compose a generator word, rightmost generator applied first."""
+    word = list(word)
     m = IDENTITY
-    label_bits = []
-    for gen in reversed(list(word)):
-        ge = gen.exprs()
-        outer = HeisMap(*ge)
-        m = HeisMap(
-            ex.subs(outer.e1, m.e1, m.e2, m.e3),
-            ex.subs(outer.e2, m.e1, m.e2, m.e3),
-            ex.subs(outer.e3, m.e1, m.e2, m.e3))
-        label_bits.insert(0, gen.label())
-    m.name = "∘".join(label_bits) or "id"
+    for gen in reversed(word):
+        m = HeisMap(*gen.exprs()).compose(m)
+    m.name = "∘".join(gen.label() for gen in word) or "id"
     return m
 
 

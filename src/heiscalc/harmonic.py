@@ -22,11 +22,6 @@ from .horizontal import (assess_contact, jt, jx, jy, jz, lambda_jet, sym_t,
 from .jets import Jet
 
 
-def harmonic_poly_basis(d: int) -> list[RatPoly]:
-    """Basis of sublaplacian-harmonic polynomials of weighted degree <= d."""
-    return harmonic_nullspace(d)
-
-
 def _as_expr(u) -> Expr:
     if isinstance(u, str):
         return ex.parse_expr(u)

@@ -81,10 +81,6 @@ def sublaplacian(e: Expr, p) -> complex:
     return (jx(jx(j)) + jy(jy(j))).value
 
 
-def complex_pair_jet(j1: Jet, j2: Jet) -> Jet:
-    return j1 + 1j * j2
-
-
 def lambda_jet(j1: Jet, j2: Jet, j3: Jet) -> Jet:
     """Horizontal Jacobian as det of the horizontal differential.
 
@@ -114,7 +110,7 @@ class ContactAssessment:
     z_f: complex             # ZF
     zbar_f: complex          # Zbar F
     mu: complex | None       # Beltrami quotient Zbar F / ZF
-    distortion: float        # (1+|mu|)/(1-|mu|); 1.0 at nonregular points
+    distortion: float        # (|ZF|+|Zbar F|)/||ZF|-|Zbar F||; 1.0 if both vanish
     orientation: int         # sign of lam (0 when degenerate)
 
     def max_contact_residual(self) -> float:
@@ -154,13 +150,12 @@ def assess_contact(f: HeisMap, p, order: int = 2) -> ContactAssessment:
     zf = 0.5 * ((xf1 - 1j * yf1) + 1j * (xf2 - 1j * yf2))
     zbf = 0.5 * ((xf1 + 1j * yf1) + 1j * (xf2 + 1j * yf2))
 
-    if abs(zf) == 0.0:
-        mu = None
-        distortion = 1.0 if abs(zbf) == 0.0 else math.inf
+    azf, azbf = abs(zf), abs(zbf)
+    mu = None if azf == 0.0 else zbf / zf
+    if azf == azbf:
+        distortion = 1.0 if azf == 0.0 else math.inf
     else:
-        mu = zbf / zf
-        am = abs(mu)
-        distortion = math.inf if am == 1.0 else (1.0 + am) / (1.0 - am)
+        distortion = (azf + azbf) / abs(azf - azbf)
 
     tiny = 1e-13 * max(1.0, abs(xf1), abs(yf1), abs(xf2), abs(yf2)) ** 2
     orientation = 0 if abs(lam_det) < tiny else (1 if lam_det > 0 else -1)

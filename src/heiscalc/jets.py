@@ -279,7 +279,3 @@ def jet_seed(p, order: int) -> tuple[Jet, Jet, Jet]:
     return (Jet.coordinate(0, p, order),
             Jet.coordinate(1, p, order),
             Jet.coordinate(2, p, order))
-
-
-def jet_partial(j: Jet, alpha) -> complex:
-    return j.partial(alpha)

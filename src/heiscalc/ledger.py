@@ -84,9 +84,8 @@ def ledger_run() -> list[LedgerEntry]:
 
     # (e) sublaplacian prefactor: lap = c (ZbZ + ZZb)
     c = fit_constant(
-        (laplacian_h(RatPoly.monomial(*m)),
-         exact.word_op("ZbZ")(RatPoly.monomial(*m)) + exact.word_op("ZZb")(RatPoly.monomial(*m)))
-        for m in exact.monomials_wdeg(4))
+        (laplacian_h(q), exact.word_apply("ZbZ", q) + exact.word_apply("ZZb", q))
+        for q in (RatPoly.monomial(*m) for m in exact.monomials_wdeg(4)))
     entries.append(LedgerEntry(
         key="sublaplacian-prefactor", stated="4", fitted=repr(c), agrees=c == 4,
         detail="lap = c (ZbZ + ZZb) on monomials; engine normalises to X^2 + Y^2"))

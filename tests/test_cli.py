@@ -84,6 +84,26 @@ def test_scan_stdout_summary(capsys):
     assert "singular points: 27" in out
 
 
+@pytest.mark.parametrize("out", [None, "scan.json"])
+def test_scan_non_polynomial_potential(tmp_path, capsys, out):
+    extra = ("--out", str(tmp_path / out)) if out else ()
+    code, stdout, _ = run(capsys, "scan", "--u", "exp(x)*cos(y)",
+                          "--grid=-1:1:3,-1:1:3,-1:1:3", *extra)
+    assert code == 0
+    assert "singular points: 27" in stdout
+    if out:
+        assert json.loads((tmp_path / out).read_text())["scan"]["ok"] is True
+
+
+def test_scan_csv_needs_polynomial_potential(tmp_path, capsys):
+    path = tmp_path / "scan.csv"
+    code, _, err = run(capsys, "scan", "--u", "exp(x)*cos(y)",
+                       "--grid=-1:1:3,-1:1:3,-1:1:3", "--out", str(path))
+    assert code == 2
+    assert "polynomial" in err
+    assert not path.exists()
+
+
 def test_flow_closed_form_agreement(capsys):
     code, out, _ = run(capsys, "flow", "--h", "exp(x)", "--s", "1", "--point", "0,0,0")
     assert code == 0

@@ -8,8 +8,7 @@ from heiscalc.exact import (QQi, RatPoly, RP_ONE, RP_T, RP_X, RP_Y,
                             appendix_identities, fit_constant, frame_t,
                             frame_x, frame_y, frame_z, frame_zbar,
                             harmonic_nullspace, laplacian_h, monomials_wdeg,
-                            real_nullspace, vzerosol_nullspace, word_apply,
-                            word_op)
+                            real_nullspace, vzerosol_nullspace, word_apply)
 
 RP_Z = RP_X + RP_Y * QQi(0, 1)
 RP_ZBAR = RP_X - RP_Y * QQi(0, 1)
@@ -62,9 +61,9 @@ def test_commutators_on_probe():
             == frame_t(probe) * QQi(0, 2))
 
 
-def test_word_op_matches_nested_application():
+def test_word_apply_matches_nested_application():
     probe = RP_T * RP_T + RP_X * RP_X * RP_Y
-    assert word_op("ZZb")(probe) == frame_z(frame_zbar(probe))
+    assert word_apply("ZZb", probe) == frame_z(frame_zbar(probe))
     assert word_apply("XY", probe) == frame_x(frame_y(probe))
 
 

@@ -1,6 +1,7 @@
 """Expression trees: parsing, evaluation, differentiation, jet lowering."""
 import math
 
+import numpy as np
 import pytest
 
 from heiscalc import expr as ex
@@ -92,3 +93,24 @@ def test_complex_helpers():
     assert ex.eval_at(ex.conj_(z), P) == pytest.approx(complex(P[0], -P[1]))
     assert ex.eval_at(ex.re_(z), P) == pytest.approx(P[0])
     assert ex.eval_at(ex.im_(z), P) == pytest.approx(P[1])
+
+
+def test_jet_eval_of_exact_constants_is_complex128():
+    # Fraction constants are lowered at evaluation, so no object arrays
+    j = ex.jet_eval(ex.parse_expr("2/3*x^2"), (0.1, 0.2, 0.3), 3)
+    assert j.coef.dtype == np.complex128
+    assert j.value == pytest.approx(2 / 3 * 0.01, rel=1e-14)
+
+
+def test_evaluate_tuple_of_independent_roots():
+    # each root gets its own nodes; the memo of one call cannot leak into another
+    roots = (ex.parse_expr("x+1"), ex.parse_expr("y*5"))
+    assert ex.evaluate(roots, 1, 2, 0) == (2, 10)
+    assert ex.evaluate(roots[1], 1, 2, 0) == 10
+
+
+def test_constant_root_becomes_a_constant_jet():
+    j0, j1 = ex.jet_eval((ex.const(3), ex.X), P, 2)
+    assert j0.coef.dtype == np.complex128
+    assert (j0.value, j0.order, j0.base) == (3, 2, P)
+    assert j1.partial((1, 0, 0)) == 1

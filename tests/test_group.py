@@ -5,7 +5,7 @@ import random
 import pytest
 
 from heiscalc.errors import ParseError
-from heiscalc.group import (Dilate, Invert, LinearSL2, Point, Reflect, Rotate,
+from heiscalc.group import (Dilate, HeisMap, Invert, LinearSL2, Point, Reflect, Rotate,
                             Translate, dilate_point, group_inv, group_mul,
                             is_conformal_word, koranyi_dist, koranyi_norm,
                             make_type1, make_type2, parse_word, radial_curve,
@@ -133,3 +133,24 @@ def test_random_word_deterministic():
     m1, m2 = word_to_map(w1), word_to_map(w2)
     p = Point(0.4, 0.1, -0.2)
     assert tuple(m1(p)) == tuple(m2(p))
+
+
+def _reachable(m) -> int:
+    seen, stack = set(), [m.e1, m.e2, m.e3]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.args)
+    return len(seen)
+
+
+def test_word_to_map_shares_nodes_like_compose():
+    # the inversion's rho and den are built once for all three components
+    word = [Invert(), Translate((0.2, 0.1, -0.4))]
+    folded = HeisMap(*word[0].exprs()).compose(HeisMap(*word[1].exprs()))
+    m = word_to_map(word)
+    assert _reachable(m) == _reachable(folded)
+    assert m.name == "inv∘trans(0.2,0.1,-0.4)"
+    p = (0.3, -0.5, 0.7)
+    assert tuple(m(p)) == tuple(folded(p))

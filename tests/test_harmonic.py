@@ -15,8 +15,12 @@ FIVE = ("x", "x*y", "x^2 - y^2", "t", USTAR)
 
 
 def test_harmonic_poly_basis_dims():
+    # the basis determine_kappa fits over: dim (d+1)(d+2)/2, each element accepted
     for d in range(1, 6):
-        assert len(hm.harmonic_poly_basis(d)) == (d + 1) * (d + 2) // 2
+        basis = hm.harmonic_nullspace(d)
+        assert len(basis) == (d + 1) * (d + 2) // 2
+        for u in basis:
+            hm.gradient_harmonic(u)
 
 
 def test_gradient_harmonic_rejects_nonharmonic():

@@ -8,7 +8,7 @@ import pytest
 from heiscalc import expr as ex
 from heiscalc.exact import ratpoly_from_expr, word_apply
 from heiscalc.expr import fd_oracle, jet_eval, parse_expr
-from heiscalc.group import Invert, LinearSL2, Point, Rotate, word_to_map
+from heiscalc.group import Invert, LinearSL2, Point, Reflect, Rotate, word_to_map
 from heiscalc.horizontal import (assess_contact, apply_word, jt, jx, jy, jz,
                                  jzb, sublaplacian, sym_x, sym_y, sym_t,
                                  word_jet)
@@ -124,6 +124,19 @@ def test_assess_contact_linear_stretch():
     assert a.zbar_f == pytest.approx(0.75)
     assert a.distortion == pytest.approx(4.0, rel=1e-12)
     assert a.lam == pytest.approx(1.0, rel=1e-12)
+
+
+def test_assess_contact_distortion_of_reversed_orientation():
+    # refl o diag(2, 1/2): ZF = 3/4, ZbF = 5/4, so |mu| = 5/3 and the
+    # distortion is (5/4 + 3/4)/(5/4 - 3/4) = 4, not (1+|mu|)/(1-|mu|) = -4
+    a = assess_contact(word_to_map([Reflect(), LinearSL2(2.0, 0.0, 0.0, 0.5)]),
+                       Point(0.3, 0.4, 0.5))
+    assert abs(a.mu) == pytest.approx(5.0 / 3.0, rel=1e-12)
+    assert a.distortion == pytest.approx(4.0, rel=1e-12)
+    # plain reflection: ZF = 0, ZbF = 1, an anti-conformal map of distortion 1
+    a = assess_contact(word_to_map([Reflect()]), Point(0.3, 0.4, 0.5))
+    assert a.mu is None
+    assert a.distortion == pytest.approx(1.0, rel=1e-12)
 
 
 def test_assess_contact_flags_noncontact():
