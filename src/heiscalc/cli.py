@@ -280,13 +280,18 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     region = _parse_grid(args.grid)
-    rep = harmonic.subharmonicity_scan(args.u, region)
+    poly = None
     if args.out and args.out.endswith(".csv"):
+        poly = harmonic._try_poly(args.u)
+        if poly is None:
+            raise ParseError("scan output needs a polynomial potential")
+    rep = harmonic.subharmonicity_scan(args.u, region)
+    if poly is not None:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["x", "y", "t", "lap_abs_zf2", "cleared_log_abs_zf2",
                     "lap_abs_f2", "lap_grad_u2", "geom", "flag"])
-        w.writerows(_scan_rows(args.u, region))
+        w.writerows(_scan_rows(poly, region))
         _write_atomic(args.out, buf.getvalue())
     elif args.out:
         _emit({"scan": rep.to_dict()}, args.out)
@@ -297,11 +302,8 @@ def cmd_scan(args) -> int:
     return 0 if rep.ok() else 1
 
 
-def _scan_rows(u, region):
-    from .harmonic import _grad_quantities_poly, _grid_points, _try_poly
-    poly = _try_poly(u)
-    if poly is None:
-        raise ParseError("scan output needs a polynomial potential")
+def _scan_rows(poly, region):
+    from .harmonic import _grad_quantities_poly, _grid_points
     quantities, g = _grad_quantities_poly(poly)
     rows = []
     for p in _grid_points(region):

@@ -288,7 +288,12 @@ def evaluate(roots, vx, vy, vt):
             r = Jet.constant(r, vx.base, vx.order)
         return r
 
-    return _over_roots(roots, root)
+    try:
+        return _over_roots(roots, root)
+    finally:
+        # ev refers to itself through its closure cell; dropping the cell
+        # frees the memo and the seeds now, not at a cyclic collection
+        del ev
 
 
 def eval_at(roots, p):

@@ -185,7 +185,7 @@ IDENTITY = HeisMap(ex.X, ex.Y, ex.T, name="id")
 def word_to_map(word) -> HeisMap:
     """Compose a generator word, rightmost generator applied first."""
     word = list(word)
-    m = IDENTITY
+    m = HeisMap(ex.X, ex.Y, ex.T)
     for gen in reversed(word):
         m = HeisMap(*gen.exprs()).compose(m)
     m.name = "∘".join(gen.label() for gen in word) or "id"

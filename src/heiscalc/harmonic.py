@@ -8,7 +8,10 @@ not at the mercy of rounding; everything else falls back to jets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from . import exact
 from . import expr as ex
@@ -47,12 +50,12 @@ def _check_harmonic(u, samples=((0.3, -0.7, 0.4), (1.1, 0.5, -0.8), (-0.6, 0.9, 
         if not laplacian_h(poly).is_zero():
             raise NotHarmonic("sublaplacian of the potential is not the zero polynomial")
         return
-    e = _as_expr(u)
-    for p in samples:
-        j = jet_eval(e, p, 2)
-        r = (jx(jx(j)) + jy(jy(j))).value
-        if abs(r) > 1e-9 * (1.0 + abs(j.value)):
-            raise NotHarmonic(f"sublaplacian is {r:.3e} at {p}")
+    j = jet_eval(_as_expr(u), np.array(samples, dtype=float), 2)
+    r = _lap(j).value
+    bad = np.abs(r) > 1e-9 * (1.0 + np.abs(j.value))
+    if bad.any():
+        i = int(bad.argmax())
+        raise NotHarmonic(f"sublaplacian is {complex(r[i]):.3e} at {samples[i]}")
 
 
 def gradient_harmonic(u, name: str | None = None) -> HeisMap:
@@ -165,19 +168,21 @@ class CheckStat:
     worst: float = 0.0                # most violating signed value
     examples: list = field(default_factory=list)
 
-    def record(self, point, value: float, gate_ok: bool, tol: float):
-        self.n_points += 1
-        if not gate_ok:
-            return
-        self.n_gated += 1
-        bad = value < -tol if self.expect == "nonneg" else value > tol
-        if bad:
-            self.n_violations += 1
-            margin = value if self.expect == "nonneg" else -value
-            if margin < self.worst:
-                self.worst = margin
-            if len(self.examples) < 5:
-                self.examples.append((point, value))
+    def record(self, points, values, gate_ok, tol: float):
+        """Account a batch of points, in order: values are the claimed
+        quantity at each point, gate_ok is a per-point mask or a bool for
+        all of them."""
+        values = np.asarray(values, dtype=float)
+        gated = np.broadcast_to(gate_ok, values.shape)
+        margins = values if self.expect == "nonneg" else -values
+        bad = gated & (margins < -tol)
+        self.n_points += len(values)
+        self.n_gated += int(np.count_nonzero(gated))
+        self.n_violations += int(np.count_nonzero(bad))
+        if bad.any():
+            self.worst = min(self.worst, float(margins[bad].min()))
+            for i in np.flatnonzero(bad)[:5 - len(self.examples)]:
+                self.examples.append((tuple(map(float, points[i])), float(values[i])))
 
     def ok(self) -> bool:
         return self.n_violations == 0
@@ -235,6 +240,11 @@ def _grid_points(region):
                 yield (x, y, t)
 
 
+def _grid_array(region) -> np.ndarray:
+    """The grid points in _grid_points order, as an (n, 3) array."""
+    return np.fromiter(chain.from_iterable(_grid_points(region)), float).reshape(-1, 3)
+
+
 def _grad_quantities_poly(u: RatPoly):
     """Exact scan quantities for the gradient map of a polynomial potential.
 
@@ -271,21 +281,36 @@ def subharmonicity_scan(u, region, label: str | None = None,
         return _scan_jets(u, region, label, tol, shape)
     quantities, g = _grad_quantities_poly(poly)
     checks = [CheckStat(name=k, expect=e) for k, (_, _, e) in quantities.items()]
-    singular = 0
-    scale = 1.0
-    for p in _grid_points(region):
-        gval = g.eval(p).real
-        if gval <= tol:
-            singular += 1
-        for stat, (gate, val, _) in zip(checks, quantities.values()):
-            if gate is None:
-                gate_ok = True
-            else:
-                gv = gate.eval(p).real
-                gate_ok = gv > tol if gate is g else gv >= -tol
-            stat.record(p, val.eval(p).real, gate_ok, tol * scale)
+    points = _grid_array(region)
+
+    def values(q: RatPoly) -> np.ndarray:
+        return np.fromiter((q.eval(p).real for p in _grid_points(region)), float, len(points))
+
+    gval = values(g)
+    for stat, (gate, val, _) in zip(checks, quantities.values()):
+        if gate is None:
+            gate_ok = True
+        else:
+            gate_ok = gval > tol if gate is g else values(gate) >= -tol
+        stat.record(points, values(val), gate_ok, tol)
     return SignReport(label=label or "gradient-scan", grid_shape=shape,
-                      checks=checks, singular_count=singular)
+                      checks=checks, singular_count=int(np.count_nonzero(gval <= tol)))
+
+
+# Points per batched jet evaluation in the jet-path scans. A larger chunk
+# spreads each numpy call over more points but holds every intermediate jet
+# of the chunk at once: on a 10^3 scan of exp(x)cos(y) + u*, 64 points raise
+# a fresh process's peak memory by about 1 MiB and 128 points by about 2 MiB,
+# for about a third less time.
+_CHUNK = 64
+
+
+def _grid_chunks(region):
+    """The grid points in _grid_points order, as (n, 3) arrays of at most
+    _CHUNK points."""
+    points = _grid_array(region)
+    for lo in range(0, len(points), _CHUNK):
+        yield points[lo:lo + _CHUNK]
 
 
 def _scan_jets(u, region, label, tol, shape) -> SignReport:
@@ -294,15 +319,14 @@ def _scan_jets(u, region, label, tol, shape) -> SignReport:
              ("lap_abs_f2", "nonneg"), ("lap_grad_u2", "nonneg"))
     checks = [CheckStat(name=n, expect=x) for n, x in names]
     singular = 0
-    for p in _grid_points(region):
+    for p in _grid_chunks(region):
         j = jet_eval(e, p, 5)
         f1, f2, f3 = jx(j), jy(j), jt(j)
         fc = f1 + 1j * f2
         zf = jz(fc)
         g = (zf * zf.conj()).real()
         gval = g.value.real
-        if gval <= tol:
-            singular += 1
+        singular += int(np.count_nonzero(gval <= tol))
         geomv = (f1.value * jy(f3).value - f2.value * jx(f3).value).real
         cleared = (g * _lap(g) - jx(g) * jx(g) - jy(g) * jy(g)).value.real
         vals = (
@@ -325,12 +349,11 @@ def contact_jacobian_scan(m: HeisMap, region, label: str | None = None,
     checks = [CheckStat(name="lap_jf", expect="nonpos"),
               CheckStat(name="cleared_log_jf", expect="nonpos")]
     singular = 0
-    for p in _grid_points(region):
+    for p in _grid_chunks(region):
         j1, j2, j3 = m.jets(p, 5)
         jac = lambda_jet(j1, j2, j3).real()
         jval = jac.value.real
-        if jval <= tol:
-            singular += 1
+        singular += int(np.count_nonzero(jval <= tol))
         tf1, tf2 = jt(j1), jt(j2)
         # h1 gate: grad f1 . grad T f2 <= grad f2 . grad T f1
         h1 = ((jx(j1) * jx(tf2) + jy(j1) * jy(tf2))
@@ -338,7 +361,7 @@ def contact_jacobian_scan(m: HeisMap, region, label: str | None = None,
         lap_j = _lap(jac).value.real
         cleared = (jac * _lap(jac) - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
         checks[0].record(p, lap_j, h1 <= tol, tol)
-        checks[1].record(p, cleared, h1 <= tol and jval > tol, tol)
+        checks[1].record(p, cleared, (h1 <= tol) & (jval > tol), tol)
     return SignReport(label=label or "contact-jacobian-scan", grid_shape=shape,
                       checks=checks, singular_count=singular)
 

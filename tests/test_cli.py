@@ -104,6 +104,20 @@ def test_scan_csv_needs_polynomial_potential(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_scan_csv_rejects_non_polynomial_before_scanning(tmp_path, capsys, monkeypatch):
+    from heiscalc import harmonic
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the CSV check")
+    monkeypatch.setattr(harmonic, "subharmonicity_scan", no_scan)
+    path = tmp_path / "scan.csv"
+    code, _, err = run(capsys, "scan", "--u", "exp(x)*cos(y)",
+                       "--grid=-1:1:3,-1:1:3,-1:1:3", "--out", str(path))
+    assert code == 2
+    assert "scan output needs a polynomial potential" in err
+    assert not path.exists()
+
+
 def test_flow_closed_form_agreement(capsys):
     code, out, _ = run(capsys, "flow", "--h", "exp(x)", "--s", "1", "--point", "0,0,0")
     assert code == 0

@@ -154,3 +154,14 @@ def test_word_to_map_shares_nodes_like_compose():
     assert m.name == "inv∘trans(0.2,0.1,-0.4)"
     p = (0.3, -0.5, 0.7)
     assert tuple(m(p)) == tuple(folded(p))
+
+
+def test_empty_word_is_a_fresh_identity():
+    from heiscalc.group import IDENTITY
+    m = word_to_map([])
+    assert m is not IDENTITY
+    assert m.name == "id"
+    m.name = "renamed"
+    assert IDENTITY.name == "id"
+    assert word_to_map([]).name == "id"
+    assert tuple(m((0.3, -0.5, 0.7))) == (0.3, -0.5, 0.7)

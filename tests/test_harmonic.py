@@ -8,7 +8,9 @@ import pytest
 from heiscalc import harmonic as hm
 from heiscalc.errors import DomainError, NotHarmonic
 from heiscalc.exact import QQi, RatPoly
-from heiscalc.group import Point, make_type1, word_to_map
+from heiscalc.expr import jet_eval, parse_expr
+from heiscalc.group import HeisMap, Point, make_type1, word_to_map
+from heiscalc.horizontal import jt, jx, jy, jz, lambda_jet
 
 USTAR = "t^2 - 2/3*(x^4 + y^4)"
 FIVE = ("x", "x*y", "x^2 - y^2", "t", USTAR)
@@ -111,6 +113,109 @@ def test_scan_transcendental_falls_back_to_jets():
     rep = hm.subharmonicity_scan("exp(x)*cos(y)", ((-0.5, 0.5, 3), (-0.5, 0.5, 3),
                                                    (-0.5, 0.5, 3)))
     assert rep.ok()
+
+
+# --- the chunked jet-path scans against a per-point loop --------------------------
+
+JET_U = "exp(x)*cos(y) + t^2 - 2/3*(x^4 + y^4)"
+# 9 x 8 x 5 = 360 points: several chunks and a short last one; t = 0 is on the grid
+CROSSING = ((-1.0, 1.0, 9), (-0.5, 1.25, 8), (-0.5, 0.5, 5))
+
+
+def _per_point_stats(names, region, quantities, tol):
+    """CheckStat fields from a plain loop over grid points: quantities(p)
+    gives (singular, ((value, gate_ok), ...)) at one point."""
+    stats = {n: dict(n_points=0, n_gated=0, n_violations=0, worst=0.0, examples=[])
+             for n, _ in names}
+    singular = 0
+    for p in hm._grid_points(region):
+        sing, vals = quantities(p)
+        singular += sing
+        for (name, expect), (val, gate_ok) in zip(names, vals):
+            st = stats[name]
+            st["n_points"] += 1
+            if not gate_ok:
+                continue
+            st["n_gated"] += 1
+            margin = val if expect == "nonneg" else -val
+            if margin < -tol:
+                st["n_violations"] += 1
+                st["worst"] = min(st["worst"], margin)
+                if len(st["examples"]) < 5:
+                    st["examples"].append((p, val))
+    return stats, singular
+
+
+def _assert_same(rep, stats, singular):
+    assert rep.singular_count == singular
+    for c in rep.checks:
+        want = stats[c.name]
+        assert (c.n_points, c.n_gated, c.n_violations) == (
+            want["n_points"], want["n_gated"], want["n_violations"]), c.name
+        assert c.worst == pytest.approx(want["worst"], rel=1e-12, abs=1e-12)
+        assert [p for p, _ in c.examples] == [p for p, _ in want["examples"]]
+        assert [v for _, v in c.examples] == pytest.approx(
+            [v for _, v in want["examples"]], rel=1e-12, abs=1e-12)
+
+
+def _gradient_quantities(e, tol):
+    def at(p):
+        j = jet_eval(e, p, 5)
+        f1, f2, f3 = jx(j), jy(j), jt(j)
+        fc = f1 + 1j * f2
+        zf = jz(fc)
+        g = (zf * zf.conj()).real()
+        gval = g.value.real
+        geomv = (f1.value * jy(f3).value - f2.value * jx(f3).value).real
+        cleared = (g * hm._lap(g) - jx(g) * jx(g) - jy(g) * jy(g)).value.real
+        return gval <= tol, (
+            (hm._lap(g).value.real, True),
+            (cleared, gval > tol),
+            (hm._lap((fc * fc.conj()).real()).value.real, geomv >= -tol),
+            (hm._lap((f1 * f1 + f2 * f2).real()).value.real, geomv >= -tol))
+    return at
+
+
+def _jacobian_quantities(m, tol):
+    def at(p):
+        j1, j2, j3 = m.jets(p, 5)
+        jac = lambda_jet(j1, j2, j3).real()
+        jval = jac.value.real
+        tf1, tf2 = jt(j1), jt(j2)
+        h1 = ((jx(j1) * jx(tf2) + jy(j1) * jy(tf2))
+              - (jx(j2) * jx(tf1) + jy(j2) * jy(tf1))).value.real
+        cleared = (jac * hm._lap(jac) - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
+        return jval <= tol, ((hm._lap(jac).value.real, h1 <= tol),
+                             (cleared, h1 <= tol and jval > tol))
+    return at
+
+
+# JET_U is harmonic and singular on t = 0; the other two fail the claims at
+# many points, which gives worst and the examples real content
+@pytest.mark.parametrize("u", [JET_U, "exp(x)*sin(y)*t + y^3"])
+def test_jet_scan_matches_per_point_loop(u):
+    names = (("lap_abs_zf2", "nonneg"), ("cleared_log_abs_zf2", "nonpos"),
+             ("lap_abs_f2", "nonneg"), ("lap_grad_u2", "nonneg"))
+    tol = 1e-10
+    rep = hm._scan_jets(u, CROSSING, None, tol, None)
+    stats, singular = _per_point_stats(
+        names, CROSSING, _gradient_quantities(parse_expr(u), tol), tol)
+    _assert_same(rep, stats, singular)
+    assert rep.singular_count > 0
+    assert rep.ok() == (u == JET_U)
+
+
+@pytest.mark.parametrize("m", [
+    hm.gradient_harmonic(JET_U),
+    HeisMap(parse_expr("x + y^2*t"), parse_expr("y - x*t + exp(x)"), parse_expr("t + x^3*y")),
+])
+def test_contact_jacobian_scan_matches_per_point_loop(m):
+    names = (("lap_jf", "nonpos"), ("cleared_log_jf", "nonpos"))
+    tol = 1e-10
+    rep = hm.contact_jacobian_scan(m, CROSSING, tol=tol)
+    stats, singular = _per_point_stats(names, CROSSING, _jacobian_quantities(m, tol), tol)
+    _assert_same(rep, stats, singular)
+    assert rep.singular_count > 0
 
 
 def test_contact_jacobian_scan_on_isometry():

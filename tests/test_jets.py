@@ -115,3 +115,120 @@ def test_conj_real_imag_split():
     assert np.allclose((w.real()).coef, x.coef)
     assert np.allclose((w.imag()).coef, y.coef)
     assert np.allclose(w.conj().coef, (x - 1j * y).coef)
+
+
+# --- batches: one jet with a trailing point axis ----------------------------------
+
+def _points(n=64, seed=11):
+    return np.random.default_rng(seed).uniform(0.1, 0.9, (n, 3))
+
+
+def _inputs(p, order=5):
+    # a complex jet with value away from 0 and the negative reals, and a real one
+    x, y, t = jet_seed(p, order)
+    u = x.exp() * y.sin() + t * t + 2.0 + 0.5j * (x * t)
+    v = x * y - t + 3.0
+    return u, v
+
+
+def _stack(jets):
+    pts = np.array([j.base for j in jets])
+    return Jet(pts, jets[0].order, np.stack([j.coef for j in jets], axis=1))
+
+
+BATCH_OPS = {
+    "*": lambda u, v: u * v,
+    "+": lambda u, v: u + v,
+    "-": lambda u, v: u - v,
+    "/": lambda u, v: u / v,
+    "**": lambda u, v: u ** 3,
+    "**-2": lambda u, v: v ** -2,
+    "derive": lambda u, v: u.derive("t"),
+    "exp": lambda u, v: u.exp(),
+    "log": lambda u, v: u.log(),
+    "sqrt": lambda u, v: u.sqrt(),
+    "sin": lambda u, v: u.sin(),
+    "cos": lambda u, v: v.cos(),
+    "reciprocal": lambda u, v: u.reciprocal(),
+    "conj": lambda u, v: u.conj(),
+    "real": lambda u, v: u.real(),
+    "imag": lambda u, v: u.imag(),
+    "scalar": lambda u, v: 2.5 - (u * 0.5j) / 4.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_OPS))
+def test_batched_op_matches_per_point(name):
+    op = BATCH_OPS[name]
+    singles = [_inputs(tuple(p)) for p in _points()]
+    U, V = _stack([s[0] for s in singles]), _stack([s[1] for s in singles])
+    got = op(U, V)
+    assert got.coef.shape[1] == len(singles)
+    for i, (u, v) in enumerate(singles):
+        want = op(u, v).coef
+        if name in ("*", "derive"):
+            assert got.coef[:, i].tobytes() == want.tobytes(), i
+        else:
+            assert np.max(np.abs(got.coef[:, i] - want)) <= 1e-14 * np.max(np.abs(want)), i
+
+
+def test_batch_seed_value_and_partial():
+    pts = _points(8)
+    x, y, t = jet_seed(pts, 3)
+    assert x.coef.shape == (ncoef(3), 8)
+    assert np.array_equal(y.value, pts[:, 1])
+    f = x * y * t
+    for i, p in enumerate(pts):
+        g = jet_seed(tuple(p), 3)
+        g = g[0] * g[1] * g[2]
+        assert f.partial((1, 1, 0))[i] == g.partial((1, 1, 0))
+        assert f.value[i] == g.value
+
+
+def test_batch_rejects_other_bases():
+    a = jet_seed(_points(8), 2)[0]
+    with pytest.raises(ValueError):
+        a + jet_seed(_points(8, seed=12), 2)[0]
+    with pytest.raises(ValueError):
+        a + jet_seed(tuple(_points(1)[0]), 2)[0]
+    assert np.array_equal((a + jet_seed(_points(8), 2)[1]).value, _points(8)[:, :2].sum(1))
+
+
+def test_batch_domain_error_is_the_failing_points():
+    pts = _points()
+    pts[17, 0] = 0.0                       # x = 0: reciprocal fails here only
+    x = jet_seed(pts, 3)[0]
+    with pytest.raises(DomainError) as batch:
+        x.reciprocal()
+    with pytest.raises(DomainError) as single:
+        jet_seed(tuple(pts[17]), 3)[0].reciprocal()
+    assert str(batch.value) == str(single.value)
+    pts[[23, 40], 0] = (-0.25, -0.5)       # log fails at 17, 23 and 40: 17 is reported
+    x = jet_seed(pts, 3)[0]
+    for fn in ("log", "sqrt"):
+        with pytest.raises(DomainError) as batch:
+            getattr(x, fn)()
+        with pytest.raises(DomainError) as single:
+            getattr(jet_seed(tuple(pts[17]), 3)[0], fn)()
+        assert str(batch.value) == str(single.value)
+    pts[17, 0] = 0.5
+    with pytest.raises(DomainError, match=r"-0\.25"):
+        jet_seed(pts, 3)[0].log()
+
+
+def test_jet_eval_over_a_batch_matches_per_point():
+    from heiscalc.expr import jet_eval, parse_expr
+    from heiscalc.group import Invert, Translate, word_to_map
+    e = parse_expr("exp(x)*cos(y) + t^2 - 2/3*(x^4 + y^4) + sqrt(x+1)/(y+2) + log(3+t)")
+    pts = _points(16)
+    got = jet_eval(e, pts, 4)
+    m = word_to_map([Invert(), Translate((0.2, 0.1, -0.4))])
+    got_m = m.jets(pts, 3)
+    for i, p in enumerate(pts):
+        want = jet_eval(e, tuple(p), 4).coef
+        assert np.max(np.abs(got.coef[:, i] - want)) <= 1e-14 * np.max(np.abs(want))
+        for g, w in zip(got_m, m.jets(tuple(p), 3)):
+            assert np.max(np.abs(g.coef[:, i] - w.coef)) <= 1e-14 * np.max(np.abs(w.coef))
+    const = jet_eval(parse_expr("2/3"), pts, 2)
+    assert const.coef.shape == (ncoef(2), 16)
+    assert np.allclose(const.value, 2 / 3)
