@@ -9,6 +9,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -45,14 +46,21 @@ def _emit(doc: dict, out: str | None):
         sys.stdout.write(text)
 
 
+def _parse_number(s: str) -> float:
+    try:
+        v = float(s)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+    if not math.isfinite(v):
+        raise ParseError(f"{s.strip()!r} is not a finite number")
+    return v
+
+
 def _parse_point(s: str) -> Point:
     parts = s.split(",")
     if len(parts) != 3:
         raise ParseError(f"point needs three comma-separated numbers, got {s!r}")
-    try:
-        return Point(*(float(v) for v in parts))
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    return Point(*(_parse_number(v) for v in parts))
 
 
 def _parse_grid(s: str):
@@ -62,9 +70,10 @@ def _parse_grid(s: str):
         if len(bits) != 3:
             raise ParseError(f"grid axis must be lo:hi:n, got {part!r}")
         try:
-            axes.append((float(bits[0]), float(bits[1]), int(bits[2])))
+            n = int(bits[2])
         except ValueError as e:
             raise ParseError(str(e)) from None
+        axes.append((_parse_number(bits[0]), _parse_number(bits[1]), n))
     if len(axes) != 3:
         raise ParseError("grid needs three axes")
     return tuple(axes)
@@ -280,18 +289,19 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     region = _parse_grid(args.grid)
-    poly = None
-    if args.out and args.out.endswith(".csv"):
-        poly = harmonic._try_poly(args.u)
-        if poly is None:
-            raise ParseError("scan output needs a polynomial potential")
+    as_csv = bool(args.out and args.out.endswith(".csv"))
+    if as_csv and harmonic._try_poly(args.u) is None:
+        raise ParseError("scan output needs a polynomial potential")
     rep = harmonic.subharmonicity_scan(args.u, region)
-    if poly is not None:
+    if as_csv:
+        names = [c.name for c in rep.checks] + ["geom"]
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["x", "y", "t", "lap_abs_zf2", "cleared_log_abs_zf2",
-                    "lap_abs_f2", "lap_grad_u2", "geom", "flag"])
-        w.writerows(_scan_rows(poly, region))
+        w.writerow(["x", "y", "t", *names, "flag"])
+        for *vals, singular in zip(*rep.points.T.tolist(),
+                                   *(rep.columns[n].tolist() for n in names),
+                                   rep.columns["singular"].tolist()):
+            w.writerow([f"{v:.17g}" for v in vals] + ["singular" if singular else ""])
         _write_atomic(args.out, buf.getvalue())
     elif args.out:
         _emit({"scan": rep.to_dict()}, args.out)
@@ -302,30 +312,18 @@ def cmd_scan(args) -> int:
     return 0 if rep.ok() else 1
 
 
-def _scan_rows(poly, region):
-    from .harmonic import _grad_quantities_poly, _grid_points
-    quantities, g = _grad_quantities_poly(poly)
-    rows = []
-    for p in _grid_points(region):
-        vals = [q.eval(p).real for (_, q, _) in quantities.values()]
-        geom = quantities["lap_abs_f2"][0].eval(p).real
-        flag = "singular" if g.eval(p).real <= 1e-10 else ""
-        rows.append([f"{v:.17g}" for v in p] + [f"{v:.17g}" for v in vals]
-                    + [f"{geom:.17g}", flag])
-    return rows
-
-
 # --- flow ------------------------------------------------------------------------
 
 def cmd_flow(args) -> int:
     p = _parse_point(args.point)
+    s = _parse_number(args.s)
     h = parse_expr(args.h)
-    steps = max(32, int(64 * abs(args.s)) or 32)
-    q_rk = fields.flow_integrate(h, p, args.s, steps=steps)
-    doc = {"potential": args.h, "s": args.s, "point": list(p),
+    steps = max(32, int(64 * abs(s)) or 32)
+    q_rk = fields.flow_integrate(h, p, s, steps=steps)
+    doc = {"potential": args.h, "s": s, "point": list(p),
            "endpoint_rk4": list(q_rk), "steps": steps}
     try:
-        m = fields.flow_closed_form(h, args.s)
+        m = fields.flow_closed_form(h, s)
         q_cf = m(p)
         doc["endpoint_closed"] = list(q_cf)
         doc["max_coordinate_gap"] = max(abs(a - b) for a, b in zip(q_rk, q_cf))
@@ -378,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "form when the potential depends on x alone")
     _add_common(pf)
     pf.add_argument("--h", required=True, help="potential in x, e.g. 'exp(x)'")
-    pf.add_argument("--s", type=float, required=True, help="flow time")
+    pf.add_argument("--s", required=True, help="flow time")
     pf.add_argument("--point", required=True, help="x,y,t")
     return ap
 

@@ -2,15 +2,20 @@
 
 This is the second, independent oracle route. Everything here is done in
 fractions.Fraction arithmetic with no floats, so identities verified by this
-module hold exactly, coefficient by coefficient. The jet engine never feeds
-this module and vice versa; tests compare the two from the outside.
+module hold exactly, coefficient by coefficient; only `RatPoly.eval`, which
+gives values at points, works in floats. The jet engine never feeds this
+module and vice versa; tests compare the two from the outside.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
+
+import numpy as np
 
 from . import expr as ex
-from .errors import EvalError, NoConsistentConstant
+from .errors import BadPotential, EvalError, NoConsistentConstant
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -156,8 +161,10 @@ class RatPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = RatPoly({(0, 0, 0): 1})
-        for _ in range(n):
+        if n < 0:
+            raise ValueError("RatPoly powers must be nonnegative")
+        out = self if n else RatPoly({(0, 0, 0): 1})
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -191,12 +198,23 @@ class RatPoly:
             return -1
         return max(i + j + 2 * k for (i, j, k) in self.terms)
 
-    def eval(self, p) -> complex:
-        x, y, t = p
-        acc = 0j
-        for (i, j, k), c in self.terms.items():
-            acc += complex(c) * (x ** i) * (y ** j) * (t ** k)
-        return acc
+    def eval(self, p):
+        """Float value at a point (x, y, t), a complex, or at the rows of an
+        (n, 3) array, a length-n complex array even for a constant. Terms
+        are c * x^i * y^j * t^k from the left, with powers built by repeated
+        products, so a point and its row of an array agree bitwise."""
+        pts = np.asarray(p, dtype=float)
+        cols = pts.reshape(-1, 3).T
+        deg = [max((m[v] for m in self.terms), default=0) for v in range(3)]
+        powers = [[None, *accumulate([c] * d, mul)] for c, d in zip(cols, deg)]
+        acc = np.zeros(len(cols[0]), complex)
+        for m, c in self.terms.items():
+            term = complex(c)
+            for pw, n in zip(powers, m):
+                if n:
+                    term = term * pw[n]
+            acc = acc + term
+        return complex(acc[0]) if pts.ndim == 1 else acc
 
     def to_expr(self) -> ex.Expr:
         acc = ex.ZERO
@@ -230,6 +248,17 @@ RP_X = RatPoly.variable("x")
 RP_Y = RatPoly.variable("y")
 RP_T = RatPoly.variable("t")
 RP_ONE = RatPoly.monomial(0, 0, 0)
+
+
+def potential_expr(u) -> ex.Expr:
+    """A potential given as text, a RatPoly or an Expr, as an Expr."""
+    if isinstance(u, str):
+        return ex.parse_expr(u)
+    if isinstance(u, RatPoly):
+        return u.to_expr()
+    if isinstance(u, ex.Expr):
+        return u
+    raise BadPotential(f"cannot use {type(u).__name__} as a potential")
 
 
 def ratpoly_from_expr(e: ex.Expr) -> RatPoly:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import expr as ex
 from .errors import BadPotential, DomainError
-from .exact import RatPoly
+from .exact import RatPoly, potential_expr
 from .expr import Expr, eval_at, jet_eval
 from .group import HeisMap, Point
 from .horizontal import lambda_jet, sym_x, sym_y, word_jet
@@ -47,16 +47,6 @@ def conformal_v0(coeffs) -> Expr:
     return conformal_v0_poly(coeffs).to_expr()
 
 
-def _as_potential_expr(v0) -> Expr:
-    if isinstance(v0, str):
-        return ex.parse_expr(v0)
-    if isinstance(v0, RatPoly):
-        return v0.to_expr()
-    if isinstance(v0, Expr):
-        return v0
-    raise BadPotential(f"cannot use {type(v0).__name__} as a potential")
-
-
 class ConformalResidual(NamedTuple):
     z2v0: complex
     re: float
@@ -65,7 +55,7 @@ class ConformalResidual(NamedTuple):
 
 def conformal_residual(v0, p, order: int = 2) -> ConformalResidual:
     """Z^2 v0 at p, with the two real equations split out."""
-    j = jet_eval(_as_potential_expr(v0), p, order)
+    j = jet_eval(potential_expr(v0), p, order)
     val = word_jet("ZZ", j).value
     return ConformalResidual(val, val.real, val.imag)
 
@@ -76,7 +66,7 @@ def field_components(v0) -> tuple[Expr, Expr, Expr]:
     A prebuilt component tuple passes through unchanged."""
     if isinstance(v0, tuple):
         return v0
-    e = _as_potential_expr(v0)
+    e = potential_expr(v0)
     return sym_y(e), ex.neg(sym_x(e)), e
 
 
@@ -125,7 +115,7 @@ def flow_closed_form(h, s: float, name: str | None = None) -> HeisMap:
     The first coordinate is frozen, the second drifts by -s h'(x) and the
     vertical one by s (2x h'(x) - 4 h(x)).
     """
-    he = _as_potential_expr(h)
+    he = potential_expr(h)
     if not _uses_only_x(he):
         raise BadPotential("flow potential must depend on x only")
     hp = ex.diff(he, 0)
@@ -157,7 +147,7 @@ def scl_exp_flow_reference(x: float, s: float) -> complex:
 
 def scl_flow_derivative(v0, p, order: int = 4) -> complex:
     """d/ds at s=0 of the flow's classical-type Schwarzian: -2i Z^3 Zbar v0."""
-    j = jet_eval(_as_potential_expr(v0), p, order)
+    j = jet_eval(potential_expr(v0), p, order)
     return -2j * word_jet("ZZZZb", j).value
 
 

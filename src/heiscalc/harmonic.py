@@ -2,44 +2,35 @@
 Hessian determinants, the Bochner-type identity, grid sign scans, and the
 growth-estimate ingredients along radial curves.
 
-Polynomial inputs are scanned through the exact kernel so sign decisions are
-not at the mercy of rounding; everything else falls back to jets.
+Polynomial potentials are scanned through the exact kernel: the scanned
+quantities are exact RatPolys, but RatPoly.eval evaluates them in floats, so
+a sign within rounding of zero is still decided by rounding (ROADMAP item 4).
+Everything else falls back to jets; both routes share one grid walk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from . import exact
-from . import expr as ex
 from .errors import DomainError, EvalError, NotHarmonic
 from .exact import (RatPoly, QQi, fit_constant, frame_t, frame_x, frame_y,
-                    harmonic_nullspace, laplacian_h, ratpoly_from_expr)
-from .expr import Expr, jet_eval
+                    harmonic_nullspace, laplacian_h, potential_expr,
+                    ratpoly_from_expr)
+from .expr import jet_eval
 from .group import HeisMap, koranyi_norm, radial_curve
 from .horizontal import (assess_contact, jt, jx, jy, jz, lambda_jet, sym_t,
                          sym_x, sym_y)
 from .jets import Jet
 
 
-def _as_expr(u) -> Expr:
-    if isinstance(u, str):
-        return ex.parse_expr(u)
-    if isinstance(u, RatPoly):
-        return u.to_expr()
-    if isinstance(u, Expr):
-        return u
-    raise DomainError(f"cannot use {type(u).__name__} as a potential")
-
-
 def _try_poly(u) -> RatPoly | None:
     if isinstance(u, RatPoly):
         return u
     try:
-        return ratpoly_from_expr(_as_expr(u))
+        return ratpoly_from_expr(potential_expr(u))
     except EvalError:
         return None
 
@@ -50,7 +41,7 @@ def _check_harmonic(u, samples=((0.3, -0.7, 0.4), (1.1, 0.5, -0.8), (-0.6, 0.9, 
         if not laplacian_h(poly).is_zero():
             raise NotHarmonic("sublaplacian of the potential is not the zero polynomial")
         return
-    j = jet_eval(_as_expr(u), np.array(samples, dtype=float), 2)
+    j = jet_eval(potential_expr(u), np.array(samples, dtype=float), 2)
     r = _lap(j).value
     bad = np.abs(r) > 1e-9 * (1.0 + np.abs(j.value))
     if bad.any():
@@ -62,7 +53,7 @@ def gradient_harmonic(u, name: str | None = None) -> HeisMap:
     """Map whose components are the frame derivatives (Xu, Yu, Tu) of a
     sublaplacian-harmonic potential."""
     _check_harmonic(u)
-    e = _as_expr(u)
+    e = potential_expr(u)
     return HeisMap(sym_x(e), sym_y(e), sym_t(e), name or "grad-harmonic")
 
 
@@ -107,7 +98,7 @@ class HessianReport:
 
 
 def hessian_report(u, p, order: int = 4) -> HessianReport:
-    e = _as_expr(u)
+    e = potential_expr(u)
     j = jet_eval(e, p, order)
     x2u = jx(jx(j)).value.real
     xyu = jx(jy(j)).value.real
@@ -126,7 +117,7 @@ def hessian_report(u, p, order: int = 4) -> HessianReport:
 
 def bochner_residual(u, p, kappa: float = 8.0, order: int = 5) -> float:
     """Residual of (1/2) lap |grad u|^2 = ||Hess u||^2 + kappa (Xu YTu - Yu XTu)."""
-    j = jet_eval(_as_expr(u), p, order)
+    j = jet_eval(potential_expr(u), p, order)
     gx, gy = jx(j), jy(j)
     lhs = 0.5 * _lap(gx * gx + gy * gy).value.real
     hess2 = (jx(gx).value.real ** 2 + jy(gx).value.real ** 2
@@ -137,7 +128,7 @@ def bochner_residual(u, p, kappa: float = 8.0, order: int = 5) -> float:
 
 def geom_term(u, p, order: int = 3) -> float:
     """Xu YTu - Yu XTu at p; the level-set quantity gating the sign results."""
-    j = jet_eval(_as_expr(u), p, order)
+    j = jet_eval(potential_expr(u), p, order)
     return (jx(j).value * jy(jt(j)).value - jy(j).value * jx(jt(j)).value).real
 
 
@@ -194,6 +185,9 @@ class SignReport:
     grid_shape: tuple
     checks: list
     singular_count: int = 0
+    # the (n, 3) grid and the per-point columns the counts came from
+    points: np.ndarray | None = field(default=None, repr=False, compare=False)
+    columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def ok(self) -> bool:
         return all(c.ok() for c in self.checks)
@@ -224,29 +218,63 @@ class SignReport:
         }
 
 
-def _grid_points(region):
+def _grid_array(region) -> np.ndarray:
+    """The grid points as an (n, 3) array, x slowest and t fastest."""
     axes = []
     for lo, hi, n in region:
         if n < 1:
             raise DomainError("grid axis needs at least one sample")
         if n == 1:
-            axes.append([0.5 * (lo + hi)])
+            axes.append(np.array([0.5 * (lo + hi)]))
         else:
-            step = (hi - lo) / (n - 1)
-            axes.append([lo + i * step for i in range(n)])
-    for x in axes[0]:
-        for y in axes[1]:
-            for t in axes[2]:
-                yield (x, y, t)
+            axes.append(lo + np.arange(n) * ((hi - lo) / (n - 1)))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def _grid_array(region) -> np.ndarray:
-    """The grid points in _grid_points order, as an (n, 3) array."""
-    return np.fromiter(chain.from_iterable(_grid_points(region)), float).reshape(-1, 3)
+# Points per route call of a sign scan. A larger chunk spreads each numpy
+# call over more points but holds every intermediate of the chunk at once:
+# on a 10^3 jet-path scan of exp(x)cos(y) + u*, 64 points raise a fresh
+# process's peak memory by about 1 MiB and 128 points by about 2 MiB, for
+# about a third less time.
+_CHUNK = 64
 
 
-def _grad_quantities_poly(u: RatPoly):
-    """Exact scan quantities for the gradient map of a polynomial potential.
+def _sign_scan(region, shape, label, tol, claims, route) -> SignReport:
+    """The one grid walk of every sign scan. claims is a (name, expect) pair
+    per check; route(p), on an (m, 3) chunk of the grid, gives a singular
+    mask, a (values, gate) pair per claim and a dict of further columns."""
+    points = _grid_array(region)
+    checks = [CheckStat(name=n, expect=e) for n, e in claims]
+    columns = {}
+    for lo in range(0, len(points), _CHUNK):
+        p = points[lo:lo + _CHUNK]
+        singular, pairs, extra = route(p)
+        for stat, (val, gate_ok) in zip(checks, pairs):
+            stat.record(p, val, gate_ok, tol)
+        values = {"singular": singular,
+                  **{c.name: val for c, (val, _) in zip(checks, pairs)}, **extra}
+        for k, val in values.items():
+            if k not in columns:
+                columns[k] = np.empty(len(points), np.asarray(val).dtype)
+            columns[k][lo:lo + len(p)] = val
+    return SignReport(label=label, grid_shape=shape, checks=checks,
+                      singular_count=int(np.count_nonzero(columns["singular"])),
+                      points=points, columns=columns)
+
+
+_GRADIENT_CLAIMS = (("lap_abs_zf2", "nonneg"), ("cleared_log_abs_zf2", "nonpos"),
+                    ("lap_abs_f2", "nonneg"), ("lap_grad_u2", "nonneg"))
+
+
+def _gradient_claims(g, lap_g, cleared, lap_f2, lap_grad2, geom, tol):
+    """A gradient route's answer from its per-point values: g = |ZF|^2, the
+    claimed quantities and the level-set term geom."""
+    return g <= tol, ((lap_g, True), (cleared, g > tol), (lap_f2, geom >= -tol),
+                      (lap_grad2, geom >= -tol)), {"geom": geom}
+
+
+def _grad_quantities_poly(u: RatPoly) -> tuple:
+    """Exact _gradient_claims quantities for a polynomial potential.
 
     Log-claims are cleared: lap log g has the sign of g lap g - |grad_H g|^2
     on {g > 0}.
@@ -255,16 +283,12 @@ def _grad_quantities_poly(u: RatPoly):
     fc = f1 + f2 * exact.QQI_I
     zf = exact.frame_z(fc)
     g = (zf * zf.conj()).re_part()                     # |ZF|^2
+    lap_g = laplacian_h(g)
     absf2 = (fc * fc.conj()).re_part()
     grad2 = f1 * f1 + f2 * f2                          # |grad_H u|^2
     geom = f1 * frame_y(f3) - f2 * frame_x(f3)
-    cleared_log = g * laplacian_h(g) - frame_x(g) ** 2 - frame_y(g) ** 2
-    return {
-        "lap_abs_zf2": (None, laplacian_h(g), "nonneg"),
-        "cleared_log_abs_zf2": (g, cleared_log, "nonpos"),
-        "lap_abs_f2": (geom, laplacian_h(absf2), "nonneg"),
-        "lap_grad_u2": (geom, laplacian_h(grad2), "nonneg"),
-    }, g
+    cleared_log = g * lap_g - frame_x(g) ** 2 - frame_y(g) ** 2
+    return g, lap_g, cleared_log, laplacian_h(absf2), laplacian_h(grad2), geom
 
 
 def subharmonicity_scan(u, region, label: str | None = None,
@@ -279,91 +303,51 @@ def subharmonicity_scan(u, region, label: str | None = None,
     shape = tuple(n for (_, _, n) in region)
     if poly is None:
         return _scan_jets(u, region, label, tol, shape)
-    quantities, g = _grad_quantities_poly(poly)
-    checks = [CheckStat(name=k, expect=e) for k, (_, _, e) in quantities.items()]
-    points = _grid_array(region)
+    quantities = _grad_quantities_poly(poly)
 
-    def values(q: RatPoly) -> np.ndarray:
-        return np.fromiter((q.eval(p).real for p in _grid_points(region)), float, len(points))
-
-    gval = values(g)
-    for stat, (gate, val, _) in zip(checks, quantities.values()):
-        if gate is None:
-            gate_ok = True
-        else:
-            gate_ok = gval > tol if gate is g else values(gate) >= -tol
-        stat.record(points, values(val), gate_ok, tol)
-    return SignReport(label=label or "gradient-scan", grid_shape=shape,
-                      checks=checks, singular_count=int(np.count_nonzero(gval <= tol)))
-
-
-# Points per batched jet evaluation in the jet-path scans. A larger chunk
-# spreads each numpy call over more points but holds every intermediate jet
-# of the chunk at once: on a 10^3 scan of exp(x)cos(y) + u*, 64 points raise
-# a fresh process's peak memory by about 1 MiB and 128 points by about 2 MiB,
-# for about a third less time.
-_CHUNK = 64
-
-
-def _grid_chunks(region):
-    """The grid points in _grid_points order, as (n, 3) arrays of at most
-    _CHUNK points."""
-    points = _grid_array(region)
-    for lo in range(0, len(points), _CHUNK):
-        yield points[lo:lo + _CHUNK]
+    def route(p):
+        return _gradient_claims(*(q.eval(p).real for q in quantities), tol)
+    return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS, route)
 
 
 def _scan_jets(u, region, label, tol, shape) -> SignReport:
-    e = _as_expr(u)
-    names = (("lap_abs_zf2", "nonneg"), ("cleared_log_abs_zf2", "nonpos"),
-             ("lap_abs_f2", "nonneg"), ("lap_grad_u2", "nonneg"))
-    checks = [CheckStat(name=n, expect=x) for n, x in names]
-    singular = 0
-    for p in _grid_chunks(region):
+    e = potential_expr(u)
+
+    def route(p):
         j = jet_eval(e, p, 5)
         f1, f2, f3 = jx(j), jy(j), jt(j)
         fc = f1 + 1j * f2
         zf = jz(fc)
         g = (zf * zf.conj()).real()
-        gval = g.value.real
-        singular += int(np.count_nonzero(gval <= tol))
-        geomv = (f1.value * jy(f3).value - f2.value * jx(f3).value).real
-        cleared = (g * _lap(g) - jx(g) * jx(g) - jy(g) * jy(g)).value.real
-        vals = (
-            (_lap(g).value.real, True),
-            (cleared, gval > tol),
-            (_lap((fc * fc.conj()).real()).value.real, geomv >= -tol),
-            (_lap((f1 * f1 + f2 * f2).real()).value.real, geomv >= -tol),
-        )
-        for stat, (val, gate_ok) in zip(checks, vals):
-            stat.record(p, val, gate_ok, tol)
-    return SignReport(label=label or "gradient-scan", grid_shape=shape,
-                      checks=checks, singular_count=singular)
+        lap_g = _lap(g)
+        geom = (f1.value * jy(f3).value - f2.value * jx(f3).value).real
+        cleared = (g * lap_g - jx(g) * jx(g) - jy(g) * jy(g)).value.real
+        return _gradient_claims(g.value.real, lap_g.value.real, cleared,
+                                _lap((fc * fc.conj()).real()).value.real,
+                                _lap((f1 * f1 + f2 * f2).real()).value.real, geom, tol)
+    return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS, route)
 
 
 def contact_jacobian_scan(m: HeisMap, region, label: str | None = None,
                           tol: float = 1e-10) -> SignReport:
     """Sign scan of lap J and the cleared lap log J for a contact harmonic map,
     gated on the mixed-gradient condition for superharmonicity."""
-    shape = tuple(n for (_, _, n) in region)
-    checks = [CheckStat(name="lap_jf", expect="nonpos"),
-              CheckStat(name="cleared_log_jf", expect="nonpos")]
-    singular = 0
-    for p in _grid_chunks(region):
+
+    def route(p):
         j1, j2, j3 = m.jets(p, 5)
         jac = lambda_jet(j1, j2, j3).real()
         jval = jac.value.real
-        singular += int(np.count_nonzero(jval <= tol))
         tf1, tf2 = jt(j1), jt(j2)
         # h1 gate: grad f1 . grad T f2 <= grad f2 . grad T f1
         h1 = ((jx(j1) * jx(tf2) + jy(j1) * jy(tf2))
               - (jx(j2) * jx(tf1) + jy(j2) * jy(tf1))).value.real
-        lap_j = _lap(jac).value.real
-        cleared = (jac * _lap(jac) - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
-        checks[0].record(p, lap_j, h1 <= tol, tol)
-        checks[1].record(p, cleared, (h1 <= tol) & (jval > tol), tol)
-    return SignReport(label=label or "contact-jacobian-scan", grid_shape=shape,
-                      checks=checks, singular_count=singular)
+        lap_j = _lap(jac)
+        cleared = (jac * lap_j - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
+        return jval <= tol, ((lap_j.value.real, h1 <= tol),
+                             (cleared, (h1 <= tol) & (jval > tol))), {"h1": h1}
+    return _sign_scan(region, tuple(n for (_, _, n) in region),
+                      label or "contact-jacobian-scan", tol,
+                      (("lap_jf", "nonpos"), ("cleared_log_jf", "nonpos")), route)
 
 
 # --- growth ingredients ----------------------------------------------------------
@@ -437,7 +421,7 @@ def growth_ingredients(u, p, alpha: float = 1.0, radii=None,
         raise DomainError("the weight exponent must be at least 1")
     if radii is None:
         radii = [0.1 + 0.8 * i / 9.0 for i in range(10)]
-    e = _as_expr(u)
+    e = potential_expr(u)
     grad = HeisMap(sym_x(e), sym_y(e), sym_t(e), "grad")
     n_p = koranyi_norm(p)
     rows = []

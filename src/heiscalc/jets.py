@@ -285,8 +285,8 @@ class Jet:
             raise TypeError("jet powers must be integers")
         if n < 0:
             return self.reciprocal() ** (-n)
-        out = Jet.constant(1.0, self.base, self.order)
-        for _ in range(n):
+        out = self if n else Jet.constant(1.0, self.base, self.order)
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -33,6 +33,18 @@ def _contact_gate(f: HeisMap, j1: Jet, j2: Jet, j3: Jet, tol: float):
             f"{f!r} fails the contact equations at {j1.base}: residual {worst:.3e}")
 
 
+def _positive_jacobian(f: HeisMap, p, order: int, contact_tol: float | None = None) -> Jet:
+    """The Jacobian jet of f at p, after the contact gate when contact_tol is
+    given; raises NotPositive unless the Jacobian is positive."""
+    j1, j2, j3 = f.jets(p, order)
+    if contact_tol is not None:
+        _contact_gate(f, j1, j2, j3, contact_tol)
+    lam = lambda_jet(j1, j2, j3)
+    if lam.value.real <= 0:
+        raise NotPositive(f"Jacobian {lam.value.real:.3e} is not positive at {tuple(p)}")
+    return lam
+
+
 def s_cr(f: HeisMap, p, order: int = 4, contact_tol: float = 1e-7) -> complex:
     """CR Schwarzian Z^2 phi - 2 (Z phi)^2, phi the half-log Jacobian.
 
@@ -40,12 +52,7 @@ def s_cr(f: HeisMap, p, order: int = 4, contact_tol: float = 1e-7) -> complex:
     is 2 s_cr and the chain rule below holds; the reciprocal-form variant is
     its negative, see s_cr_reciprocal_form.
     """
-    j1, j2, j3 = f.jets(p, order)
-    _contact_gate(f, j1, j2, j3, contact_tol)
-    lam = lambda_jet(j1, j2, j3)
-    if lam.value.real <= 0:
-        raise NotPositive(f"Jacobian {lam.value.real:.3e} is not positive at {tuple(p)}")
-    phi = lam.log() * 0.5
+    phi = _positive_jacobian(f, p, order, contact_tol).log() * 0.5
     zphi = jz(phi)
     return (word_jet("ZZ", phi) - 2.0 * zphi * zphi).value
 
@@ -53,10 +60,7 @@ def s_cr(f: HeisMap, p, order: int = 4, contact_tol: float = 1e-7) -> complex:
 def s_cr_reciprocal_form(f: HeisMap, p, order: int = 4) -> complex:
     """Half the Jacobian times Z^2 of its reciprocal. Kept as an independent
     route; the suite fits the constant relating it to s_cr (it is -1)."""
-    j1, j2, j3 = f.jets(p, order)
-    lam = lambda_jet(j1, j2, j3)
-    if lam.value.real <= 0:
-        raise NotPositive(f"Jacobian {lam.value.real:.3e} is not positive at {tuple(p)}")
+    lam = _positive_jacobian(f, p, order)
     return word_jet("ZZ", lam.reciprocal()).value * lam.value * 0.5
 
 
@@ -66,10 +70,7 @@ def s_cr_tensor_coeff(f: HeisMap, p, order: int = 4) -> complex:
     Computed through the cleared polynomial route (lambda Z^2 lambda and
     (Z lambda)^2, no logs), so it is an independent check against 2 s_cr.
     """
-    j1, j2, j3 = f.jets(p, order)
-    lam = lambda_jet(j1, j2, j3)
-    if lam.value.real <= 0:
-        raise NotPositive(f"Jacobian {lam.value.real:.3e} is not positive at {tuple(p)}")
+    lam = _positive_jacobian(f, p, order)
     zlam = jz(lam)
     num = (lam * word_jet("ZZ", lam) - 2.0 * zlam * zlam).value
     return num / (lam.value * lam.value)
@@ -89,20 +90,12 @@ def s_cl(f: HeisMap, p, order: int = 5, contact_tol: float = 1e-7) -> complex:
 
 def preschwarzian(f: HeisMap, p, order: int = 3) -> complex:
     """Z of the log Jacobian. Needs a positive Jacobian, not contact."""
-    j1, j2, j3 = f.jets(p, order)
-    jac = lambda_jet(j1, j2, j3)
-    if jac.value.real <= 0:
-        raise NotPositive(f"Jacobian {jac.value.real:.3e} is not positive at {tuple(p)}")
-    return jz(jac.log()).value
+    return jz(_positive_jacobian(f, p, order).log()).value
 
 
 def preschwarzian_identity_residual(f: HeisMap, p, order: int = 5) -> complex:
     """Z(Pf) - Pf^2 minus the tensor coefficient; zero whenever J_F > 0."""
-    j1, j2, j3 = f.jets(p, order)
-    jac = lambda_jet(j1, j2, j3)
-    if jac.value.real <= 0:
-        raise NotPositive(f"Jacobian {jac.value.real:.3e} is not positive at {tuple(p)}")
-    pf = jz(jac.log())
+    pf = jz(_positive_jacobian(f, p, order).log())
     lhs = (jz(pf) - pf * pf).value
     return lhs - s_cr_tensor_coeff(f, p, order=order)
 
@@ -110,11 +103,7 @@ def preschwarzian_identity_residual(f: HeisMap, p, order: int = 5) -> complex:
 def pluriharmonic_residual(f: HeisMap, p, order: int = 6) -> complex:
     """Z^2 Zbar of the half-log conformal factor; zero iff the factor is
     CR-pluriharmonic at p."""
-    j1, j2, j3 = f.jets(p, order)
-    lam = lambda_jet(j1, j2, j3)
-    if lam.value.real <= 0:
-        raise NotPositive(f"Jacobian {lam.value.real:.3e} is not positive at {tuple(p)}")
-    phi = lam.log() * 0.5
+    phi = _positive_jacobian(f, p, order).log() * 0.5
     return word_jet("ZZZb", phi).value
 
 

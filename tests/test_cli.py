@@ -77,6 +77,24 @@ def test_scan_csv_deterministic(tmp_path, capsys):
     assert sum(1 for r in rows if r.endswith(",singular")) == 25  # t = 0 plane
 
 
+def test_scan_csv_rows_are_the_reports_columns(tmp_path, capsys):
+    from heiscalc import harmonic
+    u, region = "t^2 - 2/3*(x^4+y^4)", ((0.3, 1.7, 5), (-0.9, 2.2, 4), (-1.0, 1.0, 3))
+    path = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, "scan", "--u", u, "--grid=0.3:1.7:5,-0.9:2.2:4,-1:1:3",
+                     "--out", str(path))
+    assert code == 0
+    rep = harmonic.subharmonicity_scan(u, region)
+    header, *rows = [r.split(",") for r in path.read_text().splitlines()]
+    assert header[3:-1] == [c.name for c in rep.checks] + ["geom"]
+    assert len(rows) == len(rep.points) == 60
+    for i, row in enumerate(rows):
+        assert [float(v) for v in row[:3]] == list(rep.points[i])
+        assert [float(v) for v in row[3:-1]] == [rep.columns[n][i] for n in header[3:-1]]
+        assert row[-1] == ("singular" if rep.columns["singular"][i] else "")
+    assert sum(r[-1] == "singular" for r in rows) == rep.singular_count == 20
+
+
 def test_scan_stdout_summary(capsys):
     code, out, _ = run(capsys, "scan", "--u", "x*y", "--grid=-1:1:3,-1:1:3,-1:1:3")
     assert code == 0
@@ -141,6 +159,13 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("eval", "--map", "refl", "--point", "1,1,0", "--which", "s_cr"), 3),
     (("eval", "--map", "inv", "--point", "0,0,0", "--which", "s_cl"), 3),
     (("nonsense",), 2),
+    (("scan", "--u", "x*y", "--grid=nan:1:3,-1:1:3,-1:1:3"), 2),
+    (("scan", "--u", "x*y", "--grid=-1:inf:3,-1:1:3,-1:1:3"), 2),
+    (("eval", "--map", "inv", "--point", "nan,1,1"), 2),
+    (("eval", "--map", "inv", "--point", "1,-inf,1"), 2),
+    (("flow", "--h", "exp(x)", "--s", "nan", "--point", "0,0,0"), 2),
+    (("flow", "--h", "exp(x)", "--s", "inf", "--point", "0,0,0"), 2),
+    (("flow", "--h", "exp(x)", "--s", "1", "--point", "0,nan,0"), 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))

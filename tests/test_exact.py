@@ -1,6 +1,7 @@
 """Exact rational polynomial kernel: field ops, frame fields, nullspaces."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heiscalc.errors import NoConsistentConstant
@@ -33,6 +34,26 @@ def test_ratpoly_arithmetic_and_eval():
         want = complex(p.eval(pt)) * complex(q.eval(pt))
         assert complex(prod.eval(pt)) == pytest.approx(want, rel=1e-14)
     assert p - p == RatPoly()
+
+
+def test_ratpoly_eval_on_point_array_matches_each_point():
+    pts = np.random.default_rng(4).uniform(-1.7, 1.7, (50, 3))
+    u = (RP_X * Fraction(2, 3) - RP_T * QQi(0, 1)) ** 3 + RP_Y ** 4 * RP_T ** 2 - RP_ONE
+    for poly in (u, frame_z(u), RatPoly(), RP_ONE * QQi(Fraction(1, 3), 2)):
+        got = poly.eval(pts)
+        assert got.shape == (len(pts),) and got.dtype == complex
+        want = np.array([poly.eval(tuple(p)) for p in pts])
+        assert got.tobytes() == want.tobytes()
+    assert RatPoly().eval((0.5, 0.5, 0.5)) == 0j
+
+
+def test_ratpoly_powers():
+    p = RP_X * 2 - RP_T * QQi(0, 1) + RP_ONE
+    assert p ** 0 == RP_ONE
+    assert p ** 1 == p
+    assert p ** 4 == p * p * p * p
+    with pytest.raises(ValueError):
+        p ** -1
 
 
 def test_frame_field_basics():

@@ -3,6 +3,7 @@ determinants, Bochner constant, sign scans, growth ingredients."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heiscalc import harmonic as hm
@@ -128,7 +129,7 @@ def _per_point_stats(names, region, quantities, tol):
     stats = {n: dict(n_points=0, n_gated=0, n_violations=0, worst=0.0, examples=[])
              for n, _ in names}
     singular = 0
-    for p in hm._grid_points(region):
+    for p in map(tuple, hm._grid_array(region).tolist()):
         sing, vals = quantities(p)
         singular += sing
         for (name, expect), (val, gate_ok) in zip(names, vals):
@@ -216,6 +217,23 @@ def test_contact_jacobian_scan_matches_per_point_loop(m):
     stats, singular = _per_point_stats(names, CROSSING, _jacobian_quantities(m, tol), tol)
     _assert_same(rep, stats, singular)
     assert rep.singular_count > 0
+
+
+def test_polynomial_and_jet_routes_agree():
+    # the exact-kernel route and the jet route, each on its own, over one grid
+    poly = hm.subharmonicity_scan(USTAR, CROSSING)
+    jets = hm._scan_jets(USTAR, CROSSING, None, 1e-10, None)
+    assert poly.singular_count == jets.singular_count > 0
+    for a, b in zip(poly.checks, jets.checks):
+        assert (a.name, a.n_points, a.n_gated, a.n_violations) == (
+            b.name, b.n_points, b.n_gated, b.n_violations)
+    assert poly.points.tobytes() == jets.points.tobytes()
+    assert sorted(poly.columns) == sorted(jets.columns)
+    for name, col in poly.columns.items():
+        if col.dtype == bool:
+            assert np.array_equal(col, jets.columns[name]), name
+        else:
+            np.testing.assert_allclose(jets.columns[name], col, rtol=1e-12, atol=0, err_msg=name)
 
 
 def test_contact_jacobian_scan_on_isometry():

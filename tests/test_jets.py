@@ -109,6 +109,29 @@ def test_power_matches_repeated_product():
     assert np.allclose((inv2 ** -2).coef, (inv2.reciprocal() * inv2.reciprocal()).coef)
 
 
+def test_power_starts_from_the_base(monkeypatch):
+    # j ** n is the left product j * j * ... * j: n - 1 products, bitwise
+    singles = [_sample_jet(4), _sample_jet(5)]
+    batch = jet_seed(np.random.default_rng(3).uniform(0.1, 0.9, (16, 3)), 5)[0].exp()
+    products = []
+    orig = Jet.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return orig(a, b)
+    for j in singles + [batch]:
+        want = j
+        for n in range(2, 6):
+            want = want * j
+            monkeypatch.setattr(Jet, "__mul__", counting)
+            products.clear()
+            got = j ** n
+            monkeypatch.setattr(Jet, "__mul__", orig)
+            assert len(products) == n - 1
+            assert got.coef.tobytes() == want.coef.tobytes()
+        assert np.array_equal((j ** 0).coef, Jet.constant(1.0, j.base, j.order).coef)
+
+
 def test_conj_real_imag_split():
     x, y, _ = jet_seed(P, 3)
     w = x + 1j * y
