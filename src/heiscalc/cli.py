@@ -206,11 +206,11 @@ def _suite_vfields(rng, tol):
 
 def _suite_appendix(_rng, _tol):
     lines = []
-    ids = exact.appendix_identities(6)
+    ids = exact.appendix_identities(8)
     bad = [name for name, _, okk in ids if not okk]
     for name, scope, okk in ids:
         lines.append(f"[{'ok' if okk else 'FAIL'}] {name} ({scope})")
-    dims = {d: exact.vzerosol_nullspace(d)[0] for d in (4, 5, 6, 7)}
+    dims = {d: exact.vzerosol_nullspace(d)[0] for d in range(4, 11)}
     lines.append(f"Z^2 kernel dimensions {dims}")
     ok = not bad and all(v == 8 for v in dims.values())
     return ok, lines, {"identities_failed": bad, "dims": {str(k): v for k, v in dims.items()}}
@@ -290,9 +290,15 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     region = _parse_grid(args.grid)
     as_csv = bool(args.out and args.out.endswith(".csv"))
-    if as_csv and harmonic._try_poly(args.u) is None:
-        raise ParseError("scan output needs a polynomial potential")
-    rep = harmonic.subharmonicity_scan(args.u, region)
+    u = args.u
+    if as_csv:
+        u = harmonic._try_poly(u)
+        if u is None:
+            raise ParseError("scan output needs a polynomial potential")
+    tol = args.tol if args.tol is not None else 1e-10
+    if not 0 <= tol < math.inf:
+        raise ParseError(f"scan tolerance must be a finite number >= 0, got {tol}")
+    rep = harmonic.subharmonicity_scan(u, region, tol=tol)
     if as_csv:
         names = [c.name for c in rep.checks] + ["geom"]
         buf = io.StringIO()
@@ -314,11 +320,19 @@ def cmd_scan(args) -> int:
 
 # --- flow ------------------------------------------------------------------------
 
+# RK4 takes 64 steps per unit of flow time; a flow that needs more steps than
+# this is refused rather than left running for hours.
+_MAX_FLOW_STEPS = 10 ** 6
+
+
 def cmd_flow(args) -> int:
     p = _parse_point(args.point)
     s = _parse_number(args.s)
+    if 64 * abs(s) > _MAX_FLOW_STEPS:
+        raise ParseError(f"flow time {s:g} needs more than the cap of {_MAX_FLOW_STEPS} "
+                         f"RK4 steps (64 per unit time, so |s| <= {_MAX_FLOW_STEPS / 64:g})")
     h = parse_expr(args.h)
-    steps = max(32, int(64 * abs(s)) or 32)
+    steps = max(32, int(64 * abs(s)))
     q_rk = fields.flow_integrate(h, p, s, steps=steps)
     doc = {"potential": args.h, "s": s, "point": list(p),
            "endpoint_rk4": list(q_rk), "steps": steps}

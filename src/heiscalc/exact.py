@@ -1,26 +1,28 @@
 """Exact polynomial kernel: Gaussian-rational polynomials in (x, y, t).
 
-This is the second, independent oracle route. Everything here is done in
-fractions.Fraction arithmetic with no floats, so identities verified by this
-module hold exactly, coefficient by coefficient; only `RatPoly.eval`, which
-gives values at points, works in floats. The jet engine never feeds this
-module and vice versa; tests compare the two from the outside.
+This is the second, independent oracle route. A RatPoly keeps each
+coefficient as a Gaussian-integer numerator (re, im), a pair of Python ints,
+over one positive denominator shared by the whole polynomial, always in
+lowest terms. Sums, products, conjugates, derivatives and the frame
+operators work on those integers in one pass over the terms (Z and Zbar only
+double the denominator), and row reduction is fraction-free, so identities
+verified by this module hold exactly, coefficient by coefficient. Only
+`RatPoly.eval`, which gives values at points, works in floats. QQi, a
+Gaussian rational, is the type of the exact constants `fit_constant`
+returns. The jet engine never feeds this module and vice versa; tests
+compare the two from the outside.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
 
 from . import expr as ex
 from .errors import BadPotential, EvalError, NoConsistentConstant
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
-
 
 class QQi:
     """Gaussian rational a + b*i with exact rational parts."""
@@ -85,7 +87,6 @@ class QQi:
 
 
 QQI_I = QQi(0, 1)
-_MINUS_I = QQi(0, -1)
 
 
 def _qqi(v) -> QQi:
@@ -97,38 +98,68 @@ def _qqi(v) -> QQi:
 
 
 class RatPoly:
-    """dict-backed polynomial, keys (i, j, k) = powers of x, y, t."""
+    """Polynomial over Q(i) in (x, y, t).
 
-    __slots__ = ("terms",)
+    num maps each monomial (i, j, k), the powers of x, y and t, to a nonzero
+    Gaussian-integer numerator (re, im); the coefficient is num[m] / den.
+    den is positive and the gcd of den and every numerator is 1, so equal
+    polynomials have equal fields.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                c = _qqi(c)
-                if c:
-                    self.terms[m] = c
+        """From a {monomial: coefficient} dict; ints, Fractions, floats,
+        complexes and QQi convert exactly."""
+        coefs = [(m, _qqi(c)) for m, c in (terms or {}).items()]
+        den = lcm(1, *(f.denominator for _, c in coefs for f in (c.re, c.im)))
+        self._reduce({m: tuple(f.numerator * (den // f.denominator) for f in (c.re, c.im))
+                      for m, c in coefs}, den)
+
+    def _reduce(self, num: dict, den: int):
+        num = {m: c for m, c in num.items() if c[0] or c[1]}
+        g = den
+        for re, im in num.values():
+            if g == 1:
+                break
+            g = gcd(g, re, im)
+        if g > 1:
+            num = {m: (re // g, im // g) for m, (re, im) in num.items()}
+            den //= g
+        self.num, self.den = num, den
+
+    @classmethod
+    def from_num(cls, num: dict, den: int = 1) -> "RatPoly":
+        """From {monomial: (re, im)} integer numerators over a positive
+        denominator; drops zero terms and reduces to lowest terms."""
+        r = cls.__new__(cls)
+        r._reduce(num, den)
+        return r
 
     @staticmethod
     def monomial(i, j, k, coef=1) -> "RatPoly":
+        if type(coef) is int:
+            return RatPoly.from_num({(i, j, k): (coef, 0)})
         return RatPoly({(i, j, k): coef})
 
     @staticmethod
     def variable(name: str) -> "RatPoly":
         return RatPoly.monomial(*{"x": (1, 0, 0), "y": (0, 1, 0), "t": (0, 0, 1)}[name])
 
+    def coef(self, m) -> QQi:
+        """The coefficient of monomial m, exactly."""
+        re, im = self.num.get(m, (0, 0))
+        return QQi(Fraction(re, self.den), Fraction(im, self.den))
+
     def __add__(self, o):
         o = _rp(o)
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            s = out.get(m, QQi()) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        r = RatPoly()
-        r.terms = out
-        return r
+        den = lcm(self.den, o.den)
+        fa, fb = den // self.den, den // o.den
+        out = {m: (fa * re, fa * im) for m, (re, im) in self.num.items()}
+        for m, (re, im) in o.num.items():
+            r0, i0 = out.get(m, (0, 0))
+            out[m] = (r0 + fb * re, i0 + fb * im)
+        return RatPoly.from_num(out, den)
 
     __radd__ = __add__
 
@@ -139,77 +170,68 @@ class RatPoly:
         return _rp(o) + (-self)
 
     def __neg__(self):
-        r = RatPoly()
-        r.terms = {m: -c for m, c in self.terms.items()}
-        return r
+        return RatPoly.from_num({m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
 
     def __mul__(self, o):
         o = _rp(o)
         out = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in o.terms.items():
+        get = out.get
+        for (i1, j1, k1), (r1, m1) in self.num.items():
+            for (i2, j2, k2), (r2, m2) in o.num.items():
                 m = (i1 + i2, j1 + j2, k1 + k2)
-                s = out.get(m, QQi()) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        r = RatPoly()
-        r.terms = out
-        return r
+                r0, i0 = get(m, (0, 0))
+                out[m] = (r0 + r1 * r2 - m1 * m2, i0 + r1 * m2 + m1 * r2)
+        return RatPoly.from_num(out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("RatPoly powers must be nonnegative")
-        out = self if n else RatPoly({(0, 0, 0): 1})
+        out = self if n else RatPoly.monomial(0, 0, 0)
         for _ in range(n - 1):
             out = out * self
         return out
 
     def __eq__(self, o):
-        return self.terms == _rp(o).terms
+        o = _rp(o)
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def conj(self) -> "RatPoly":
-        r = RatPoly()
-        r.terms = {m: c.conj() for m, c in self.terms.items()}
-        return r
+        return RatPoly.from_num({m: (re, -im) for m, (re, im) in self.num.items()}, self.den)
 
     def re_part(self) -> "RatPoly":
-        r = RatPoly()
-        r.terms = {m: QQi(c.re) for m, c in self.terms.items() if c.re != 0}
-        return r
+        return RatPoly.from_num({m: (re, 0) for m, (re, _) in self.num.items()}, self.den)
 
     def im_part(self) -> "RatPoly":
-        r = RatPoly()
-        r.terms = {m: QQi(c.im) for m, c in self.terms.items() if c.im != 0}
-        return r
+        return RatPoly.from_num({m: (im, 0) for m, (_, im) in self.num.items()}, self.den)
 
     def wdeg(self) -> int:
         """Weighted degree: x, y weigh 1, t weighs 2."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(i + j + 2 * k for (i, j, k) in self.terms)
+        return max(i + j + 2 * k for (i, j, k) in self.num)
 
     def eval(self, p):
         """Float value at a point (x, y, t), a complex, or at the rows of an
         (n, 3) array, a length-n complex array even for a constant. Terms
-        are c * x^i * y^j * t^k from the left, with powers built by repeated
-        products, so a point and its row of an array agree bitwise."""
+        are c * x^i * y^j * t^k from the left, in the order of num, with
+        each c correctly rounded and powers built by repeated products, so a
+        point and its row of an array agree bitwise."""
         pts = np.asarray(p, dtype=float)
         cols = pts.reshape(-1, 3).T
-        deg = [max((m[v] for m in self.terms), default=0) for v in range(3)]
+        deg = [max((m[v] for m in self.num), default=0) for v in range(3)]
         powers = [[None, *accumulate([c] * d, mul)] for c, d in zip(cols, deg)]
         acc = np.zeros(len(cols[0]), complex)
-        for m, c in self.terms.items():
-            term = complex(c)
+        den = self.den
+        for m, (re, im) in self.num.items():
+            term = complex(re / den, im / den)
             for pw, n in zip(powers, m):
                 if n:
                     term = term * pw[n]
@@ -218,8 +240,8 @@ class RatPoly:
 
     def to_expr(self) -> ex.Expr:
         acc = ex.ZERO
-        for (i, j, k) in sorted(self.terms):
-            c = self.terms[(i, j, k)]
+        for (i, j, k) in sorted(self.num):
+            c = self.coef((i, j, k))
             cval = ex.const(c.re) if c.im == 0 else ex.const(complex(c))
             term = cval
             for v, n in ((ex.X, i), (ex.Y, j), (ex.T, k)):
@@ -229,19 +251,19 @@ class RatPoly:
         return acc
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "RatPoly(0)"
         bits = []
-        for (i, j, k) in sorted(self.terms):
-            mono = "".join(f"{v}^{n}" for v, n in zip("xyt", (i, j, k)) if n)
-            bits.append(f"{self.terms[(i, j, k)]!r}*{mono or '1'}")
+        for m in sorted(self.num):
+            mono = "".join(f"{v}^{n}" for v, n in zip("xyt", m) if n)
+            bits.append(f"{self.coef(m)!r}*{mono or '1'}")
         return "RatPoly(" + " + ".join(bits) + ")"
 
 
 def _rp(v) -> RatPoly:
     if isinstance(v, RatPoly):
         return v
-    return RatPoly({(0, 0, 0): v})
+    return RatPoly.monomial(0, 0, 0, v)
 
 
 RP_X = RatPoly.variable("x")
@@ -270,10 +292,7 @@ def ratpoly_from_expr(e: ex.Expr) -> RatPoly:
         if op == "coord":
             return (RP_X, RP_Y, RP_T)[node.val]
         if op == "const":
-            v = node.val
-            if isinstance(v, complex):
-                return _rp(QQi(Fraction(v.real), Fraction(v.imag)))
-            return _rp(QQi(Fraction(v)))
+            return _rp(node.val)
         if op == "add":
             return walk(node.args[0]) + walk(node.args[1])
         if op == "sub":
@@ -290,10 +309,7 @@ def ratpoly_from_expr(e: ex.Expr) -> RatPoly:
             den = node.args[1]
             if den.op != "const":
                 raise EvalError("division by a non-constant is not polynomial")
-            dval = den.val
-            if isinstance(dval, complex):
-                return walk(node.args[0]) * _rp(QQi(1) / QQi(Fraction(dval.real), Fraction(dval.imag)))
-            return walk(node.args[0]) * _rp(QQi(Fraction(1) / Fraction(dval)))
+            return walk(node.args[0]) * _rp(QQi(1) / _qqi(den.val))
         if op == "conj":
             return walk(node.args[0]).conj()
         if op == "re":
@@ -309,47 +325,52 @@ def ratpoly_from_expr(e: ex.Expr) -> RatPoly:
 
 def d_coord(p: RatPoly, var: int) -> RatPoly:
     out = {}
-    for m, c in p.terms.items():
+    for m, (re, im) in p.num.items():
         n = m[var]
-        if n == 0:
-            continue
-        m2 = list(m)
-        m2[var] -= 1
-        out[tuple(m2)] = c * n
-    r = RatPoly()
-    r.terms = {m: c for m, c in out.items() if c}
-    return r
+        if n:
+            m2 = list(m)
+            m2[var] -= 1
+            out[tuple(m2)] = (n * re, n * im)
+    return RatPoly.from_num(out, p.den)
+
+
+def _frame(p: RatPoly, ax: tuple, ay: tuple, scale: int = 1) -> RatPoly:
+    """(ax X + ay Y)/scale applied to p, for Gaussian integers ax, ay, in one
+    pass: X = d/dx + 2y d/dt and Y = d/dy - 2x d/dt."""
+    (xr, xi), (yr, yi) = ax, ay
+    out = {}
+    get = out.get
+    for (i, j, k), (re, im) in p.num.items():
+        cx = (xr * re - xi * im, xr * im + xi * re)      # ax * coefficient
+        cy = (yr * re - yi * im, yr * im + yi * re)      # ay * coefficient
+        for n, m, (cr, ci) in ((i, (i - 1, j, k), cx), (2 * k, (i, j + 1, k - 1), cx),
+                               (j, (i, j - 1, k), cy), (-2 * k, (i + 1, j, k - 1), cy)):
+            if n and (cr or ci):
+                r0, i0 = get(m, (0, 0))
+                out[m] = (r0 + n * cr, i0 + n * ci)
+    return RatPoly.from_num(out, p.den * scale)
 
 
 def frame_x(p: RatPoly) -> RatPoly:
-    return d_coord(p, 0) + RP_Y * d_coord(p, 2) * 2
+    return _frame(p, (1, 0), (0, 0))
 
 
 def frame_y(p: RatPoly) -> RatPoly:
-    return d_coord(p, 1) - RP_X * d_coord(p, 2) * 2
+    return _frame(p, (0, 0), (1, 0))
 
 
 def frame_t(p: RatPoly) -> RatPoly:
     return d_coord(p, 2)
 
 
-def _frame_complex(p: RatPoly, unit: QQi) -> RatPoly:
-    """(X + unit Y)/2 applied to p: Z for unit = -i, Zbar for unit = i."""
-    fx, fy = frame_x(p), frame_y(p)
-    r = RatPoly()
-    for m in set(fx.terms) | set(fy.terms):
-        c = (fx.terms.get(m, QQi()) + unit * fy.terms.get(m, QQi())) * _HALF
-        if c:
-            r.terms[m] = c
-    return r
-
-
 def frame_z(p: RatPoly) -> RatPoly:
-    return _frame_complex(p, _MINUS_I)
+    """Z = (X - iY)/2."""
+    return _frame(p, (1, 0), (0, -1), 2)
 
 
 def frame_zbar(p: RatPoly) -> RatPoly:
-    return _frame_complex(p, QQI_I)
+    """Zbar = (X + iY)/2."""
+    return _frame(p, (1, 0), (0, 1), 2)
 
 
 _FRAME_OPS = {"X": frame_x, "Y": frame_y, "T": frame_t,
@@ -399,27 +420,31 @@ def monomials_wdeg(dmax: int, tmax: int | None = None) -> list:
     return out
 
 
-def _rref(mat: list[list[Fraction]]):
-    """In-place reduced row echelon; returns pivot column list."""
+def _rref(mat: list[list[int]]) -> list[int]:
+    """In-place fraction-free reduced row echelon form of an integer matrix;
+    returns the pivot columns. Each elimination step is
+    row <- pv * row - f * pivot_row, then the row is divided by the gcd of
+    its entries, so every entry stays an int. Row r of the rational reduced
+    form is mat[r] / mat[r][pivots[r]]."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if mat[rr][c] != 0:
-                pivot = rr
-                break
+        pivot = next((rr for rr in range(r, rows) if mat[rr][c]), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        prow = mat[pivot]
+        g = gcd(*prow)
+        prow = [v // g for v in prow]
+        mat[pivot], mat[r] = mat[r], prow
+        pv = prow[c]
         for rr in range(rows):
-            if rr != r and mat[rr][c] != 0:
-                f = mat[rr][c]
-                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
+            f = mat[rr][c]
+            if rr != r and f:
+                row = [pv * a - f * b for a, b in zip(mat[rr], prow)]
+                g = gcd(*row)
+                mat[rr] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
@@ -431,37 +456,30 @@ def real_nullspace(op, monos: list) -> list[RatPoly]:
     """Real-coefficient combinations of the monomials annihilated by op.
 
     op maps RatPoly -> RatPoly (possibly complex-coefficient output); the
-    kernel condition splits into real and imaginary rows. Returns a basis of
-    RatPolys with rational coefficients.
+    kernel condition splits into real and imaginary rows. Column c of the
+    matrix holds the numerators of op(monos[c]), whose denominator dens[c]
+    scales a kernel vector back only at the end. Returns the reduced-echelon
+    basis, RatPolys with rational coefficients.
     """
     images = [op(RatPoly.monomial(*m)) for m in monos]
-    row_index: dict = {}
-    for img in images:
-        for m in img.terms:
-            row_index.setdefault(m, len(row_index))
-    nrows = 2 * len(row_index)
-    if nrows == 0:
-        return [RatPoly.monomial(*m) for m in monos]
-    mat = [[_ZERO] * len(monos) for _ in range(nrows)]
+    n = len(monos)
+    rows: dict = {}
     for col, img in enumerate(images):
-        for m, c in img.terms.items():
-            base = 2 * row_index[m]
-            mat[base][col] = c.re
-            mat[base + 1][col] = c.im
+        for m, (re, im) in img.num.items():
+            if m not in rows:
+                rows[m] = ([0] * n, [0] * n)
+            rows[m][0][col], rows[m][1][col] = re, im
+    mat = [row for pair in rows.values() for row in pair if any(row)]
     pivots = _rref(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(len(monos)) if c not in pivot_set]
+    dens = [img.den for img in images]
+    free = sorted(set(range(n)) - set(pivots))
     basis = []
     for fc in free:
-        vec = [_ZERO] * len(monos)
-        vec[fc] = _ONE
+        vec = [0] * n
+        vec[fc] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        poly = RatPoly()
-        for c, v in enumerate(vec):
-            if v != 0:
-                poly.terms[monos[c]] = QQi(v)
-        basis.append(poly)
+            vec[pc] = Fraction(-mat[r][fc] * dens[pc], mat[r][pc] * dens[fc])
+        basis.append(RatPoly({m: v for m, v in zip(monos, vec) if v}))
     return basis
 
 
@@ -478,8 +496,8 @@ def fit_constant(pairs) -> QQi:
             if not lhs.is_zero():
                 raise NoConsistentConstant("lhs nonzero where rhs is zero")
             continue
-        m = next(iter(rhs.terms))
-        cand = lhs.terms.get(m, QQi()) / rhs.terms[m]
+        m = next(iter(rhs.num))
+        cand = lhs.coef(m) / rhs.coef(m)
         if c is None:
             c = cand
         elif c != cand:

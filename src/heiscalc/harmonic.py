@@ -35,8 +35,9 @@ def _try_poly(u) -> RatPoly | None:
         return None
 
 
-def _check_harmonic(u, samples=((0.3, -0.7, 0.4), (1.1, 0.5, -0.8), (-0.6, 0.9, 1.3))):
-    poly = _try_poly(u)
+def _check_harmonic(u, poly: RatPoly | None,
+                    samples=((0.3, -0.7, 0.4), (1.1, 0.5, -0.8), (-0.6, 0.9, 1.3))):
+    """poly is _try_poly(u), converted once by the caller."""
     if poly is not None:
         if not laplacian_h(poly).is_zero():
             raise NotHarmonic("sublaplacian of the potential is not the zero polynomial")
@@ -52,7 +53,7 @@ def _check_harmonic(u, samples=((0.3, -0.7, 0.4), (1.1, 0.5, -0.8), (-0.6, 0.9, 
 def gradient_harmonic(u, name: str | None = None) -> HeisMap:
     """Map whose components are the frame derivatives (Xu, Yu, Tu) of a
     sublaplacian-harmonic potential."""
-    _check_harmonic(u)
+    _check_harmonic(u, _try_poly(u))
     e = potential_expr(u)
     return HeisMap(sym_x(e), sym_y(e), sym_t(e), name or "grad-harmonic")
 
@@ -298,8 +299,8 @@ def subharmonicity_scan(u, region, label: str | None = None,
     region is three (lo, hi, n) triples for x, y, t. Points where ZF = 0 are
     counted as singular and excluded from the log claim, never from the rest.
     """
-    _check_harmonic(u)
     poly = _try_poly(u)
+    _check_harmonic(u, poly)
     shape = tuple(n for (_, _, n) in region)
     if poly is None:
         return _scan_jets(u, region, label, tol, shape)

@@ -175,14 +175,7 @@ def ledger_run() -> list[LedgerEntry]:
 
 def _rp_compose(g, f1: RatPoly, f2: RatPoly, f3: RatPoly):
     """Exact composition: substitute map components into each component of g."""
-    out = []
-    for comp in g:
-        acc = RatPoly()
-        for (i, j, k), c in comp.terms.items():
-            term = RatPoly({(0, 0, 0): c})
-            for base, n in ((f1, i), (f2, j), (f3, k)):
-                for _ in range(n):
-                    term = term * base
-            acc = acc + term
-        out.append(acc)
-    return tuple(out)
+    return tuple(
+        sum((RatPoly.from_num({(0, 0, 0): c}, comp.den) * f1 ** i * f2 ** j * f3 ** k
+             for (i, j, k), c in comp.num.items()), RatPoly())
+        for comp in g)

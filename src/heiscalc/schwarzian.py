@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import exact
 from . import expr as ex
 from .errors import BadPotential, NotContact, NotPositive, SingularError
-from .exact import RatPoly, d_coord, frame_z, ratpoly_from_expr
+from .exact import QQi, RatPoly, d_coord, frame_z, ratpoly_from_expr
 from .group import HeisMap
 from .horizontal import jt, jx, jy, jz, jzb, lambda_jet, word_jet
 from .jets import Jet
@@ -208,20 +208,17 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p, order: int = 5,
 
 def _int_poly(p: RatPoly, var: int) -> RatPoly:
     """Antiderivative in coordinate var with zero constant (base 0)."""
-    out = RatPoly()
-    for m, c in p.terms.items():
+    terms = {}
+    for m, (re, im) in p.num.items():
         m2 = list(m)
         m2[var] += 1
-        out.terms[tuple(m2)] = c * Fraction(1, m2[var])
-    return out
+        d = p.den * m2[var]
+        terms[tuple(m2)] = QQi(Fraction(re, d), Fraction(im, d))
+    return RatPoly(terms)
 
 
 def _at_y0(p: RatPoly) -> RatPoly:
-    out = RatPoly()
-    for (i, j, k), c in p.terms.items():
-        if j == 0:
-            out.terms[(i, 0, k)] = c
-    return out
+    return RatPoly.from_num({(i, 0, k): c for (i, j, k), c in p.num.items() if j == 0}, p.den)
 
 
 @dataclass
@@ -261,9 +258,9 @@ def zh_one_builder(q_seed, c1=0, c2=0, c3=0) -> FirstOrderPotential:
         q_seed = ratpoly_from_expr(q_seed)
     if not isinstance(q_seed, RatPoly):
         raise BadPotential(f"cannot use {type(q_seed).__name__} as a seed")
-    if any(k != 0 for (_, _, k) in q_seed.terms):
+    if any(k != 0 for (_, _, k) in q_seed.num):
         raise BadPotential("seed must not depend on t")
-    if any(c.im != 0 for c in q_seed.terms.values()):
+    if any(im != 0 for _, im in q_seed.num.values()):
         raise BadPotential("seed must be real")
     lap = d_coord(d_coord(q_seed, 0), 0) + d_coord(d_coord(q_seed, 1), 1)
     if not lap.is_zero():

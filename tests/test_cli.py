@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from heiscalc import exact
 from heiscalc.cli import main
 
 
@@ -62,6 +63,7 @@ def test_verify_out_payload(tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["schema"] == 1
     assert doc["results"]["appendix"]["ok"] is True
+    assert doc["results"]["appendix"]["dims"] == {str(d): 8 for d in range(4, 11)}
 
 
 def test_scan_csv_deterministic(tmp_path, capsys):
@@ -100,6 +102,32 @@ def test_scan_stdout_summary(capsys):
     assert code == 0
     assert "violations" in out
     assert "singular points: 27" in out
+
+
+def test_scan_passes_tol_on(capsys):
+    # |ZF|^2 of u* is 0 or 16 on this grid, so a tol of 100 makes every point singular
+    grid = "--grid=-1:1:3,-1:1:3,-1:1:3"
+    _, out, _ = run(capsys, "scan", "--u", "t^2 - 2/3*(x^4+y^4)", grid)
+    assert "singular points: 9" in out
+    _, out, _ = run(capsys, "scan", "--u", "t^2 - 2/3*(x^4+y^4)", grid, "--tol", "100")
+    assert "singular points: 27" in out
+
+
+@pytest.mark.parametrize("u,out", [("t^2 - 2/3*(x^4+y^4)", None),
+                                   ("t^2 - 2/3*(x^4+y^4)", "scan.csv"),
+                                   ("exp(x)*cos(y)", None)])
+def test_scan_converts_the_potential_once(tmp_path, capsys, monkeypatch, u, out):
+    from heiscalc import harmonic
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return exact.ratpoly_from_expr(e)
+    monkeypatch.setattr(harmonic, "ratpoly_from_expr", counted)
+    extra = ("--out", str(tmp_path / out)) if out else ()
+    code, _, _ = run(capsys, "scan", "--u", u, "--grid=-1:1:3,-1:1:3,-1:1:3", *extra)
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("out", [None, "scan.json"])
@@ -166,11 +194,27 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("flow", "--h", "exp(x)", "--s", "nan", "--point", "0,0,0"), 2),
     (("flow", "--h", "exp(x)", "--s", "inf", "--point", "0,0,0"), 2),
     (("flow", "--h", "exp(x)", "--s", "1", "--point", "0,nan,0"), 2),
+    (("scan", "--u", "x*y", "--grid=-1:1:3,-1:1:3,-1:1:3", "--tol", "nan"), 2),
+    (("scan", "--u", "x*y", "--grid=-1:1:3,-1:1:3,-1:1:3", "--tol", "inf"), 2),
+    (("scan", "--u", "x*y", "--grid=-1:1:3,-1:1:3,-1:1:3", "--tol=-1"), 2),
+    (("flow", "--h", "exp(x)", "--s", "1e308", "--point", "0,0,0"), 2),
+    (("flow", "--h", "exp(x)", "--s", "1e9", "--point", "0,0,0"), 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))
     capsys.readouterr()
     assert got == code
+
+
+def test_flow_step_cap_is_named(capsys, monkeypatch):
+    from heiscalc import cli
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the flow ran past the step cap")
+    monkeypatch.setattr(cli.fields, "flow_integrate", no_flow)
+    code, _, err = run(capsys, "flow", "--h", "exp(x)", "--s=-1e9", "--point", "0,0,0")
+    assert code == 2
+    assert str(cli._MAX_FLOW_STEPS) in err
 
 
 def test_config_fills_defaults_but_flags_win(tmp_path, capsys):
