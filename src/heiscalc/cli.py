@@ -79,7 +79,11 @@ def _parse_grid(s: str):
     return tuple(axes)
 
 
+_CONFIG_KEYS = {"seed": int, "tol": float, "out": str}
+
+
 def _load_config(path: str) -> dict:
+    """A config file's key=value lines, converted; a ParseError on a bad line."""
     cfg = {}
     try:
         with open(path) as fh:
@@ -90,7 +94,13 @@ def _load_config(path: str) -> dict:
                 if "=" not in line:
                     raise ParseError(f"{path}:{ln}: expected key=value")
                 k, v = (s.strip() for s in line.split("=", 1))
-                cfg[k] = v
+                if k not in _CONFIG_KEYS:
+                    raise ParseError(f"{path}:{ln}: unknown key {k!r} "
+                                     f"(known: {', '.join(_CONFIG_KEYS)})")
+                try:
+                    cfg[k] = _CONFIG_KEYS[k](v)
+                except ValueError:
+                    raise ParseError(f"{path}:{ln}: bad value {v!r} for {k}") from None
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from None
     return cfg
@@ -101,16 +111,11 @@ def _load_config(path: str) -> dict:
 def cmd_eval(args) -> int:
     m = word_to_map(parse_word(args.map))
     p = _parse_point(args.point)
-    order = args.order or 5
     doc = {"op": args.which, "map": m.name, "point": list(p)}
-    if args.which == "s_cr":
-        v = schwarzian.s_cr(m, p, order=order)
-        doc["value"] = {"re": v.real, "im": v.imag}
-    elif args.which == "s_cl":
-        v = schwarzian.s_cl(m, p, order=order)
-        doc["value"] = {"re": v.real, "im": v.imag}
-    elif args.which == "pf":
-        v = schwarzian.preschwarzian(m, p, order=max(3, order - 2))
+    scalars = {"s_cr": schwarzian.s_cr, "s_cl": schwarzian.s_cl,
+               "pf": schwarzian.preschwarzian}
+    if args.which in scalars:
+        v = scalars[args.which](m, p)
         doc["value"] = {"re": v.real, "im": v.imag}
     elif args.which == "contact":
         doc["value"] = assess_contact(m, p).to_dict()
@@ -296,8 +301,6 @@ def cmd_scan(args) -> int:
         if u is None:
             raise ParseError("scan output needs a polynomial potential")
     tol = args.tol if args.tol is not None else 1e-10
-    if not 0 <= tol < math.inf:
-        raise ParseError(f"scan tolerance must be a finite number >= 0, got {tol}")
     rep = harmonic.subharmonicity_scan(u, region, tol=tol)
     if as_csv:
         names = [c.name for c in rep.checks] + ["geom"]
@@ -355,8 +358,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", default=argparse.SUPPRESS,
                    help="key=value defaults file; flags given on the command line win")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--order", type=int, default=argparse.SUPPRESS,
-                   help="jet order override")
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                    help="verification tolerance")
     p.add_argument("--out", default=argparse.SUPPRESS,
@@ -395,10 +396,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_KEYS = {"seed": int, "order": int, "tol": float, "out": str}
+_DEFAULTS = {"config": None, "seed": 0, "tol": None, "out": None}
 
 
-_DEFAULTS = {"config": None, "seed": 0, "order": None, "tol": None, "out": None}
+def _settle_args(args):
+    """Fill each flag not given (an absent attribute) from the config file or
+    the defaults, then check the inputs every command shares."""
+    if getattr(args, "config", None):
+        for k, v in _load_config(args.config).items():
+            if not hasattr(args, k):
+                setattr(args, k, v)
+    for k, v in _DEFAULTS.items():
+        if not hasattr(args, k):
+            setattr(args, k, v)
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise ParseError(f"tolerance must be a finite number >= 0, got {args.tol}")
 
 
 def main(argv=None) -> int:
@@ -407,22 +419,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    # absent attribute = flag not given anywhere; config fills those, then defaults
-    if getattr(args, "config", None):
-        try:
-            cfg = _load_config(args.config)
-            for k, conv in _CONFIG_KEYS.items():
-                if k in cfg and not hasattr(args, k):
-                    setattr(args, k, conv(cfg[k]))
-        except ParseError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    for k, v in _DEFAULTS.items():
-        if not hasattr(args, k):
-            setattr(args, k, v)
     handlers = {"eval": cmd_eval, "verify": cmd_verify,
                 "scan": cmd_scan, "flow": cmd_flow}
     try:
+        _settle_args(args)
         return handlers[args.command](args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -212,12 +212,6 @@ class RatPoly:
     def im_part(self) -> "RatPoly":
         return RatPoly.from_num({m: (im, 0) for m, (_, im) in self.num.items()}, self.den)
 
-    def wdeg(self) -> int:
-        """Weighted degree: x, y weigh 1, t weighs 2."""
-        if not self.num:
-            return -1
-        return max(i + j + 2 * k for (i, j, k) in self.num)
-
     def eval(self, p):
         """Float value at a point (x, y, t), a complex, or at the rows of an
         (n, 3) array, a length-n complex array even for a constant. Terms

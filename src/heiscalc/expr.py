@@ -290,6 +290,9 @@ def evaluate(roots, vx, vy, vt):
 
     try:
         return _over_roots(roots, root)
+    except OverflowError as e:
+        # scalar complex arithmetic raises where floats would give inf
+        raise DomainError(f"evaluation overflowed: {e}") from None
     finally:
         # ev refers to itself through its closure cell; dropping the cell
         # frees the memo and the seeds now, not at a cyclic collection
@@ -474,9 +477,18 @@ def _tokenize(s: str):
 
 
 def parse_expr(s: str) -> Expr:
-    """Parse 'x^2 + sin(t)*exp(-y)' style input into an Expr."""
+    """Parse 'x^2 + sin(t)*exp(-y)' style input into an Expr. A constant, as
+    written or folded, that is not a finite float (1e400, 1e300*1e300) is a
+    ParseError."""
     toks = _tokenize(s)
     pos = [0]
+    overflow = f"a constant in {s!r} is not a finite float"
+
+    def finite(e: Expr) -> Expr:
+        # isfinite raises OverflowError for an int beyond the float range
+        if e.op == "const" and not cmath.isfinite(e.val):
+            raise ParseError(overflow)
+        return e
 
     def peek():
         return toks[pos[0]]
@@ -493,7 +505,7 @@ def parse_expr(s: str) -> Expr:
         while peek() == ("op", "+") or peek() == ("op", "-"):
             op = take("op")
             rhs = parse_term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            e = finite(add(e, rhs) if op == "+" else sub(e, rhs))
         return e
 
     def parse_term():
@@ -501,7 +513,7 @@ def parse_expr(s: str) -> Expr:
         while peek() == ("op", "*") or peek() == ("op", "/"):
             op = take("op")
             rhs = parse_unary()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            e = finite(mul(e, rhs) if op == "*" else div(e, rhs))
         return e
 
     def parse_unary():
@@ -525,14 +537,14 @@ def parse_expr(s: str) -> Expr:
             if k != "num" or not isinstance(v, int):
                 raise ParseError(f"exponent must be an integer in {s!r}")
             take("num")
-            return pow_(base, sign * v)
+            return finite(pow_(base, sign * v))
         return base
 
     def parse_atom():
         k, v = peek()
         if k == "num":
             take("num")
-            return const(v)
+            return finite(const(v))
         if k == "name":
             take("name")
             if v in _COORDS:
@@ -552,7 +564,10 @@ def parse_expr(s: str) -> Expr:
             return inner
         raise ParseError(f"unexpected token {v!r} in {s!r}")
 
-    e = parse_sum()
+    try:
+        e = parse_sum()
+    except OverflowError:
+        raise ParseError(overflow) from None
     if peek() != ("end", ""):
         raise ParseError(f"trailing input {peek()[1]!r} in {s!r}")
     return e

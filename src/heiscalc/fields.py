@@ -53,9 +53,9 @@ class ConformalResidual(NamedTuple):
     im: float
 
 
-def conformal_residual(v0, p, order: int = 2) -> ConformalResidual:
+def conformal_residual(v0, p) -> ConformalResidual:
     """Z^2 v0 at p, with the two real equations split out."""
-    j = jet_eval(potential_expr(v0), p, order)
+    j = jet_eval(potential_expr(v0), p, 2)   # Z^2 v0
     val = word_jet("ZZ", j).value
     return ConformalResidual(val, val.real, val.imag)
 
@@ -92,6 +92,9 @@ def flow_integrate(v0, p, s: float, steps: int = 200) -> Point:
         x += h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
         y += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
         t += h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
+    # a coordinate that overflowed to inf or nan stays so to the end
+    if not math.isfinite(x + y + t):
+        raise DomainError(f"the flow from {tuple(p)} does not stay bounded up to s = {s:g}")
     return Point(x, y, t)
 
 
@@ -145,9 +148,9 @@ def scl_exp_flow_reference(x: float, s: float) -> complex:
     return complex(re, im)
 
 
-def scl_flow_derivative(v0, p, order: int = 4) -> complex:
+def scl_flow_derivative(v0, p) -> complex:
     """d/ds at s=0 of the flow's classical-type Schwarzian: -2i Z^3 Zbar v0."""
-    j = jet_eval(potential_expr(v0), p, order)
+    j = jet_eval(potential_expr(v0), p, 4)   # Z^3 Zbar v0
     return -2j * word_jet("ZZZZb", j).value
 
 

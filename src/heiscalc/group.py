@@ -154,9 +154,6 @@ class LinearSL2:
         return f"sl2({self.a},{self.b},{self.c},{self.d})"
 
 
-GENERATORS = (Translate, Dilate, Rotate, Invert, Reflect, LinearSL2)
-
-
 class HeisMap:
     """A map of the group held as three coordinate expressions."""
 

@@ -70,9 +70,9 @@ def _lap(j: Jet) -> Jet:
     return jx(jx(j)) + jy(jy(j))
 
 
-def harmonic_system_residuals(m: HeisMap, p, order: int = 5) -> SystemResiduals:
+def harmonic_system_residuals(m: HeisMap, p) -> SystemResiduals:
     """Residuals of the coupled system a gradient-harmonic map satisfies."""
-    j1, j2, j3 = m.jets(p, order)
+    j1, j2, j3 = m.jets(p, 4)   # the bi-sublaplacian
     r1 = (_lap(j1) - 8.0 * jt(j2)).value
     r2 = (_lap(j2) + 8.0 * jt(j1)).value
     r3 = _lap(j3).value
@@ -94,13 +94,10 @@ class HessianReport:
     j_f: float               # Jacobian of the gradient map, det route
     gap: float               # det_hess - det_hess_sym; equals 4 (Tu)^2
 
-    def quasiconformal(self) -> bool:
-        return self.j_f > 0
 
-
-def hessian_report(u, p, order: int = 4) -> HessianReport:
+def hessian_report(u, p) -> HessianReport:
     e = potential_expr(u)
-    j = jet_eval(e, p, order)
+    j = jet_eval(e, p, 2)   # the horizontal Hessian
     x2u = jx(jx(j)).value.real
     xyu = jx(jy(j)).value.real
     yxu = jy(jx(j)).value.real
@@ -109,16 +106,16 @@ def hessian_report(u, p, order: int = 4) -> HessianReport:
     det_hess = x2u * y2u - xyu * yxu
     det_sym = x2u * y2u - 0.25 * (xyu + yxu) ** 2
     grad = HeisMap(sym_x(e), sym_y(e), sym_t(e), "grad")
-    g1, g2, g3 = grad.jets(p, 2)
+    g1, g2, g3 = grad.jets(p, 1)   # the Jacobian of the gradient map
     j_f = lambda_jet(g1, g2, g3).value.real
     return HessianReport(point=tuple(p), x2u=x2u, xyu=xyu, yxu=yxu, y2u=y2u,
                          tu=tu, det_hess=det_hess, det_hess_sym=det_sym,
                          j_f=j_f, gap=det_hess - det_sym)
 
 
-def bochner_residual(u, p, kappa: float = 8.0, order: int = 5) -> float:
+def bochner_residual(u, p, kappa: float = 8.0) -> float:
     """Residual of (1/2) lap |grad u|^2 = ||Hess u||^2 + kappa (Xu YTu - Yu XTu)."""
-    j = jet_eval(potential_expr(u), p, order)
+    j = jet_eval(potential_expr(u), p, 3)   # lap |grad u|^2
     gx, gy = jx(j), jy(j)
     lhs = 0.5 * _lap(gx * gx + gy * gy).value.real
     hess2 = (jx(gx).value.real ** 2 + jy(gx).value.real ** 2
@@ -127,9 +124,9 @@ def bochner_residual(u, p, kappa: float = 8.0, order: int = 5) -> float:
     return lhs - hess2 - kappa * geom
 
 
-def geom_term(u, p, order: int = 3) -> float:
+def geom_term(u, p) -> float:
     """Xu YTu - Yu XTu at p; the level-set quantity gating the sign results."""
-    j = jet_eval(potential_expr(u), p, order)
+    j = jet_eval(potential_expr(u), p, 2)   # Y T u
     return (jx(j).value * jy(jt(j)).value - jy(j).value * jx(jt(j)).value).real
 
 
@@ -193,12 +190,6 @@ class SignReport:
     def ok(self) -> bool:
         return all(c.ok() for c in self.checks)
 
-    def by_name(self, name: str) -> CheckStat:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,
@@ -234,9 +225,9 @@ def _grid_array(region) -> np.ndarray:
 
 # Points per route call of a sign scan. A larger chunk spreads each numpy
 # call over more points but holds every intermediate of the chunk at once:
-# on a 10^3 jet-path scan of exp(x)cos(y) + u*, 64 points raise a fresh
-# process's peak memory by about 1 MiB and 128 points by about 2 MiB, for
-# about a third less time.
+# on a 10^3 jet-path scan of exp(x)cos(y) + u* (order-4 jets, 2-vCPU host),
+# 64 points raise a fresh process's peak memory by about 0.4 MiB and 128
+# points by about 1 MiB, for a quarter to a third less time.
 _CHUNK = 64
 
 
@@ -315,7 +306,7 @@ def _scan_jets(u, region, label, tol, shape) -> SignReport:
     e = potential_expr(u)
 
     def route(p):
-        j = jet_eval(e, p, 5)
+        j = jet_eval(e, p, 4)   # lap |ZF|^2, with ZF a second derivative of u
         f1, f2, f3 = jx(j), jy(j), jt(j)
         fc = f1 + 1j * f2
         zf = jz(fc)
@@ -335,7 +326,7 @@ def contact_jacobian_scan(m: HeisMap, region, label: str | None = None,
     gated on the mixed-gradient condition for superharmonicity."""
 
     def route(p):
-        j1, j2, j3 = m.jets(p, 5)
+        j1, j2, j3 = m.jets(p, 3)   # lap J
         jac = lambda_jet(j1, j2, j3).real()
         jval = jac.value.real
         tf1, tf2 = jt(j1), jt(j2)
@@ -411,7 +402,7 @@ def _curve_velocity(r: float, p) -> tuple:
 
 
 def growth_ingredients(u, p, alpha: float = 1.0, radii=None,
-                       sample_points=None, order: int = 4) -> GrowthReport:
+                       sample_points=None) -> GrowthReport:
     """Everything the radial-curve growth estimate consumes, measured.
 
     For each radius: the dilation consistency of the curve, horizontality of
@@ -431,8 +422,8 @@ def growth_ingredients(u, p, alpha: float = 1.0, radii=None,
         n_err = abs(koranyi_norm(q) - r * n_p)
         vx, vy, vt = _curve_velocity(r, p)
         horiz = abs(vt - 2.0 * q[1] * vx + 2.0 * q[0] * vy)
-        a = assess_contact(grad, q, order=2)
-        j = jet_eval(e, q, order)
+        a = assess_contact(grad, q)
+        j = jet_eval(e, q, 2)   # T^2 u
         t2u = jt(jt(j)).value.real
         geom = (jx(j).value * jy(jt(j)).value - jy(j).value * jx(jt(j)).value).real
         contact_ok = a.max_contact_residual() <= 1e-8 * (1.0 + abs(j.value))
@@ -451,7 +442,7 @@ def growth_ingredients(u, p, alpha: float = 1.0, radii=None,
             n4 = koranyi_norm(sp) ** 4
             if n4 >= 1.0:
                 raise DomainError(f"sample point {tuple(sp)} lies outside the unit ball")
-            g1, g2, g3 = grad.jets(sp, 2)
+            g1, g2, g3 = grad.jets(sp, 2)   # Z of log J
             jac = lambda_jet(g1, g2, g3)
             if jac.value.real <= 0:
                 skipped += 1

@@ -20,13 +20,13 @@ from .jets import Jet
 
 
 def jx(j: Jet) -> Jet:
-    yj = Jet.coordinate(1, j.base, j.order - 1)
-    return j.derive(0) + 2.0 * yj * j.derive(2)
+    dx = j.derive(0)   # first, so an order-0 jet raises OrderError
+    return dx + 2.0 * Jet.coordinate(1, j.base, dx.order) * j.derive(2)
 
 
 def jy(j: Jet) -> Jet:
-    xj = Jet.coordinate(0, j.base, j.order - 1)
-    return j.derive(1) - 2.0 * xj * j.derive(2)
+    dy = j.derive(1)
+    return dy - 2.0 * Jet.coordinate(0, j.base, dy.order) * j.derive(2)
 
 
 def jt(j: Jet) -> Jet:
@@ -68,12 +68,10 @@ def word_jet(word, j: Jet) -> Jet:
     return j
 
 
-def apply_word(word, e: Expr, p, order: int | None = None) -> complex:
+def apply_word(word, e: Expr, p) -> complex:
     """Value of a frame word applied to an expression at a point."""
     letters = parse_frame_word(word)
-    if order is None:
-        order = len(letters)
-    return word_jet(letters, jet_eval(e, p, order)).value
+    return word_jet(letters, jet_eval(e, p, len(letters))).value
 
 
 def sublaplacian(e: Expr, p) -> complex:
@@ -134,8 +132,8 @@ class ContactAssessment:
         }
 
 
-def assess_contact(f: HeisMap, p, order: int = 2) -> ContactAssessment:
-    j1, j2, j3 = f.jets(p, order)
+def assess_contact(f: HeisMap, p) -> ContactAssessment:
+    j1, j2, j3 = f.jets(p, 1)   # the horizontal differential and T f
     xf1, yf1 = jx(j1).value, jy(j1).value
     xf2, yf2 = jx(j2).value, jy(j2).value
     xf3, yf3 = jx(j3).value, jy(j3).value

@@ -1,10 +1,11 @@
 """The two Schwarzian derivatives, the preschwarzian, composition laws, and
 the ZH = 1 potential builder.
 
-Everything is computed from one high-order jet evaluation of the map
-components at the base point; the scalar fields (Jacobian, conformal factor,
-quotients) are jet-level compositions, so no symbolic differentiation of the
-map expressions happens here.
+Each diagnostic evaluates the map's jets at the base point to the order its
+formula consumes (a frame derivative uses one order, the Jacobian one more);
+a higher order changes no value, only the work. The scalar fields (Jacobian,
+conformal factor, quotients) are jet-level compositions, so no symbolic
+differentiation of the map expressions happens here.
 """
 from __future__ import annotations
 
@@ -20,66 +21,67 @@ from .horizontal import jt, jx, jy, jz, jzb, lambda_jet, word_jet
 from .jets import Jet
 
 _TINY = 1e-13
+_CONTACT_TOL = 1e-7   # contact gate of s_cr and s_cl, relative to 1 + |D_H f|^2
 
 
-def _contact_gate(f: HeisMap, j1: Jet, j2: Jet, j3: Jet, tol: float):
+def _contact_gate(f: HeisMap, j1: Jet, j2: Jet, j3: Jet):
     scale = 1.0 + max(abs(jx(j1).value), abs(jy(j1).value),
                       abs(jx(j2).value), abs(jy(j2).value)) ** 2
     r1 = (jx(j3) - 2.0 * j2 * jx(j1) + 2.0 * j1 * jx(j2)).value
     r2 = (jy(j3) - 2.0 * j2 * jy(j1) + 2.0 * j1 * jy(j2)).value
     worst = max(abs(r1), abs(r2))
-    if worst > tol * scale:
+    if worst > _CONTACT_TOL * scale:
         raise NotContact(
             f"{f!r} fails the contact equations at {j1.base}: residual {worst:.3e}")
 
 
-def _positive_jacobian(f: HeisMap, p, order: int, contact_tol: float | None = None) -> Jet:
-    """The Jacobian jet of f at p, after the contact gate when contact_tol is
-    given; raises NotPositive unless the Jacobian is positive."""
+def _positive_jacobian(f: HeisMap, p, order: int, contact: bool = False) -> Jet:
+    """The order-(order - 1) Jacobian jet of f at p, after the contact gate
+    when contact is set; raises NotPositive unless the Jacobian is positive."""
     j1, j2, j3 = f.jets(p, order)
-    if contact_tol is not None:
-        _contact_gate(f, j1, j2, j3, contact_tol)
+    if contact:
+        _contact_gate(f, j1, j2, j3)
     lam = lambda_jet(j1, j2, j3)
     if lam.value.real <= 0:
         raise NotPositive(f"Jacobian {lam.value.real:.3e} is not positive at {tuple(p)}")
     return lam
 
 
-def s_cr(f: HeisMap, p, order: int = 4, contact_tol: float = 1e-7) -> complex:
+def s_cr(f: HeisMap, p) -> complex:
     """CR Schwarzian Z^2 phi - 2 (Z phi)^2, phi the half-log Jacobian.
 
     This is the sign convention under which the Schwarzian tensor coefficient
     is 2 s_cr and the chain rule below holds; the reciprocal-form variant is
     its negative, see s_cr_reciprocal_form.
     """
-    phi = _positive_jacobian(f, p, order, contact_tol).log() * 0.5
+    phi = _positive_jacobian(f, p, 3, contact=True).log() * 0.5   # Z^2 of log J
     zphi = jz(phi)
     return (word_jet("ZZ", phi) - 2.0 * zphi * zphi).value
 
 
-def s_cr_reciprocal_form(f: HeisMap, p, order: int = 4) -> complex:
+def s_cr_reciprocal_form(f: HeisMap, p) -> complex:
     """Half the Jacobian times Z^2 of its reciprocal. Kept as an independent
     route; the suite fits the constant relating it to s_cr (it is -1)."""
-    lam = _positive_jacobian(f, p, order)
+    lam = _positive_jacobian(f, p, 3)   # Z^2 of 1/J
     return word_jet("ZZ", lam.reciprocal()).value * lam.value * 0.5
 
 
-def s_cr_tensor_coeff(f: HeisMap, p, order: int = 4) -> complex:
+def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
     """Holomorphic coefficient of the Schwarzian tensor, 2(Z^2 phi - 2(Z phi)^2).
 
     Computed through the cleared polynomial route (lambda Z^2 lambda and
     (Z lambda)^2, no logs), so it is an independent check against 2 s_cr.
     """
-    lam = _positive_jacobian(f, p, order)
+    lam = _positive_jacobian(f, p, 3)   # Z^2 of J
     zlam = jz(lam)
     num = (lam * word_jet("ZZ", lam) - 2.0 * zlam * zlam).value
     return num / (lam.value * lam.value)
 
 
-def s_cl(f: HeisMap, p, order: int = 5, contact_tol: float = 1e-7) -> complex:
+def s_cl(f: HeisMap, p) -> complex:
     """Classical-type Schwarzian Z^3F/ZF - (3/2)(Z^2F/ZF)^2."""
-    j1, j2, j3 = f.jets(p, order)
-    _contact_gate(f, j1, j2, j3, contact_tol)
+    j1, j2, j3 = f.jets(p, 3)   # Z^3 F
+    _contact_gate(f, j1, j2, j3)
     fjet = j1 + 1j * j2
     zf = jz(fjet)
     if abs(zf.value) < _TINY:
@@ -88,29 +90,29 @@ def s_cl(f: HeisMap, p, order: int = 5, contact_tol: float = 1e-7) -> complex:
     return word_jet("ZZZ", fjet).value / zf.value - 1.5 * q * q
 
 
-def preschwarzian(f: HeisMap, p, order: int = 3) -> complex:
+def preschwarzian(f: HeisMap, p) -> complex:
     """Z of the log Jacobian. Needs a positive Jacobian, not contact."""
-    return jz(_positive_jacobian(f, p, order).log()).value
+    return jz(_positive_jacobian(f, p, 2).log()).value   # Z of log J
 
 
-def preschwarzian_identity_residual(f: HeisMap, p, order: int = 5) -> complex:
+def preschwarzian_identity_residual(f: HeisMap, p) -> complex:
     """Z(Pf) - Pf^2 minus the tensor coefficient; zero whenever J_F > 0."""
-    pf = jz(_positive_jacobian(f, p, order).log())
+    pf = jz(_positive_jacobian(f, p, 3).log())   # Z^2 of log J
     lhs = (jz(pf) - pf * pf).value
-    return lhs - s_cr_tensor_coeff(f, p, order=order)
+    return lhs - s_cr_tensor_coeff(f, p)
 
 
-def pluriharmonic_residual(f: HeisMap, p, order: int = 6) -> complex:
+def pluriharmonic_residual(f: HeisMap, p) -> complex:
     """Z^2 Zbar of the half-log conformal factor; zero iff the factor is
     CR-pluriharmonic at p."""
-    phi = _positive_jacobian(f, p, order).log() * 0.5
+    phi = _positive_jacobian(f, p, 4).log() * 0.5   # Z^2 Zbar of log J
     return word_jet("ZZZb", phi).value
 
 
 # --- composition laws ----------------------------------------------------------
 
-def _conformal_gate(g: HeisMap, p, order: int):
-    jg1, jg2, jg3 = g.jets(p, order)
+def _conformal_gate(g: HeisMap, p):
+    jg1, jg2, jg3 = g.jets(p, 1)   # Zbar G
     gjet = jg1 + 1j * jg2
     zbg = jzb(gjet).value
     zg = jz(gjet).value
@@ -120,16 +122,16 @@ def _conformal_gate(g: HeisMap, p, order: int):
     return gjet
 
 
-def cr_chain_residual(f: HeisMap, g: HeisMap, p, order: int = 5) -> complex:
+def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
     """Residual of the full CR Schwarzian chain rule at p (lhs - rhs).
 
     Both maps only need to be contact; all six right-hand terms are built
     from independent jets of f at g(p) and of g at p.
     """
     q = g(p)
-    lhs = s_cr(f.compose(g), p, order=order)
+    lhs = s_cr(f.compose(g), p)
 
-    jg1, jg2, jg3 = g.jets(p, order)
+    jg1, jg2, jg3 = g.jets(p, 2)   # Z^2 G and Z J_G
     gjet = jg1 + 1j * jg2
     zg = jz(gjet).value
     zgbar = jz(gjet.conj()).value
@@ -139,10 +141,10 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p, order: int = 5) -> complex:
     z2gbar = word_jet("ZZ", gjet.conj()).value
     zlam_g = jz(lam_g).value
 
-    jf1, jf2, jf3 = f.jets(q, order)
+    jf1, jf2, jf3 = f.jets(q, 3)   # Zbar Z of J_F
     lam_f = lambda_jet(jf1, jf2, jf3)
     lf = lam_f.value
-    scr_f = s_cr(f, q, order=order)
+    scr_f = s_cr(f, q)
     zbz_lam = word_jet("ZbZ", lam_f).value
     zzb_lam = word_jet("ZZb", lam_f).value
     zlam = jz(lam_f).value
@@ -152,23 +154,23 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p, order: int = 5) -> complex:
 
     rhs = (scr_f * zg * zg
            + scr_f.conjugate() * zgbar * zgbar
-           + s_cr(g, p, order=order)
+           + s_cr(g, p)
            + (lf * (zbz_lam + zzb_lam) - 4.0 * zlam * zblam) * zg * zgbar / (2.0 * lf * lf)
            + (z2g * lg - 2.0 * zg * zlam_g) * zln / (2.0 * lg)
            + (z2gbar * lg - 2.0 * zgbar * zlam_g) * zbln / (2.0 * lg))
     return lhs - rhs
 
 
-def cocycle_residual_right(f: HeisMap, g: HeisMap, p, order: int = 5) -> complex:
+def cocycle_residual_right(f: HeisMap, g: HeisMap, p) -> complex:
     """Residual of S_CL(f o g) = S_CL(f) o g (ZG)^2 + S_CL(g), conformal g."""
-    gjet = _conformal_gate(g, p, order)
+    gjet = _conformal_gate(g, p)
     q = g(p)
     zg = jz(gjet).value
-    lhs = s_cl(f.compose(g), p, order=order)
-    return lhs - (s_cl(f, q, order=order) * zg * zg + s_cl(g, p, order=order))
+    lhs = s_cl(f.compose(g), p)
+    return lhs - (s_cl(f, q) * zg * zg + s_cl(g, p))
 
 
-def cocycle_residual_left(g: HeisMap, f: HeisMap, p, order: int = 5,
+def cocycle_residual_left(g: HeisMap, f: HeisMap, p,
                           middle_coeff: float = -1.0) -> complex:
     """Residual of the left composition law S_CL(g o f) for conformal g.
 
@@ -176,9 +178,9 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p, order: int = 5,
     terms; middle_coeff is the coefficient of (Z^2 F)(Z Fbar)/(ZF) in the
     middle one, exposed so the suite can fit it from data.
     """
-    _conformal_gate(g, p, order)
+    _conformal_gate(g, p)
     q = f(p)
-    jg1, jg2, jg3 = g.jets(q, order)
+    jg1, jg2, jg3 = g.jets(q, 3)   # Zbar Z^2 G
     gjet = jg1 + 1j * jg2
     a_big = jz(gjet).value                     # ZG at f(p)
     if abs(a_big) < _TINY:
@@ -187,7 +189,7 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p, order: int = 5,
     d_big = word_jet("ZbZ", gjet).value        # Zbar Z G
     e_big = word_jet("ZbZZ", gjet).value       # Zbar Z^2 G
 
-    jf1, jf2, jf3 = f.jets(p, order)
+    jf1, jf2, jf3 = f.jets(p, 2)   # Z^2 F
     fjet = jf1 + 1j * jf2
     a = jz(fjet).value                         # ZF
     if abs(a) < _TINY:
@@ -196,8 +198,8 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p, order: int = 5,
     abar = jz(fjet.conj()).value               # Z Fbar
     bbar = word_jet("ZZ", fjet.conj()).value   # Z^2 Fbar
 
-    lhs = s_cl(g.compose(f), p, order=order)
-    rhs = (s_cl(f, p, order=order)
+    lhs = s_cl(g.compose(f), p)
+    rhs = (s_cl(f, p)
            + (1.5 * e_big - 3.0 * (b_big / a_big) * d_big) * (a * abar) / a_big
            + (d_big / a_big) * (bbar * a + middle_coeff * b * abar) / a
            - 1.5 * (d_big / a_big) ** 2 * abar * abar)

@@ -199,6 +199,14 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("scan", "--u", "x*y", "--grid=-1:1:3,-1:1:3,-1:1:3", "--tol=-1"), 2),
     (("flow", "--h", "exp(x)", "--s", "1e308", "--point", "0,0,0"), 2),
     (("flow", "--h", "exp(x)", "--s", "1e9", "--point", "0,0,0"), 2),
+    (("verify", "--suite", "conformal", "--tol", "nan"), 2),
+    (("verify", "--suite", "conformal", "--tol=-1"), 2),
+    (("--tol", "inf", "verify", "--suite", "conformal"), 2),
+    (("--order", "5", "eval", "--map", "inv", "--point", "1,1,0"), 2),
+    (("eval", "--map", "inv", "--point", "1,1,0", "--which", "s_cr", "--order", "1"), 2),
+    (("scan", "--u", "1e300*1e300*x*y", "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
+    (("flow", "--h", "t^2 - 2/3*(x^4+y^4) + x*y*t", "--s", "0.3",
+      "--point", "0.3,0.7,-0.4"), 3),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))
@@ -239,3 +247,16 @@ def test_global_flags_accepted_before_subcommand(capsys):
     code, out, _ = run(capsys, "--seed", "3", "verify", "--suite", "conformal")
     assert code == 0
     assert "pass" in out
+
+
+@pytest.mark.parametrize("text,named", [("tolerance = 1e-3\n", "'tolerance'"),
+                                        ("order = 5\n", "'order'"),
+                                        ("seed = 9\ntol = nan\n", "tolerance"),
+                                        ("seed = nine\n", "'nine'")])
+def test_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys, text, named):
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "verify", "--suite", "conformal", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert named in err

@@ -114,3 +114,17 @@ def test_constant_root_becomes_a_constant_jet():
     assert j0.coef.dtype == np.complex128
     assert (j0.value, j0.order, j0.base) == (3, 2, P)
     assert j1.partial((1, 0, 0)) == 1
+
+
+@pytest.mark.parametrize("text", ["1e300*1e300*x*y", "1e400*x", "x - 1e308*10.0",
+                                  "-(1e200*1e200)", "(1e300)^2*x", "10^400*x",
+                                  "1/1e-308*10*x"])
+def test_parse_rejects_a_constant_beyond_the_float_range(text):
+    with pytest.raises(ParseError, match="not a finite float"):
+        ex.parse_expr(text)
+
+
+def test_scalar_evaluation_overflow_is_a_domain_error():
+    # complex ** int raises OverflowError where float products give inf
+    with pytest.raises(DomainError, match="overflow"):
+        ex.eval_at(ex.parse_expr("(x*y)^4"), (1e100, 1.0, 0.0))

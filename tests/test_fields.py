@@ -185,3 +185,12 @@ def test_scl_exp_flow_only_depends_on_x():
     a = sw.s_cl(m, (0.2, 0.0, 0.0))
     b = sw.s_cl(m, (0.2, 1.5, -2.0))
     assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", ["t^2 - 2/3*(x^4+y^4) + x*y*t",
+                               "t*t - 2/3*(x*x*x*x + y*y*y*y) + x*y*t"])
+def test_flow_that_escapes_raises_domain_error(h):
+    # the first overflows inside a complex power, the second only to an
+    # infinite coordinate; neither may end in OverflowError or inf/nan
+    with pytest.raises(DomainError):
+        fields.flow_integrate(parse_expr(h), (0.3, 0.7, -0.4), 0.3, steps=32)

@@ -161,3 +161,10 @@ def test_random_words_contact_residuals_vanish():
         m = word_to_map(random_word(rng, length=3))
         a = assess_contact(m, Point(0.4, 0.3, 0.2))
         assert a.max_contact_residual() < 1e-9
+
+
+@pytest.mark.parametrize("op", [jx, jy, jz, jzb])
+def test_frame_derivative_of_an_order_zero_jet_raises_order_error(op):
+    from heiscalc.errors import OrderError
+    with pytest.raises(OrderError):
+        op(_jet("x*y + t", 0))
