@@ -114,13 +114,11 @@ def cmd_eval(args) -> int:
     doc = {"op": args.which, "map": m.name, "point": list(p)}
     scalars = {"s_cr": schwarzian.s_cr, "s_cl": schwarzian.s_cl,
                "pf": schwarzian.preschwarzian}
-    if args.which in scalars:
+    if args.which == "contact":
+        doc["value"] = assess_contact(m, p).to_dict()
+    else:   # the parser allows no other --which
         v = scalars[args.which](m, p)
         doc["value"] = {"re": v.real, "im": v.imag}
-    elif args.which == "contact":
-        doc["value"] = assess_contact(m, p).to_dict()
-    else:
-        raise ParseError(f"unknown --which {args.which!r}")
     _emit(doc, args.out)
     return 0
 
@@ -354,42 +352,43 @@ def cmd_flow(args) -> int:
 
 # --- entry point -----------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", default=argparse.SUPPRESS,
-                   help="key=value defaults file; flags given on the command line win")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                   help="verification tolerance")
-    p.add_argument("--out", default=argparse.SUPPRESS,
-                   help="write JSON (or CSV for scan) to this path")
+_FLAGS = {"config": {"help": "key=value defaults file; flags given on the command line win"},
+          "seed": {"type": int}, "tol": {"type": float, "help": "verification tolerance"},
+          "out": {"help": "write JSON (or CSV for scan) to this path"}}
+
+
+def _add_flags(p: argparse.ArgumentParser, names=tuple(_FLAGS)):
+    """The shared flags a command reads; an absent one is filled in later."""
+    for name in names:
+        p.add_argument(f"--{name}", default=argparse.SUPPRESS, **_FLAGS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="heiscalc",
                                  description="Contact-map and Schwarzian diagnostics "
                                              "on the first Heisenberg group")
-    _add_common(ap)
+    _add_flags(ap)
     sub = ap.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate a diagnostic at a point")
-    _add_common(pe)
+    _add_flags(pe, ("config", "out"))
     pe.add_argument("--map", required=True, help="map word, e.g. 'trans(1,0,2) o inv o dil(0.5)'")
     pe.add_argument("--point", required=True, help="x,y,t")
     pe.add_argument("--which", default="s_cr",
                     choices=("s_cr", "s_cl", "pf", "contact"))
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    _add_common(pv)
+    _add_flags(pv)
     pv.add_argument("--suite", default="all", choices=_SUITES + ("all",))
 
     ps = sub.add_parser("scan", help="sign scan of a harmonic potential over a grid")
-    _add_common(ps)
+    _add_flags(ps, ("config", "tol", "out"))
     ps.add_argument("--u", required=True, help="potential, e.g. 't^2 - 2/3*(x^4+y^4)'")
     ps.add_argument("--grid", required=True, help="lo:hi:n,lo:hi:n,lo:hi:n")
 
     pf = sub.add_parser("flow", help="integrate a potential flow; adds the closed "
                                      "form when the potential depends on x alone")
-    _add_common(pf)
+    _add_flags(pf, ("config", "out"))
     pf.add_argument("--h", required=True, help="potential in x, e.g. 'exp(x)'")
     pf.add_argument("--s", required=True, help="flow time")
     pf.add_argument("--point", required=True, help="x,y,t")

@@ -280,39 +280,41 @@ def potential_expr(u) -> ex.Expr:
 def ratpoly_from_expr(e: ex.Expr) -> RatPoly:
     """Exact conversion of a polynomial Expr; floats convert exactly
     (binary floats are rationals). Raises EvalError on non-polynomial nodes."""
-
-    def walk(node: ex.Expr) -> RatPoly:
+    memo = {}
+    poly = memo.__getitem__
+    for node in ex.postorder(e):
         op = node.op
         if op == "coord":
-            return (RP_X, RP_Y, RP_T)[node.val]
-        if op == "const":
-            return _rp(node.val)
-        if op == "add":
-            return walk(node.args[0]) + walk(node.args[1])
-        if op == "sub":
-            return walk(node.args[0]) - walk(node.args[1])
-        if op == "mul":
-            return walk(node.args[0]) * walk(node.args[1])
-        if op == "neg":
-            return -walk(node.args[0])
-        if op == "pow":
+            r = (RP_X, RP_Y, RP_T)[node.val]
+        elif op == "const":
+            r = _rp(node.val)
+        elif op == "add":
+            r = poly(node.args[0]) + poly(node.args[1])
+        elif op == "sub":
+            r = poly(node.args[0]) - poly(node.args[1])
+        elif op == "mul":
+            r = poly(node.args[0]) * poly(node.args[1])
+        elif op == "neg":
+            r = -poly(node.args[0])
+        elif op == "pow":
             if node.val < 0:
                 raise EvalError("negative power is not polynomial")
-            return walk(node.args[0]) ** node.val
-        if op == "div":
+            r = poly(node.args[0]) ** node.val
+        elif op == "div":
             den = node.args[1]
             if den.op != "const":
                 raise EvalError("division by a non-constant is not polynomial")
-            return walk(node.args[0]) * _rp(QQi(1) / _qqi(den.val))
-        if op == "conj":
-            return walk(node.args[0]).conj()
-        if op == "re":
-            return walk(node.args[0]).re_part()
-        if op == "im":
-            return walk(node.args[0]).im_part()
-        raise EvalError(f"node '{op}' is not polynomial")
-
-    return walk(e)
+            r = poly(node.args[0]) * _rp(QQi(1) / _qqi(den.val))
+        elif op == "conj":
+            r = poly(node.args[0]).conj()
+        elif op == "re":
+            r = poly(node.args[0]).re_part()
+        elif op == "im":
+            r = poly(node.args[0]).im_part()
+        else:
+            raise EvalError(f"node '{op}' is not polynomial")
+        memo[node] = r
+    return memo[e]
 
 
 # --- derivations -------------------------------------------------------------

@@ -3,10 +3,12 @@
 Maps and scalar fields are built as small expression trees with shared
 subtrees. One entry point, `evaluate`, takes one root or a tuple of roots
 that share a DAG and evaluates them over complex scalars or over Jet values
-(`eval_at` and `jet_eval` only make the seeds). Each call memoizes on node
-identity for its own duration, so a shared subtree is evaluated once per
-call and no memo outlives the trees it was built on; `subs` and `diff` work
-the same way.
+(`eval_at` and `jet_eval` only make the seeds). Every walker over a DAG
+(`evaluate`, `subs`, `diff`, `to_str`, the exact kernel's conversion) visits
+the nodes in the one order `postorder` gives, iteratively, so a deep DAG
+does not exhaust the interpreter's stack; each keeps only its per-op rules
+and a memo local to the call, so a shared subtree is visited once per call.
+`evaluate` also keeps the order of its last few tuples of roots.
 
 Constants keep their exact type (int / Fraction) on the tree, which is what
 lets the exact polynomial kernel read coefficients off parsed input without
@@ -16,6 +18,7 @@ coefficients stay complex128.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -24,6 +27,7 @@ from .jets import Jet, jet_seed
 
 _COORDS = ("x", "y", "t")
 _FUNCS = ("exp", "log", "sin", "cos", "sqrt", "conj", "re", "im")
+_INFIX = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 
 
 class Expr:
@@ -227,11 +231,31 @@ _JET_METHODS = {"exp": "exp", "log": "log", "sin": "sin", "cos": "cos",
                 "sqrt": "sqrt", "conj": "conj", "re": "real", "im": "imag"}
 
 
-def _over_roots(roots, walk):
-    """walk applied to one Expr, or to each root of a tuple in turn."""
-    if isinstance(roots, Expr):
-        return walk(roots)
-    return tuple(walk(r) for r in roots)
+def postorder(roots) -> list:
+    """Every node under an Expr, or a tuple of Exprs, once and after its
+    arguments, in the order a memoized recursion (arguments left to right,
+    roots in turn) finishes them; the bottom stack entry stands for the roots."""
+    order, seen = [], set()
+    stack = [(None, iter((roots,) if isinstance(roots, Expr) else roots))]
+    while stack:
+        node, args = stack[-1]
+        for a in args:
+            if a not in seen:
+                seen.add(a)
+                if a.args:
+                    stack.append((a, iter(a.args)))
+                    break
+                order.append(a)   # a leaf is finished at once
+        else:
+            stack.pop()
+            order.append(node)
+    order.pop()
+    return order
+
+
+# evaluate walks the same roots again and again (800 times in a 200-step RK4
+# run); its cache keeps their DAGs alive and shares each order list, read only.
+_evaluation_order = functools.lru_cache(maxsize=8)(postorder)
 
 
 def evaluate(roots, vx, vy, vt):
@@ -239,64 +263,58 @@ def evaluate(roots, vx, vy, vt):
 
     The seeds are complex scalars or Jets. Constants are lowered to complex
     here; in jet mode a root that comes out as a scalar becomes a constant
-    jet. The memo lives for this one call.
+    jet, and in scalar mode a root that is not finite is a DomainError. Both
+    subtrees of a 'div' node are evaluated before its zero check, the
+    numerator's first.
     """
-    memo = {}
+    single = isinstance(roots, Expr)
+    roots = (roots,) if single else tuple(roots)
     seeds = (vx, vy, vt)
-
-    def ev(node: Expr):
-        got = memo.get(node)
-        if got is not None:
-            return got
-        op = node.op
-        if op == "coord":
-            r = seeds[node.val]
-        elif op == "const":
-            r = complex(node.val)
-        elif op == "add":
-            r = ev(node.args[0]) + ev(node.args[1])
-        elif op == "sub":
-            r = ev(node.args[0]) - ev(node.args[1])
-        elif op == "mul":
-            r = ev(node.args[0]) * ev(node.args[1])
-        elif op == "div":
-            den = ev(node.args[1])
-            if not isinstance(den, Jet) and den == 0:
-                raise DomainError("division by zero at a 'div' node")
-            r = ev(node.args[0]) / den
-        elif op == "neg":
-            r = -ev(node.args[0])
-        elif op == "pow":
-            b = ev(node.args[0])
-            if not isinstance(b, Jet) and b == 0 and node.val < 0:
-                raise DomainError("zero base at a negative 'pow' node")
-            r = b ** node.val
-        elif op in _FUNCS:
-            a = ev(node.args[0])
-            if isinstance(a, Jet):
-                r = getattr(a, _JET_METHODS[op])()
-            else:
-                r = _eval_scalar_unary(op, a)
-        else:
-            raise EvalError(f"unknown node '{op}'")
-        memo[node] = r
-        return r
-
-    def root(node: Expr):
-        r = ev(node)
-        if isinstance(vx, Jet) and not isinstance(r, Jet):
-            r = Jet.constant(r, vx.base, vx.order)
-        return r
-
+    memo = {}
+    ev = memo.__getitem__
     try:
-        return _over_roots(roots, root)
-    except OverflowError as e:
-        # scalar complex arithmetic raises where floats would give inf
+        for node in _evaluation_order(roots):
+            op = node.op
+            if op == "coord":
+                r = seeds[node.val]
+            elif op == "const":
+                r = complex(node.val)
+            elif op == "add":
+                r = ev(node.args[0]) + ev(node.args[1])
+            elif op == "sub":
+                r = ev(node.args[0]) - ev(node.args[1])
+            elif op == "mul":
+                r = ev(node.args[0]) * ev(node.args[1])
+            elif op == "div":
+                den = ev(node.args[1])
+                if not isinstance(den, Jet) and den == 0:
+                    raise DomainError("division by zero at a 'div' node")
+                r = ev(node.args[0]) / den
+            elif op == "neg":
+                r = -ev(node.args[0])
+            elif op == "pow":
+                b = ev(node.args[0])
+                if not isinstance(b, Jet) and b == 0 and node.val < 0:
+                    raise DomainError("zero base at a negative 'pow' node")
+                r = b ** node.val
+            elif op in _FUNCS:
+                a = ev(node.args[0])
+                if isinstance(a, Jet):
+                    r = getattr(a, _JET_METHODS[op])()
+                else:
+                    r = _eval_scalar_unary(op, a)
+            else:
+                raise EvalError(f"unknown node '{op}'")
+            memo[node] = r
+    except (OverflowError, ZeroDivisionError) as e:
+        # scalar complex arithmetic raises where floats would give inf (x^-2 at tiny x)
         raise DomainError(f"evaluation overflowed: {e}") from None
-    finally:
-        # ev refers to itself through its closure cell; dropping the cell
-        # frees the memo and the seeds now, not at a cyclic collection
-        del ev
+    out = tuple(map(ev, roots))
+    if isinstance(vx, Jet):
+        out = tuple(r if isinstance(r, Jet) else Jet.constant(r, vx.base, vx.order) for r in out)
+    elif not all(map(cmath.isfinite, out)):
+        raise DomainError(f"evaluation gave a value that is not finite: {out}")
+    return out[0] if single else out
 
 
 def eval_at(roots, p):
@@ -314,51 +332,31 @@ def subs(roots, ex: Expr, ey: Expr, et: Expr):
     Expr or a tuple of Exprs; subtrees shared between roots stay shared."""
     memo = {}
     seeds = (ex, ey, et)
-
-    def walk(node: Expr) -> Expr:
-        got = memo.get(node)
-        if got is not None:
-            return got
+    for node in postorder(roots):
         op = node.op
         if op == "coord":
             r = seeds[node.val]
         elif op == "const":
             r = node
+        elif op == "pow":
+            r = pow_(memo[node.args[0]], node.val)
         else:
-            kids = tuple(walk(a) for a in node.args)
-            r = _REBUILD[op](kids, node.val)
+            r = _REBUILD[op](*map(memo.__getitem__, node.args))
         memo[node] = r
-        return r
-
-    return _over_roots(roots, walk)
+    return memo[roots] if isinstance(roots, Expr) else tuple(map(memo.__getitem__, roots))
 
 
-_REBUILD = {
-    "add": lambda k, v: add(k[0], k[1]),
-    "sub": lambda k, v: sub(k[0], k[1]),
-    "mul": lambda k, v: mul(k[0], k[1]),
-    "div": lambda k, v: div(k[0], k[1]),
-    "neg": lambda k, v: neg(k[0]),
-    "pow": lambda k, v: pow_(k[0], v),
-    "exp": lambda k, v: exp_(k[0]),
-    "log": lambda k, v: log_(k[0]),
-    "sin": lambda k, v: sin_(k[0]),
-    "cos": lambda k, v: cos_(k[0]),
-    "sqrt": lambda k, v: sqrt_(k[0]),
-    "conj": lambda k, v: conj_(k[0]),
-    "re": lambda k, v: re_(k[0]),
-    "im": lambda k, v: im_(k[0]),
-}
+# the smart constructor of each op but pow, which also takes node.val
+_REBUILD = {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg, "exp": exp_,
+            "log": log_, "sin": sin_, "cos": cos_, "sqrt": sqrt_, "conj": conj_,
+            "re": re_, "im": im_}
 
 
 def diff(e: Expr, var: int) -> Expr:
     """Symbolic partial derivative in coordinate var (0=x, 1=y, 2=t)."""
     memo = {}
-
-    def d(node: Expr) -> Expr:
-        got = memo.get(node)
-        if got is not None:
-            return got
+    d = memo.__getitem__
+    for node in postorder(e):
         op = node.op
         if op == "coord":
             r = ONE if node.val == var else ZERO
@@ -398,30 +396,30 @@ def diff(e: Expr, var: int) -> Expr:
         else:
             raise EvalError(f"cannot differentiate node '{op}'")
         memo[node] = r
-        return r
-
-    return d(e)
+    return memo[e]
 
 
 # --- pretty printing (debugging and CLI error messages) ---------------------
 
 def to_str(e: Expr) -> str:
-    op = e.op
-    if op == "coord":
-        return _COORDS[e.val]
-    if op == "const":
-        return str(e.val)
-    if op in ("add", "sub"):
-        s = "+" if op == "add" else "-"
-        return f"({to_str(e.args[0])} {s} {to_str(e.args[1])})"
-    if op in ("mul", "div"):
-        s = "*" if op == "mul" else "/"
-        return f"({to_str(e.args[0])}{s}{to_str(e.args[1])})"
-    if op == "neg":
-        return f"(-{to_str(e.args[0])})"
-    if op == "pow":
-        return f"{to_str(e.args[0])}^{e.val}"
-    return f"{op}({to_str(e.args[0])})"
+    """Text that parse_expr reads back as the same tree (real constants only)."""
+    memo = {}
+    for node in postorder(e):
+        op, a = node.op, [memo[k] for k in node.args]
+        if op == "coord":
+            r = _COORDS[node.val]
+        elif op == "const":
+            r = f"({node.val})" if isinstance(node.val, Fraction) else str(node.val)
+        elif op in _INFIX:
+            r = f"({a[0]}{_INFIX[op]}{a[1]})"
+        elif op == "neg":
+            r = f"(-{a[0]})"
+        elif op == "pow":
+            r = f"({a[0]}^{node.val})"
+        else:
+            r = f"{op}({a[0]})"
+        memo[node] = r
+    return memo[e]
 
 
 # --- parser -----------------------------------------------------------------
@@ -479,7 +477,8 @@ def _tokenize(s: str):
 def parse_expr(s: str) -> Expr:
     """Parse 'x^2 + sin(t)*exp(-y)' style input into an Expr. A constant, as
     written or folded, that is not a finite float (1e400, 1e300*1e300) is a
-    ParseError."""
+    ParseError, and so is nesting deeper than the recursive descent can
+    follow (about 200 parentheses)."""
     toks = _tokenize(s)
     pos = [0]
     overflow = f"a constant in {s!r} is not a finite float"
@@ -555,7 +554,7 @@ def parse_expr(s: str) -> Expr:
                 take("op", "(")
                 inner = parse_sum()
                 take("op", ")")
-                return _REBUILD[v]((inner,), None)
+                return _REBUILD[v](inner)
             raise ParseError(f"unknown name {v!r} in {s!r}")
         if (k, v) == ("op", "("):
             take("op", "(")
@@ -568,6 +567,8 @@ def parse_expr(s: str) -> Expr:
         e = parse_sum()
     except OverflowError:
         raise ParseError(overflow) from None
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if peek() != ("end", ""):
         raise ParseError(f"trailing input {peek()[1]!r} in {s!r}")
     return e

@@ -99,17 +99,7 @@ def flow_integrate(v0, p, s: float, steps: int = 200) -> Point:
 
 
 def _uses_only_x(e: Expr) -> bool:
-    seen = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if n.op == "coord" and n.val != 0:
-            return False
-        stack.extend(a for a in n.args if isinstance(a, Expr))
-    return True
+    return all(n.op != "coord" or n.val == 0 for n in ex.postorder(e))
 
 
 def flow_closed_form(h, s: float, name: str | None = None) -> HeisMap:

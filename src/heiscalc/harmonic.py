@@ -54,8 +54,17 @@ def gradient_harmonic(u, name: str | None = None) -> HeisMap:
     """Map whose components are the frame derivatives (Xu, Yu, Tu) of a
     sublaplacian-harmonic potential."""
     _check_harmonic(u, _try_poly(u))
-    e = potential_expr(u)
-    return HeisMap(sym_x(e), sym_y(e), sym_t(e), name or "grad-harmonic")
+    return _gradient_map(potential_expr(u), name or "grad-harmonic")
+
+
+def _gradient_map(e, name: str = "grad") -> HeisMap:
+    """The map (Xu, Yu, Tu) of a potential expression, unchecked."""
+    return HeisMap(sym_x(e), sym_y(e), sym_t(e), name)
+
+
+def _geom(f1: Jet, f2: Jet, f3: Jet):
+    """Xu YTu - Yu XTu from the jets f1 = Xu, f2 = Yu, f3 = Tu."""
+    return (f1.value * jy(f3).value - f2.value * jx(f3).value).real
 
 
 class SystemResiduals(NamedTuple):
@@ -105,8 +114,7 @@ def hessian_report(u, p) -> HessianReport:
     tu = jt(j).value.real
     det_hess = x2u * y2u - xyu * yxu
     det_sym = x2u * y2u - 0.25 * (xyu + yxu) ** 2
-    grad = HeisMap(sym_x(e), sym_y(e), sym_t(e), "grad")
-    g1, g2, g3 = grad.jets(p, 1)   # the Jacobian of the gradient map
+    g1, g2, g3 = _gradient_map(e).jets(p, 1)   # the Jacobian of the gradient map
     j_f = lambda_jet(g1, g2, g3).value.real
     return HessianReport(point=tuple(p), x2u=x2u, xyu=xyu, yxu=yxu, y2u=y2u,
                          tu=tu, det_hess=det_hess, det_hess_sym=det_sym,
@@ -120,14 +128,13 @@ def bochner_residual(u, p, kappa: float = 8.0) -> float:
     lhs = 0.5 * _lap(gx * gx + gy * gy).value.real
     hess2 = (jx(gx).value.real ** 2 + jy(gx).value.real ** 2
              + jx(gy).value.real ** 2 + jy(gy).value.real ** 2)
-    geom = (gx.value * jy(jt(j)).value - gy.value * jx(jt(j)).value).real
-    return lhs - hess2 - kappa * geom
+    return lhs - hess2 - kappa * _geom(gx, gy, jt(j))
 
 
 def geom_term(u, p) -> float:
     """Xu YTu - Yu XTu at p; the level-set quantity gating the sign results."""
     j = jet_eval(potential_expr(u), p, 2)   # Y T u
-    return (jx(j).value * jy(jt(j)).value - jy(j).value * jx(jt(j)).value).real
+    return _geom(jx(j), jy(j), jt(j))
 
 
 def determine_kappa(dmax: int = 4) -> QQi:
@@ -312,7 +319,7 @@ def _scan_jets(u, region, label, tol, shape) -> SignReport:
         zf = jz(fc)
         g = (zf * zf.conj()).real()
         lap_g = _lap(g)
-        geom = (f1.value * jy(f3).value - f2.value * jx(f3).value).real
+        geom = _geom(f1, f2, f3)
         cleared = (g * lap_g - jx(g) * jx(g) - jy(g) * jy(g)).value.real
         return _gradient_claims(g.value.real, lap_g.value.real, cleared,
                                 _lap((fc * fc.conj()).real()).value.real,
@@ -414,7 +421,7 @@ def growth_ingredients(u, p, alpha: float = 1.0, radii=None,
     if radii is None:
         radii = [0.1 + 0.8 * i / 9.0 for i in range(10)]
     e = potential_expr(u)
-    grad = HeisMap(sym_x(e), sym_y(e), sym_t(e), "grad")
+    grad = _gradient_map(e)
     n_p = koranyi_norm(p)
     rows = []
     for r in radii:
@@ -425,7 +432,7 @@ def growth_ingredients(u, p, alpha: float = 1.0, radii=None,
         a = assess_contact(grad, q)
         j = jet_eval(e, q, 2)   # T^2 u
         t2u = jt(jt(j)).value.real
-        geom = (jx(j).value * jy(jt(j)).value - jy(j).value * jx(jt(j)).value).real
+        geom = _geom(jx(j), jy(j), jt(j))
         contact_ok = a.max_contact_residual() <= 1e-8 * (1.0 + abs(j.value))
         gate = contact_ok and geom >= -1e-12
         jac = a.lam.real

@@ -207,6 +207,11 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("scan", "--u", "1e300*1e300*x*y", "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
     (("flow", "--h", "t^2 - 2/3*(x^4+y^4) + x*y*t", "--s", "0.3",
       "--point", "0.3,0.7,-0.4"), 3),
+    (("scan", "--u", "(" * 250 + "x" + ")" * 250, "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
+    (("eval", "--map", "inv", "--point", "1,1,0", "--seed", "3"), 2),
+    (("scan", "--u", "x*y", "--grid=-1:1:3,-1:1:3,-1:1:3", "--seed", "1"), 2),
+    (("flow", "--h", "exp(x)", "--s", "1", "--point", "0,0,0", "--tol", "1"), 2),
+    (("flow", "--h", "+".join(["x"] * 1000), "--s", "0.1", "--point", "0,0,0"), 0),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))
