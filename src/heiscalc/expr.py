@@ -1,26 +1,34 @@
 """Expression DAGs over the coordinates (x, y, t).
 
 Maps and scalar fields are built as small expression trees with shared
-subtrees. One entry point, `evaluate`, takes one root or a tuple of roots
-that share a DAG and evaluates them over complex scalars or over Jet values
-(`eval_at` and `jet_eval` only make the seeds). Every walker over a DAG
-(`evaluate`, `subs`, `diff`, `to_str`, the exact kernel's conversion) visits
-the nodes in the one order `postorder` gives, iteratively, so a deep DAG
-does not exhaust the interpreter's stack; each keeps only its per-op rules
-and a memo local to the call, so a shared subtree is visited once per call.
-`evaluate` also keeps the order of its last few tuples of roots.
+subtrees. Every walker over a DAG (`subs`, `diff`, `to_str`, the exact
+kernel's conversion and the tape compiler) visits the nodes in the one order
+`postorder` gives, iteratively, so a deep DAG does not exhaust the
+interpreter's stack; each keeps only its per-op rules and a memo local to
+the call, so a shared subtree is visited once per call.
+
+Evaluation runs a `Tape`: a tuple of roots compiled once into numbered
+slots and one `(fn, i, j)` step per node, in that same order. `tape` keeps
+the tapes of the last 8 tuples of roots. One entry point, `evaluate`, takes
+one root or a tuple of roots that share a DAG and runs their tape over
+complex scalars or over Jet values (`eval_at` and `jet_eval` only make the
+seeds); an RK4 flow fetches its field's tape once and runs it at every
+stage.
 
 Constants keep their exact type (int / Fraction) on the tree, which is what
 lets the exact polynomial kernel read coefficients off parsed input without
-float noise. Evaluation lowers every constant to complex, so jet
-coefficients stay complex128.
+float noise. The tape lowers every constant to complex, so jet coefficients
+stay complex128.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
+import operator
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, EvalError, ParseError
 from .jets import Jet, jet_seed
@@ -203,32 +211,53 @@ _I = const(1j)
 
 # --- evaluation ------------------------------------------------------------
 
-def _eval_scalar_unary(op: str, v: complex):
-    if op == "exp":
-        return cmath.exp(v)
-    if op == "log":
+def _checked(scalar, name):
+    """A scalar function that raises DomainError at zero and the negative
+    reals, where its principal branch is cut."""
+    def fn(v):
         if v == 0 or (v.imag == 0 and v.real <= 0):
-            raise DomainError(f"log of nonpositive value {v}")
-        return cmath.log(v)
-    if op == "sqrt":
-        if v == 0 or (v.imag == 0 and v.real <= 0):
-            raise DomainError(f"sqrt of nonpositive value {v}")
-        return cmath.sqrt(v)
-    if op == "sin":
-        return cmath.sin(v)
-    if op == "cos":
-        return cmath.cos(v)
-    if op == "conj":
-        return v.conjugate()
-    if op == "re":
-        return complex(v.real)
-    if op == "im":
-        return complex(v.imag)
-    raise EvalError(f"unknown unary node '{op}'")
+            raise DomainError(f"{name} of nonpositive value {v}")
+        return scalar(v)
+    return fn
 
 
-_JET_METHODS = {"exp": "exp", "log": "log", "sin": "sin", "cos": "cos",
-                "sqrt": "sqrt", "conj": "conj", "re": "real", "im": "imag"}
+def _lift(scalar, jet_method):
+    """A tape step for a unary node: the Jet method on a jet, else scalar."""
+    def step(a, _):
+        return jet_method(a) if isinstance(a, Jet) else scalar(a)
+    return step
+
+
+def _div(a, b):
+    if not isinstance(b, Jet) and b == 0:
+        raise DomainError("division by zero at a 'div' node")
+    return a / b
+
+
+def _pow(a, n):
+    if not isinstance(a, Jet) and a == 0 and n < 0:
+        raise DomainError("zero base at a negative 'pow' node")
+    return a ** n
+
+
+def _neg(a, _):
+    return -a
+
+
+# the function of each op's tape step, called on the values of its two slots
+# (a unary step names its argument's slot twice, a 'pow' step its exponent's)
+_STEPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _div,
+    "pow": _pow, "neg": _neg,
+    "exp": _lift(cmath.exp, Jet.exp),
+    "log": _lift(_checked(cmath.log, "log"), Jet.log),
+    "sqrt": _lift(_checked(cmath.sqrt, "sqrt"), Jet.sqrt),
+    "sin": _lift(cmath.sin, Jet.sin),
+    "cos": _lift(cmath.cos, Jet.cos),
+    "conj": _lift(lambda v: v.conjugate(), Jet.conj),
+    "re": _lift(lambda v: complex(v.real), Jet.real),
+    "im": _lift(lambda v: complex(v.imag), Jet.imag),
+}
 
 
 def postorder(roots) -> list:
@@ -253,68 +282,109 @@ def postorder(roots) -> list:
     return order
 
 
-# evaluate walks the same roots again and again (800 times in a 200-step RK4
-# run); its cache keeps their DAGs alive and shares each order list, read only.
-_evaluation_order = functools.lru_cache(maxsize=8)(postorder)
+def _not_finite_at(jets):
+    """The base point of the first point where a coefficient of one of the
+    jets (of one base) is not finite, or None."""
+    # An inf or nan term makes a sum inf or nan, so a finite sum clears a
+    # root; finite terms may sum past the float range (quietly: that is no
+    # error), so a sum that is not finite sends the roots to the test
+    # coefficient by coefficient. A sum is a routine the jet arithmetic has
+    # run already, while a process's first np.isfinite on complex maps about
+    # 0.1 MiB more; the common case never pays that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if all(cmath.isfinite(j.coef.sum()) for j in jets):
+            return None
+    bad = ~np.isfinite(jets[0].coef).all(axis=0)
+    for j in jets[1:]:
+        bad |= ~np.isfinite(j.coef).all(axis=0)
+    if not bad.any():
+        return None
+    base = jets[0].base
+    return base if bad.ndim == 0 else tuple(base[bad.argmax()].tolist())
+
+
+class Tape:
+    """A tuple of roots compiled into numbered slots and steps.
+
+    Slots 0-2 hold the seeds x, y, t; then come the constants, lowered to
+    complex here (a 'pow' exponent stays an int); then one slot per step
+    `(fn, i, j)`, which stores fn(slot i, slot j), one per remaining node in
+    `postorder` order. Each step is the operation the node names on the
+    values of its arguments, so a run gives the values a walk over the
+    nodes gives, bit for bit.
+    """
+    __slots__ = ("consts", "steps", "outs")
+
+    def __init__(self, roots: tuple):
+        slot, expo, consts, nodes = {}, {}, [], []
+        try:
+            for node in postorder(roots):
+                op = node.op
+                if op == "coord":
+                    slot[node] = node.val
+                elif op == "const":
+                    slot[node] = 3 + len(consts)
+                    consts.append(complex(node.val))
+                elif op in _STEPS:
+                    if op == "pow":
+                        expo[node] = 3 + len(consts)
+                        consts.append(node.val)
+                    nodes.append(node)
+                else:
+                    raise EvalError(f"unknown node '{op}'")
+        except OverflowError as e:
+            raise DomainError(f"evaluation overflowed: {e}") from None
+        steps = []
+        for node in nodes:
+            i = slot[node.args[0]]
+            j = expo[node] if node.op == "pow" else slot[node.args[-1]]
+            slot[node] = 3 + len(consts) + len(steps)
+            steps.append((_STEPS[node.op], i, j))
+        self.consts = tuple(consts)
+        self.steps = tuple(steps)
+        self.outs = tuple(slot[r] for r in roots)
+
+    def __call__(self, vx, vy, vt) -> tuple:
+        """The roots' values at the seeds, complex scalars or Jets.
+
+        In jet mode a root that comes out as a scalar becomes a constant
+        jet, and a coefficient of a root jet that is not finite is a
+        DomainError (at the lowest-index such point of a batch); in scalar
+        mode a root that is not finite is a DomainError. Python's complex
+        arithmetic raises OverflowError or ZeroDivisionError where floats
+        would give inf (x^-2 at tiny x); either becomes a DomainError.
+        """
+        s = [vx, vy, vt, *self.consts]
+        push = s.append
+        try:
+            for fn, i, j in self.steps:
+                push(fn(s[i], s[j]))
+        except (OverflowError, ZeroDivisionError) as e:
+            raise DomainError(f"evaluation overflowed: {e}") from None
+        out = tuple([s[k] for k in self.outs])
+        if isinstance(vx, Jet):
+            out = tuple(r if isinstance(r, Jet) else Jet.constant(r, vx.base, vx.order)
+                        for r in out)
+            at = _not_finite_at(out)
+            if at is not None:
+                raise DomainError(f"evaluation gave a jet that is not finite at {at}")
+        elif not all(map(cmath.isfinite, out)):
+            raise DomainError(f"evaluation gave a value that is not finite: {out}")
+        return out
+
+
+# The diagnostics at one point evaluate the same map's roots several times,
+# and the five trajectories of flow_contact_residuals share one field; the
+# cache keeps their DAGs alive and shares each tape, read only.
+tape = functools.lru_cache(maxsize=8)(Tape)
 
 
 def evaluate(roots, vx, vy, vt):
-    """Value of an Expr, or a tuple of Exprs sharing a DAG, at the seeds.
-
-    The seeds are complex scalars or Jets. Constants are lowered to complex
-    here; in jet mode a root that comes out as a scalar becomes a constant
-    jet, and in scalar mode a root that is not finite is a DomainError. Both
-    subtrees of a 'div' node are evaluated before its zero check, the
-    numerator's first.
-    """
-    single = isinstance(roots, Expr)
-    roots = (roots,) if single else tuple(roots)
-    seeds = (vx, vy, vt)
-    memo = {}
-    ev = memo.__getitem__
-    try:
-        for node in _evaluation_order(roots):
-            op = node.op
-            if op == "coord":
-                r = seeds[node.val]
-            elif op == "const":
-                r = complex(node.val)
-            elif op == "add":
-                r = ev(node.args[0]) + ev(node.args[1])
-            elif op == "sub":
-                r = ev(node.args[0]) - ev(node.args[1])
-            elif op == "mul":
-                r = ev(node.args[0]) * ev(node.args[1])
-            elif op == "div":
-                den = ev(node.args[1])
-                if not isinstance(den, Jet) and den == 0:
-                    raise DomainError("division by zero at a 'div' node")
-                r = ev(node.args[0]) / den
-            elif op == "neg":
-                r = -ev(node.args[0])
-            elif op == "pow":
-                b = ev(node.args[0])
-                if not isinstance(b, Jet) and b == 0 and node.val < 0:
-                    raise DomainError("zero base at a negative 'pow' node")
-                r = b ** node.val
-            elif op in _FUNCS:
-                a = ev(node.args[0])
-                if isinstance(a, Jet):
-                    r = getattr(a, _JET_METHODS[op])()
-                else:
-                    r = _eval_scalar_unary(op, a)
-            else:
-                raise EvalError(f"unknown node '{op}'")
-            memo[node] = r
-    except (OverflowError, ZeroDivisionError) as e:
-        # scalar complex arithmetic raises where floats would give inf (x^-2 at tiny x)
-        raise DomainError(f"evaluation overflowed: {e}") from None
-    out = tuple(map(ev, roots))
-    if isinstance(vx, Jet):
-        out = tuple(r if isinstance(r, Jet) else Jet.constant(r, vx.base, vx.order) for r in out)
-    elif not all(map(cmath.isfinite, out)):
-        raise DomainError(f"evaluation gave a value that is not finite: {out}")
-    return out[0] if single else out
+    """Value of an Expr, or a tuple of Exprs sharing a DAG, at the seeds,
+    complex scalars or Jets: a run of the roots' cached tape."""
+    if isinstance(roots, Expr):
+        return tape((roots,))(vx, vy, vt)[0]
+    return tape(tuple(roots))(vx, vy, vt)
 
 
 def eval_at(roots, p):
@@ -476,9 +546,10 @@ def _tokenize(s: str):
 
 def parse_expr(s: str) -> Expr:
     """Parse 'x^2 + sin(t)*exp(-y)' style input into an Expr. A constant, as
-    written or folded, that is not a finite float (1e400, 1e300*1e300) is a
-    ParseError, and so is nesting deeper than the recursive descent can
-    follow (about 200 parentheses)."""
+    written or folded, that is not a finite float (1e400, 1e300*1e300) or
+    that folds to a domain error (1/0, 0^-1) is a ParseError, and so is
+    nesting deeper than the recursive descent can follow (about 200
+    parentheses)."""
     toks = _tokenize(s)
     pos = [0]
     overflow = f"a constant in {s!r} is not a finite float"
@@ -567,6 +638,8 @@ def parse_expr(s: str) -> Expr:
         e = parse_sum()
     except OverflowError:
         raise ParseError(overflow) from None
+    except DomainError as e:   # from the smart constructors' constant folds
+        raise ParseError(f"{s!r}: {e}") from None
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
     if peek() != ("end", ""):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 from . import expr as ex
 from .errors import BadPotential, DomainError
 from .exact import RatPoly, potential_expr
-from .expr import Expr, eval_at, jet_eval
+from .expr import Expr, jet_eval
 from .group import HeisMap, Point
 from .horizontal import lambda_jet, sym_x, sym_y, word_jet
 from .jets import Jet
@@ -70,25 +70,31 @@ def field_components(v0) -> tuple[Expr, Expr, Expr]:
     return sym_y(e), ex.neg(sym_x(e)), e
 
 
+def _velocity(run, x, y, t) -> tuple[float, float, float]:
+    """Coordinate velocity at (x, y, t) from a run of the field's tape."""
+    v1, v2, v0v = run(complex(x), complex(y), complex(t))
+    v1, v2 = v1.real, v2.real
+    return v1, v2, 2.0 * y * v1 - 2.0 * x * v2 - 4.0 * v0v.real
+
+
 def vector_field_at(v0, p) -> tuple[float, float, float]:
     """Coordinate velocity (dx, dy, dt) of the field at p."""
-    v1, v2, v0v = (v.real for v in eval_at(field_components(v0), p))
-    x, y, _ = p
-    return v1, v2, 2.0 * y * v1 - 2.0 * x * v2 - 4.0 * v0v
+    return _velocity(ex.tape(field_components(v0)), *p)
 
 
 def flow_integrate(v0, p, s: float, steps: int = 200) -> Point:
-    """RK4 integration of the field's flow from p over time s."""
+    """RK4 integration of the field's flow from p over time s, each stage
+    one run of the field's tape."""
     if steps < 1:
         raise DomainError("steps must be positive")
-    comps = field_components(v0)
+    run = ex.tape(field_components(v0))
     h = s / steps
     x, y, t = float(p[0]), float(p[1]), float(p[2])
     for _ in range(steps):
-        k1 = vector_field_at(comps, (x, y, t))
-        k2 = vector_field_at(comps, (x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], t + 0.5 * h * k1[2]))
-        k3 = vector_field_at(comps, (x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], t + 0.5 * h * k2[2]))
-        k4 = vector_field_at(comps, (x + h * k3[0], y + h * k3[1], t + h * k3[2]))
+        k1 = _velocity(run, x, y, t)
+        k2 = _velocity(run, x + 0.5 * h * k1[0], y + 0.5 * h * k1[1], t + 0.5 * h * k1[2])
+        k3 = _velocity(run, x + 0.5 * h * k2[0], y + 0.5 * h * k2[1], t + 0.5 * h * k2[2])
+        k4 = _velocity(run, x + h * k3[0], y + h * k3[1], t + h * k3[2])
         x += h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
         y += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
         t += h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0

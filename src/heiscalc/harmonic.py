@@ -21,8 +21,8 @@ from .exact import (RatPoly, QQi, fit_constant, frame_t, frame_x, frame_y,
                     ratpoly_from_expr)
 from .expr import jet_eval
 from .group import HeisMap, koranyi_norm, radial_curve
-from .horizontal import (assess_contact, jt, jx, jy, jz, lambda_jet, sym_t,
-                         sym_x, sym_y)
+from .horizontal import (assess_contact, jlap, jt, jx, jy, jz, lambda_jet,
+                         sym_t, sym_x, sym_y)
 from .jets import Jet
 
 
@@ -43,7 +43,7 @@ def _check_harmonic(u, poly: RatPoly | None,
             raise NotHarmonic("sublaplacian of the potential is not the zero polynomial")
         return
     j = jet_eval(potential_expr(u), np.array(samples, dtype=float), 2)
-    r = _lap(j).value
+    r = jlap(j).value
     bad = np.abs(r) > 1e-9 * (1.0 + np.abs(j.value))
     if bad.any():
         i = int(bad.argmax())
@@ -75,18 +75,14 @@ class SystemResiduals(NamedTuple):
     rb2: float         # lap lap f2 + 64 T^2 f2
 
 
-def _lap(j: Jet) -> Jet:
-    return jx(jx(j)) + jy(jy(j))
-
-
 def harmonic_system_residuals(m: HeisMap, p) -> SystemResiduals:
     """Residuals of the coupled system a gradient-harmonic map satisfies."""
     j1, j2, j3 = m.jets(p, 4)   # the bi-sublaplacian
-    r1 = (_lap(j1) - 8.0 * jt(j2)).value
-    r2 = (_lap(j2) + 8.0 * jt(j1)).value
-    r3 = _lap(j3).value
-    rb1 = (_lap(_lap(j1)) + 64.0 * jt(jt(j1))).value
-    rb2 = (_lap(_lap(j2)) + 64.0 * jt(jt(j2))).value
+    r1 = (jlap(j1) - 8.0 * jt(j2)).value
+    r2 = (jlap(j2) + 8.0 * jt(j1)).value
+    r3 = jlap(j3).value
+    rb1 = (jlap(jlap(j1)) + 64.0 * jt(jt(j1))).value
+    rb2 = (jlap(jlap(j2)) + 64.0 * jt(jt(j2))).value
     return SystemResiduals(r1.real, r2.real, r3.real, rb1.real, rb2.real)
 
 
@@ -125,7 +121,7 @@ def bochner_residual(u, p, kappa: float = 8.0) -> float:
     """Residual of (1/2) lap |grad u|^2 = ||Hess u||^2 + kappa (Xu YTu - Yu XTu)."""
     j = jet_eval(potential_expr(u), p, 3)   # lap |grad u|^2
     gx, gy = jx(j), jy(j)
-    lhs = 0.5 * _lap(gx * gx + gy * gy).value.real
+    lhs = 0.5 * jlap(gx * gx + gy * gy).value.real
     hess2 = (jx(gx).value.real ** 2 + jy(gx).value.real ** 2
              + jx(gy).value.real ** 2 + jy(gy).value.real ** 2)
     return lhs - hess2 - kappa * _geom(gx, gy, jt(j))
@@ -318,12 +314,12 @@ def _scan_jets(u, region, label, tol, shape) -> SignReport:
         fc = f1 + 1j * f2
         zf = jz(fc)
         g = (zf * zf.conj()).real()
-        lap_g = _lap(g)
+        lap_g = jlap(g)
         geom = _geom(f1, f2, f3)
         cleared = (g * lap_g - jx(g) * jx(g) - jy(g) * jy(g)).value.real
         return _gradient_claims(g.value.real, lap_g.value.real, cleared,
-                                _lap((fc * fc.conj()).real()).value.real,
-                                _lap((f1 * f1 + f2 * f2).real()).value.real, geom, tol)
+                                jlap((fc * fc.conj()).real()).value.real,
+                                jlap((f1 * f1 + f2 * f2).real()).value.real, geom, tol)
     return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS, route)
 
 
@@ -340,7 +336,7 @@ def contact_jacobian_scan(m: HeisMap, region, label: str | None = None,
         # h1 gate: grad f1 . grad T f2 <= grad f2 . grad T f1
         h1 = ((jx(j1) * jx(tf2) + jy(j1) * jy(tf2))
               - (jx(j2) * jx(tf1) + jy(j2) * jy(tf1))).value.real
-        lap_j = _lap(jac)
+        lap_j = jlap(jac)
         cleared = (jac * lap_j - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
         return jval <= tol, ((lap_j.value.real, h1 <= tol),
                              (cleared, (h1 <= tol) & (jval > tol))), {"h1": h1}

@@ -41,6 +41,11 @@ def jzb(j: Jet) -> Jet:
     return (jx(j) + 1j * jy(j)) * 0.5
 
 
+def jlap(j: Jet) -> Jet:
+    """The sublaplacian X^2 + Y^2; consumes two orders."""
+    return jx(jx(j)) + jy(jy(j))
+
+
 FRAME_JET_OPS = {"X": jx, "Y": jy, "T": jt, "Z": jz, "Zb": jzb}
 
 
@@ -75,8 +80,7 @@ def apply_word(word, e: Expr, p) -> complex:
 
 
 def sublaplacian(e: Expr, p) -> complex:
-    j = jet_eval(e, p, 2)
-    return (jx(jx(j)) + jy(jy(j))).value
+    return jlap(jet_eval(e, p, 2)).value
 
 
 def lambda_jet(j1: Jet, j2: Jet, j3: Jet) -> Jet:

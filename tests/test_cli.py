@@ -1,6 +1,7 @@
 """Command line behaviour: output schema, exit codes, determinism."""
 import json
 
+import numpy as np
 import pytest
 
 from heiscalc import exact
@@ -212,11 +213,23 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("scan", "--u", "x*y", "--grid=-1:1:3,-1:1:3,-1:1:3", "--seed", "1"), 2),
     (("flow", "--h", "exp(x)", "--s", "1", "--point", "0,0,0", "--tol", "1"), 2),
     (("flow", "--h", "+".join(["x"] * 1000), "--s", "0.1", "--point", "0,0,0"), 0),
+    (("scan", "--u", "x*y + 1/0", "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
+    (("scan", "--u", "x*y + 0^-1", "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))
     capsys.readouterr()
     assert got == code
+
+
+def test_eval_of_a_jet_that_overflows_is_a_domain_error(capsys):
+    # the jets of inv overflow at this point; once printed as NaN, exit 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, "eval", "--map", "inv", "--point", "1e200,1e200,0",
+                             "--which", "s_cl")
+    assert code == 3
+    assert "NaN" not in out + err
+    assert "not finite" in err
 
 
 def test_flow_step_cap_is_named(capsys, monkeypatch):

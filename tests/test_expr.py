@@ -96,14 +96,14 @@ def test_complex_helpers():
 
 
 def test_jet_eval_of_exact_constants_is_complex128():
-    # Fraction constants are lowered at evaluation, so no object arrays
+    # the tape lowers Fraction constants to complex, so no object arrays
     j = ex.jet_eval(ex.parse_expr("2/3*x^2"), (0.1, 0.2, 0.3), 3)
     assert j.coef.dtype == np.complex128
     assert j.value == pytest.approx(2 / 3 * 0.01, rel=1e-14)
 
 
 def test_evaluate_tuple_of_independent_roots():
-    # each root gets its own nodes; the memo of one call cannot leak into another
+    # each root gets its own nodes; the slots of one run cannot leak into another
     roots = (ex.parse_expr("x+1"), ex.parse_expr("y*5"))
     assert ex.evaluate(roots, 1, 2, 0) == (2, 10)
     assert ex.evaluate(roots[1], 1, 2, 0) == 10
@@ -121,6 +121,12 @@ def test_constant_root_becomes_a_constant_jet():
                                   "1/1e-308*10*x"])
 def test_parse_rejects_a_constant_beyond_the_float_range(text):
     with pytest.raises(ParseError, match="not a finite float"):
+        ex.parse_expr(text)
+
+
+@pytest.mark.parametrize("text", ["x*y + 1/0", "x*y + 0^-1", "x/(2 - 2)"])
+def test_parse_turns_a_constant_domain_error_into_a_parse_error(text):
+    with pytest.raises(ParseError, match="x"):
         ex.parse_expr(text)
 
 

@@ -11,7 +11,7 @@ from heiscalc.errors import DomainError, NotHarmonic
 from heiscalc.exact import QQi, RatPoly
 from heiscalc.expr import jet_eval, parse_expr
 from heiscalc.group import HeisMap, Point, make_type1, word_to_map
-from heiscalc.horizontal import jt, jx, jy, jz, lambda_jet
+from heiscalc.horizontal import jlap, jt, jx, jy, jz, lambda_jet
 
 USTAR = "t^2 - 2/3*(x^4 + y^4)"
 FIVE = ("x", "x*y", "x^2 - y^2", "t", USTAR)
@@ -168,12 +168,12 @@ def _gradient_quantities(e, tol):
         g = (zf * zf.conj()).real()
         gval = g.value.real
         geomv = (f1.value * jy(f3).value - f2.value * jx(f3).value).real
-        cleared = (g * hm._lap(g) - jx(g) * jx(g) - jy(g) * jy(g)).value.real
+        cleared = (g * jlap(g) - jx(g) * jx(g) - jy(g) * jy(g)).value.real
         return gval <= tol, (
-            (hm._lap(g).value.real, True),
+            (jlap(g).value.real, True),
             (cleared, gval > tol),
-            (hm._lap((fc * fc.conj()).real()).value.real, geomv >= -tol),
-            (hm._lap((f1 * f1 + f2 * f2).real()).value.real, geomv >= -tol))
+            (jlap((fc * fc.conj()).real()).value.real, geomv >= -tol),
+            (jlap((f1 * f1 + f2 * f2).real()).value.real, geomv >= -tol))
     return at
 
 
@@ -185,8 +185,8 @@ def _jacobian_quantities(m, tol):
         tf1, tf2 = jt(j1), jt(j2)
         h1 = ((jx(j1) * jx(tf2) + jy(j1) * jy(tf2))
               - (jx(j2) * jx(tf1) + jy(j2) * jy(tf1))).value.real
-        cleared = (jac * hm._lap(jac) - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
-        return jval <= tol, ((hm._lap(jac).value.real, h1 <= tol),
+        cleared = (jac * jlap(jac) - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
+        return jval <= tol, ((jlap(jac).value.real, h1 <= tol),
                              (cleared, h1 <= tol and jval > tol))
     return at
 

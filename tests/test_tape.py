@@ -1,0 +1,200 @@
+"""The evaluation tape: the same values as a walk over the nodes, jets that
+agree with finite differences, non-finite jets as domain errors, and one
+tape per flow."""
+import cmath
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from heiscalc import expr as ex
+from heiscalc import fields, schwarzian as sw
+from heiscalc.errors import DomainError, EvalError
+from heiscalc.group import HeisMap
+from heiscalc.jets import Jet
+
+from test_walks import _POINTS, _TEXTS, _parsed
+
+
+# --- the oracle: a memo-dict walk over the post-order, one branch per op ------
+
+def _scalar_unary(op, v):
+    if op == "exp":
+        return cmath.exp(v)
+    if op == "log":
+        if v == 0 or (v.imag == 0 and v.real <= 0):
+            raise DomainError(f"log of nonpositive value {v}")
+        return cmath.log(v)
+    if op == "sqrt":
+        if v == 0 or (v.imag == 0 and v.real <= 0):
+            raise DomainError(f"sqrt of nonpositive value {v}")
+        return cmath.sqrt(v)
+    if op == "sin":
+        return cmath.sin(v)
+    if op == "cos":
+        return cmath.cos(v)
+    if op == "conj":
+        return v.conjugate()
+    if op == "re":
+        return complex(v.real)
+    if op == "im":
+        return complex(v.imag)
+    raise EvalError(f"unknown unary node '{op}'")
+
+
+_JET_METHODS = {"exp": "exp", "log": "log", "sin": "sin", "cos": "cos",
+                "sqrt": "sqrt", "conj": "conj", "re": "real", "im": "imag"}
+
+
+def _walk(roots, vx, vy, vt):
+    """The values of a tuple of roots by a walk with a memo dict."""
+    seeds = (vx, vy, vt)
+    memo = {}
+    ev = memo.__getitem__
+    try:
+        for node in ex.postorder(roots):
+            op = node.op
+            if op == "coord":
+                r = seeds[node.val]
+            elif op == "const":
+                r = complex(node.val)
+            elif op == "add":
+                r = ev(node.args[0]) + ev(node.args[1])
+            elif op == "sub":
+                r = ev(node.args[0]) - ev(node.args[1])
+            elif op == "mul":
+                r = ev(node.args[0]) * ev(node.args[1])
+            elif op == "div":
+                den = ev(node.args[1])
+                if not isinstance(den, Jet) and den == 0:
+                    raise DomainError("division by zero at a 'div' node")
+                r = ev(node.args[0]) / den
+            elif op == "neg":
+                r = -ev(node.args[0])
+            elif op == "pow":
+                b = ev(node.args[0])
+                if not isinstance(b, Jet) and b == 0 and node.val < 0:
+                    raise DomainError("zero base at a negative 'pow' node")
+                r = b ** node.val
+            elif op in ex._FUNCS:
+                a = ev(node.args[0])
+                if isinstance(a, Jet):
+                    r = getattr(a, _JET_METHODS[op])()
+                else:
+                    r = _scalar_unary(op, a)
+            else:
+                raise EvalError(f"unknown node '{op}'")
+            memo[node] = r
+    except (OverflowError, ZeroDivisionError) as e:
+        raise DomainError(f"evaluation overflowed: {e}") from None
+    out = tuple(map(ev, roots))
+    if not all(map(cmath.isfinite, out)):
+        raise DomainError(f"evaluation gave a value that is not finite: {out}")
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+_EXTREME = st.sampled_from([0.0, -0.0, 1e-170, 7e-199, 1e160, -1e160])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXTS, _TEXTS, st.one_of(_POINTS, st.tuples(_EXTREME, _EXTREME, _EXTREME)))
+@example("1/(x - x) + log(y)", "sqrt(t)", (1.0, -1.0, -1.0))   # the first error wins
+@example("x^-2", "x", (7e-199, 0.0, 0.0))
+@example("(x*y)^4", "t", (1e160, 1e160, 0.0))
+def test_tape_gives_the_walks_values_bit_for_bit(t1, t2, p):
+    roots = (_parsed(t1), _parsed(t2))
+    seeds = tuple(map(complex, p))
+    assert _outcome(ex.tape(roots), *seeds) == _outcome(_walk, roots, *seeds)
+
+
+_ORDER1 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# Odd multiples of 1/16 in (-2, 2): no coordinate is within 1/16 of zero,
+# where a jet of t/t, say, cancels terms of size 1/t^2 and keeps their
+# rounding (2e121 at t = 7e-138), which no finite difference can match.
+_GRID = st.integers(-16, 15).map(lambda k: (2 * k + 1) / 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXTS, st.tuples(_GRID, _GRID, _GRID))
+@example("x^3*sin(y) + exp(t)/(2 + x^2)", (0.3125, -0.6875, 0.4375))
+@example("(x)^-1", (0.0625, 0.0625, 0.0625))
+def test_first_partials_of_the_jet_route_match_finite_differences(text, p):
+    # Where the Richardson estimates at steps 1e-3 and 2e-3 agree to 1e-8 of
+    # 1 + |estimate|, a first partial of the jet is within 1e-6 of it; where
+    # they do not (a pole or a branch cut near the stencil, or rounding that
+    # swamps the difference quotient) nothing is asserted.
+    e = _parsed(text)
+    try:
+        j = ex.jet_eval(e, p, 1)
+        fd = [(ex.fd_oracle(e, p, a), ex.fd_oracle(e, p, a, h=2e-3)) for a in _ORDER1]
+    except DomainError:
+        assume(False)
+    for alpha, (fine, coarse) in zip(_ORDER1, fd):
+        scale = 1.0 + abs(fine)
+        assume(abs(fine - coarse) <= 1e-8 * scale)
+        assert abs(j.partial(alpha) - fine) <= 1e-6 * scale, alpha
+
+
+# --- non-finite jets ------------------------------------------------------------
+
+def test_a_jet_that_is_not_finite_is_a_domain_error():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="not finite"):
+            sw.s_cr(HeisMap(ex.parse_expr("x*x*x*x"), ex.Y, ex.T), (1e100, 0.0, 0.0))
+        # a finite value does not hide a coefficient that is not: d/dy is x^2 here
+        with pytest.raises(DomainError, match="not finite"):
+            ex.jet_eval(ex.parse_expr("x*(x*y)"), (1e160, 1e-300, 0.0), 1)
+        # a batch names its lowest-index failing point
+        pts = np.array([(1.0, 0.0, 0.0), (1e100, 0.0, 0.0), (1e200, 0.0, 0.0)])
+        with pytest.raises(DomainError, match=r"at \(1e\+100, 0\.0, 0\.0\)"):
+            ex.jet_eval(ex.parse_expr("x*x*x*x"), pts, 1)
+        # over all roots: the second root fails at a lower index than the first
+        pts2 = np.array([(1.0, 1e100, 0.0), (1e100, 1.0, 0.0)])
+        with pytest.raises(DomainError, match=r"at \(1\.0, 1e\+100, 0\.0\)"):
+            ex.jet_eval((ex.parse_expr("x*x*x*x"), ex.parse_expr("y*y*y*y")), pts2, 1)
+    # finite jets at the same points pass
+    assert ex.jet_eval(ex.X, pts, 1).value.tolist() == [1.0, 1e100, 1e200]
+
+
+def test_finite_coefficients_whose_sum_overflows_pass_without_a_warning():
+    # the check looks at each coefficient, so no sum of them overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = ex.jet_eval(ex.parse_expr("1e308*x + 1e308*y"), (0.5, 0.5, 0.0), 1)
+        jb = ex.jet_eval(ex.parse_expr("1e308*x + 1e308*y"),
+                         np.array([(0.5, 0.5, 0.0), (0.25, 0.75, 0.0)]), 1)
+    assert j.coef.tolist() == [1e308, 1e308, 1e308, 0.0]
+    assert jb.coef[:, 0].tolist() == [1e308, 1e308, 1e308, 0.0]
+
+
+# --- one tape per flow --------------------------------------------------------------
+
+def test_a_flow_builds_one_tape_and_fetches_it_once():
+    ex.tape.cache_clear()
+    fields.flow_integrate("exp(x)", (0.1, 0.2, 0.3), 0.5, steps=200)
+    info = ex.tape.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+
+
+def test_contact_residuals_build_one_tape_for_five_trajectories():
+    ex.tape.cache_clear()
+    fields.flow_contact_residuals("0.3*x^2 + 0.4*x - 0.2", (0.1, 0.2, 0.3), 0.5, steps=200)
+    info = ex.tape.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_vector_field_at_runs_the_flows_tape():
+    comps = fields.field_components("t + x^2 + y^2")
+    ex.tape.cache_clear()
+    fields.flow_integrate(comps, (0.7, -0.4, 0.3), 0.5, steps=10)
+    fields.vector_field_at(comps, (0.1, 0.2, 0.3))
+    info = ex.tape.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
