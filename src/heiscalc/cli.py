@@ -133,9 +133,10 @@ def _rand_point(rng, lo=0.1, hi=3.0):
             return p
 
 
-def _suite_conformal(rng, tol, n=40):
+def _suite_conformal(rng, tol):
     lines, ok = [], True
     worst = 0.0
+    n = 40
     for i in range(n):
         w = random_word(rng, length=rng.randint(1, 4), allow_invert=True)
         m = word_to_map(w)
@@ -151,12 +152,12 @@ def _suite_conformal(rng, tol, n=40):
     return ok, lines, {"worst": worst, "n_words": n}
 
 
-def _suite_cocycles(rng, tol, n=25):
+def _suite_cocycles(rng, tol):
     from .group import Invert, LinearSL2
     lines = []
     worst_chain = worst_right = worst_left = 0.0
     base = word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5)])
-    for _ in range(n):
+    for _ in range(25):
         f = base.compose(word_to_map(random_word(rng, length=2, allow_invert=False)))
         g = word_to_map(random_word(rng, length=3, allow_invert=True))
         p = _rand_point(rng, 0.3, 1.5)

@@ -286,14 +286,14 @@ def _not_finite_at(jets):
     """The base point of the first point where a coefficient of one of the
     jets (of one base) is not finite, or None."""
     # An inf or nan term makes a sum inf or nan, so a finite sum clears a
-    # root; finite terms may sum past the float range (quietly: that is no
-    # error), so a sum that is not finite sends the roots to the test
-    # coefficient by coefficient. A sum is a routine the jet arithmetic has
-    # run already, while a process's first np.isfinite on complex maps about
-    # 0.1 MiB more; the common case never pays that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if all(cmath.isfinite(j.coef.sum()) for j in jets):
-            return None
+    # root; finite terms may sum past the float range (the tape runs this
+    # under its np.errstate: that is no error), so a sum that is not finite
+    # sends the roots to the test coefficient by coefficient. A sum is a
+    # routine the jet arithmetic has run already, while a process's first
+    # np.isfinite on complex maps about 0.1 MiB more; the common case never
+    # pays that.
+    if all(cmath.isfinite(j.coef.sum()) for j in jets):
+        return None
     bad = ~np.isfinite(jets[0].coef).all(axis=0)
     for j in jets[1:]:
         bad |= ~np.isfinite(j.coef).all(axis=0)
@@ -355,22 +355,29 @@ class Tape:
         would give inf (x^-2 at tiny x); either becomes a DomainError.
         """
         s = [vx, vy, vt, *self.consts]
+        if not isinstance(vx, Jet):
+            out = self._run(s)
+            if not all(map(cmath.isfinite, out)):
+                raise DomainError(f"evaluation gave a value that is not finite: {out}")
+            return out
+        # numpy's overflow warnings would only repeat the DomainError below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = tuple(r if isinstance(r, Jet) else Jet.constant(r, vx.base, vx.order)
+                        for r in self._run(s))
+            at = _not_finite_at(out)
+        if at is not None:
+            raise DomainError(f"evaluation gave a jet that is not finite at {at}")
+        return out
+
+    def _run(self, s: list) -> tuple:
+        """The roots' slots after the steps have run on the slots s."""
         push = s.append
         try:
             for fn, i, j in self.steps:
                 push(fn(s[i], s[j]))
         except (OverflowError, ZeroDivisionError) as e:
             raise DomainError(f"evaluation overflowed: {e}") from None
-        out = tuple([s[k] for k in self.outs])
-        if isinstance(vx, Jet):
-            out = tuple(r if isinstance(r, Jet) else Jet.constant(r, vx.base, vx.order)
-                        for r in out)
-            at = _not_finite_at(out)
-            if at is not None:
-                raise DomainError(f"evaluation gave a jet that is not finite at {at}")
-        elif not all(map(cmath.isfinite, out)):
-            raise DomainError(f"evaluation gave a value that is not finite: {out}")
-        return out
+        return tuple([s[k] for k in self.outs])
 
 
 # The diagnostics at one point evaluate the same map's roots several times,

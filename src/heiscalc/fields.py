@@ -13,9 +13,9 @@ from typing import NamedTuple
 from . import expr as ex
 from .errors import BadPotential, DomainError
 from .exact import RatPoly, potential_expr
-from .expr import Expr, jet_eval
+from .expr import Expr
 from .group import HeisMap, Point
-from .horizontal import lambda_jet, sym_x, sym_y, word_jet
+from .horizontal import apply_word, lambda_jet, sym_x, sym_y
 from .jets import Jet
 
 # Exact potential family spanning the conformal fields; entry k matches
@@ -55,8 +55,7 @@ class ConformalResidual(NamedTuple):
 
 def conformal_residual(v0, p) -> ConformalResidual:
     """Z^2 v0 at p, with the two real equations split out."""
-    j = jet_eval(potential_expr(v0), p, 2)   # Z^2 v0
-    val = word_jet("ZZ", j).value
+    val = apply_word("ZZ", potential_expr(v0), p)
     return ConformalResidual(val, val.real, val.imag)
 
 
@@ -108,7 +107,7 @@ def _uses_only_x(e: Expr) -> bool:
     return all(n.op != "coord" or n.val == 0 for n in ex.postorder(e))
 
 
-def flow_closed_form(h, s: float, name: str | None = None) -> HeisMap:
+def flow_closed_form(h, s: float) -> HeisMap:
     """Exact time-s flow map of the field with potential v0 = h(x).
 
     The first coordinate is frozen, the second drifts by -s h'(x) and the
@@ -123,7 +122,7 @@ def flow_closed_form(h, s: float, name: str | None = None) -> HeisMap:
     e2 = ex.sub(ex.Y, ex.mul(sc, hp))
     e3 = ex.add(ex.T, ex.mul(sc, ex.sub(ex.mul(ex.mul(ex.const(2), ex.X), hp),
                                         ex.mul(ex.const(4), he))))
-    return HeisMap(e1, e2, e3, name or f"flow[s={s:g}]")
+    return HeisMap(e1, e2, e3, f"flow[s={s:g}]")
 
 
 def scl_exp_flow(x: float, s: float) -> complex:
@@ -146,16 +145,15 @@ def scl_exp_flow_reference(x: float, s: float) -> complex:
 
 def scl_flow_derivative(v0, p) -> complex:
     """d/ds at s=0 of the flow's classical-type Schwarzian: -2i Z^3 Zbar v0."""
-    j = jet_eval(potential_expr(v0), p, 4)   # Z^3 Zbar v0
-    return -2j * word_jet("ZZZZb", j).value
+    return -2j * apply_word("ZZZZb", potential_expr(v0), p)
 
 
-def pushforward_w0(f: HeisMap, case: int, p, order: int = 4) -> Jet:
+def pushforward_w0(f: HeisMap, case: int, p) -> Jet:
     """Jacobian-weighted pullback of basis potential `case` (1..8) along f,
-    as a jet at p; .value gives the scalar."""
+    as an order-2 jet at p, enough for Z^2; .value gives the scalar."""
     if not 1 <= case <= 8:
         raise DomainError(f"case must be 1..8, got {case}")
-    j1, j2, j3 = f.jets(p, order)
+    j1, j2, j3 = f.jets(p, 3)   # the Jacobian consumes one order
     lam = lambda_jet(j1, j2, j3)
     rho = j1 * j1 + j2 * j2
     if case == 1:
@@ -173,18 +171,18 @@ def pushforward_w0(f: HeisMap, case: int, p, order: int = 4) -> Jet:
     elif case == 7:
         num = j3
     else:
-        num = Jet.constant(1.0, j1.base, order)
+        num = Jet.constant(1.0, j1.base, j1.order)
     return num * lam.reciprocal()
 
 
-def flow_contact_residuals(v0, p, s: float, steps: int = 400,
-                           h: float = 1e-4) -> tuple[float, float]:
+def flow_contact_residuals(v0, p, s: float, steps: int = 400) -> tuple[float, float]:
     """Contact residuals of the numerically integrated time-s flow map,
     by centred differences along the two frame directions.
 
-    Error is O(h^2) plus the integrator's endpoint error, so keep steps
-    generous when s is large.
+    The step is h = 1e-4, so the error is O(h^2) plus the integrator's
+    endpoint error; keep steps generous when s is large.
     """
+    h = 1e-4
     x, y, t = float(p[0]), float(p[1]), float(p[2])
     comps = field_components(v0)
 

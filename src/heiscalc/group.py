@@ -218,14 +218,11 @@ def make_type2(p, phi: float, r: float, q) -> list:
     return [Translate(tuple(p)), Invert(), Rotate(phi), Dilate(r), Translate(tuple(q))]
 
 
-def random_word(rng, length: int = 3, allow_invert: bool = True,
-                allow_reflect: bool = False) -> list:
+def random_word(rng, length: int = 3, allow_invert: bool = True) -> list:
     """Deterministic pseudo-random generator word for sampling suites."""
     kinds = ["trans", "dil", "rot"]
     if allow_invert:
         kinds.append("inv")
-    if allow_reflect:
-        kinds.append("refl")
     out = []
     for _ in range(length):
         k = rng.choice(kinds)
@@ -236,10 +233,8 @@ def random_word(rng, length: int = 3, allow_invert: bool = True,
             out.append(Dilate(rng.uniform(0.5, 2.0)))
         elif k == "rot":
             out.append(Rotate(rng.uniform(0.0, 2.0 * math.pi)))
-        elif k == "inv":
-            out.append(Invert())
         else:
-            out.append(Reflect())
+            out.append(Invert())
     return out
 
 

@@ -4,7 +4,7 @@ growth-estimate ingredients along radial curves.
 
 Polynomial potentials are scanned through the exact kernel: the scanned
 quantities are exact RatPolys, but RatPoly.eval evaluates them in floats, so
-a sign within rounding of zero is still decided by rounding (ROADMAP item 4).
+a sign within rounding of zero is still decided by rounding (ROADMAP item 5).
 Everything else falls back to jets; both routes share one grid walk.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact
-from .errors import DomainError, EvalError, NotHarmonic
+from .errors import DomainError, EvalError, NotHarmonic, NotPositive
 from .exact import (RatPoly, QQi, fit_constant, frame_t, frame_x, frame_y,
                     harmonic_nullspace, laplacian_h, potential_expr,
                     ratpoly_from_expr)
@@ -24,6 +24,7 @@ from .group import HeisMap, koranyi_norm, radial_curve
 from .horizontal import (assess_contact, jlap, jt, jx, jy, jz, lambda_jet,
                          sym_t, sym_x, sym_y)
 from .jets import Jet
+from .schwarzian import preschwarzian
 
 
 def _try_poly(u) -> RatPoly | None:
@@ -50,11 +51,11 @@ def _check_harmonic(u, poly: RatPoly | None,
         raise NotHarmonic(f"sublaplacian is {complex(r[i]):.3e} at {samples[i]}")
 
 
-def gradient_harmonic(u, name: str | None = None) -> HeisMap:
+def gradient_harmonic(u) -> HeisMap:
     """Map whose components are the frame derivatives (Xu, Yu, Tu) of a
     sublaplacian-harmonic potential."""
     _check_harmonic(u, _try_poly(u))
-    return _gradient_map(potential_expr(u), name or "grad-harmonic")
+    return _gradient_map(potential_expr(u), "grad-harmonic")
 
 
 def _gradient_map(e, name: str = "grad") -> HeisMap:
@@ -323,8 +324,7 @@ def _scan_jets(u, region, label, tol, shape) -> SignReport:
     return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS, route)
 
 
-def contact_jacobian_scan(m: HeisMap, region, label: str | None = None,
-                          tol: float = 1e-10) -> SignReport:
+def contact_jacobian_scan(m: HeisMap, region, tol: float = 1e-10) -> SignReport:
     """Sign scan of lap J and the cleared lap log J for a contact harmonic map,
     gated on the mixed-gradient condition for superharmonicity."""
 
@@ -341,7 +341,7 @@ def contact_jacobian_scan(m: HeisMap, region, label: str | None = None,
         return jval <= tol, ((lap_j.value.real, h1 <= tol),
                              (cleared, (h1 <= tol) & (jval > tol))), {"h1": h1}
     return _sign_scan(region, tuple(n for (_, _, n) in region),
-                      label or "contact-jacobian-scan", tol,
+                      "contact-jacobian-scan", tol,
                       (("lap_jf", "nonpos"), ("cleared_log_jf", "nonpos")), route)
 
 
@@ -445,12 +445,11 @@ def growth_ingredients(u, p, alpha: float = 1.0, radii=None,
             n4 = koranyi_norm(sp) ** 4
             if n4 >= 1.0:
                 raise DomainError(f"sample point {tuple(sp)} lies outside the unit ball")
-            g1, g2, g3 = grad.jets(sp, 2)   # Z of log J
-            jac = lambda_jet(g1, g2, g3)
-            if jac.value.real <= 0:
+            try:
+                pf = preschwarzian(grad, sp)
+            except NotPositive:
                 skipped += 1
                 continue
-            pf = jz(jac.log()).value
             best = max(best, abs(pf) * (1.0 - n4) ** alpha)
             seen = True
         pf_norm = best if seen else None

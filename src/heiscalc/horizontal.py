@@ -86,18 +86,10 @@ def sublaplacian(e: Expr, p) -> complex:
 def lambda_jet(j1: Jet, j2: Jet, j3: Jet) -> Jet:
     """Horizontal Jacobian as det of the horizontal differential.
 
-    No contact assumption; j3 is accepted (and ignored) so both lambda
-    routes share a signature.
+    No contact assumption; j3 is accepted (and ignored) so a map's three
+    jets pass as they come. The vertical route is assess_contact's.
     """
     return jx(j1) * jy(j2) - jy(j1) * jx(j2)
-
-
-def lambda_contact_jet(j1: Jet, j2: Jet, j3: Jet) -> Jet:
-    """Jacobian through the vertical route Tf3 - 2 f2 Tf1 + 2 f1 Tf2.
-
-    Agrees with the determinant route exactly when the map is contact.
-    """
-    return jt(j3) - 2.0 * j2 * jt(j1) + 2.0 * j1 * jt(j2)
 
 
 @dataclass
@@ -137,14 +129,23 @@ class ContactAssessment:
 
 
 def assess_contact(f: HeisMap, p) -> ContactAssessment:
-    j1, j2, j3 = f.jets(p, 1)   # the horizontal differential and T f
+    return _assess(p, *f.jets(p, 1))   # the horizontal differential and T f
+
+
+def _assess(p, j1: Jet, j2: Jet, j3: Jet) -> ContactAssessment:
+    """The assessment at p from the map's jets there, of any order >= 1:
+    the one reading of the first-order quantities, for assess_contact and
+    the gates of the Schwarzians."""
+    j1, j2, j3 = j1.truncate(1), j2.truncate(1), j3.truncate(1)
     xf1, yf1 = jx(j1).value, jy(j1).value
     xf2, yf2 = jx(j2).value, jy(j2).value
     xf3, yf3 = jx(j3).value, jy(j3).value
     f1v, f2v = j1.value, j2.value
 
     lam_det = (xf1 * yf2 - yf1 * xf2).real
-    lam_vert = lambda_contact_jet(j1, j2, j3).value.real
+    # the vertical route Tf3 - 2 f2 Tf1 + 2 f1 Tf2, equal to lam_det
+    # exactly when the map is contact
+    lam_vert = (jt(j3).value - 2.0 * f2v * jt(j1).value + 2.0 * f1v * jt(j2).value).real
     r1 = (xf3 - 2.0 * f2v * xf1 + 2.0 * f1v * xf2).real
     r2 = (yf3 - 2.0 * f2v * yf1 + 2.0 * f1v * yf2).real
     r_z = 0.5 * (r1 - 1j * r2)

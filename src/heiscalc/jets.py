@@ -134,7 +134,7 @@ class Jet:
     __slots__ = ("base", "order", "coef")
 
     def __init__(self, base, order: int, coef: np.ndarray):
-        self.base = base if coef.ndim == 2 else tuple(float(c) for c in base)
+        self.base = base
         self.order = int(order)
         self.coef = coef
 
@@ -363,9 +363,10 @@ class Jet:
 
 def jet_seed(p, order: int) -> tuple[Jet, Jet, Jet]:
     """Coordinate jets (x, y, t) at p, each of the given order; batched
-    over the points when p is an (N, 3) array."""
-    if np.ndim(p) == 2:
-        p = np.asarray(p, dtype=float)
+    over the points when p is an (N, 3) array. The base is normalised here
+    once, to a tuple of floats or a float array, and every jet computed from
+    the three shares that object."""
+    p = np.asarray(p, dtype=float) if np.ndim(p) == 2 else tuple(float(c) for c in p)
     return (Jet.coordinate(0, p, order),
             Jet.coordinate(1, p, order),
             Jet.coordinate(2, p, order))

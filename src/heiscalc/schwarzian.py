@@ -17,19 +17,17 @@ from . import expr as ex
 from .errors import BadPotential, NotContact, NotPositive, SingularError
 from .exact import QQi, RatPoly, d_coord, frame_z, ratpoly_from_expr
 from .group import HeisMap
-from .horizontal import jt, jx, jy, jz, jzb, lambda_jet, word_jet
+from .horizontal import _assess, assess_contact, jz, jzb, lambda_jet, word_jet
 from .jets import Jet
 
 _TINY = 1e-13
 _CONTACT_TOL = 1e-7   # contact gate of s_cr and s_cl, relative to 1 + |D_H f|^2
 
 
-def _contact_gate(f: HeisMap, j1: Jet, j2: Jet, j3: Jet):
-    scale = 1.0 + max(abs(jx(j1).value), abs(jy(j1).value),
-                      abs(jx(j2).value), abs(jy(j2).value)) ** 2
-    r1 = (jx(j3) - 2.0 * j2 * jx(j1) + 2.0 * j1 * jx(j2)).value
-    r2 = (jy(j3) - 2.0 * j2 * jy(j1) + 2.0 * j1 * jy(j2)).value
-    worst = max(abs(r1), abs(r2))
+def _contact_gate(f: HeisMap, p, j1: Jet, j2: Jet, j3: Jet):
+    a = _assess(p, j1, j2, j3)
+    scale = 1.0 + max(abs(d) for row in a.d_hf for d in row) ** 2
+    worst = a.max_contact_residual()
     if worst > _CONTACT_TOL * scale:
         raise NotContact(
             f"{f!r} fails the contact equations at {j1.base}: residual {worst:.3e}")
@@ -40,7 +38,7 @@ def _positive_jacobian(f: HeisMap, p, order: int, contact: bool = False) -> Jet:
     when contact is set; raises NotPositive unless the Jacobian is positive."""
     j1, j2, j3 = f.jets(p, order)
     if contact:
-        _contact_gate(f, j1, j2, j3)
+        _contact_gate(f, p, j1, j2, j3)
     lam = lambda_jet(j1, j2, j3)
     if lam.value.real <= 0:
         raise NotPositive(f"Jacobian {lam.value.real:.3e} is not positive at {tuple(p)}")
@@ -81,7 +79,7 @@ def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
 def s_cl(f: HeisMap, p) -> complex:
     """Classical-type Schwarzian Z^3F/ZF - (3/2)(Z^2F/ZF)^2."""
     j1, j2, j3 = f.jets(p, 3)   # Z^3 F
-    _contact_gate(f, j1, j2, j3)
+    _contact_gate(f, p, j1, j2, j3)
     fjet = j1 + 1j * j2
     zf = jz(fjet)
     if abs(zf.value) < _TINY:
@@ -111,15 +109,13 @@ def pluriharmonic_residual(f: HeisMap, p) -> complex:
 
 # --- composition laws ----------------------------------------------------------
 
-def _conformal_gate(g: HeisMap, p):
-    jg1, jg2, jg3 = g.jets(p, 1)   # Zbar G
-    gjet = jg1 + 1j * jg2
-    zbg = jzb(gjet).value
-    zg = jz(gjet).value
-    if abs(zbg) > 1e-8 * (1.0 + abs(zg)):
+def _conformal_gate(g: HeisMap, p) -> complex:
+    """ZG at p, after checking that Zbar G vanishes there."""
+    a = assess_contact(g, p)
+    if abs(a.zbar_f) > 1e-8 * (1.0 + abs(a.z_f)):
         raise NotContact(
-            f"{g!r} is not conformal at {tuple(p)}: |Zbar G| = {abs(zbg):.3e}")
-    return gjet
+            f"{g!r} is not conformal at {tuple(p)}: |Zbar G| = {abs(a.zbar_f):.3e}")
+    return a.z_f
 
 
 def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
@@ -163,9 +159,8 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
 
 def cocycle_residual_right(f: HeisMap, g: HeisMap, p) -> complex:
     """Residual of S_CL(f o g) = S_CL(f) o g (ZG)^2 + S_CL(g), conformal g."""
-    gjet = _conformal_gate(g, p)
+    zg = _conformal_gate(g, p)
     q = g(p)
-    zg = jz(gjet).value
     lhs = s_cl(f.compose(g), p)
     return lhs - (s_cl(f, q) * zg * zg + s_cl(g, p))
 

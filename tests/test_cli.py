@@ -1,5 +1,6 @@
 """Command line behaviour: output schema, exit codes, determinism."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,17 @@ def test_eval_of_a_jet_that_overflows_is_a_domain_error(capsys):
     assert code == 3
     assert "NaN" not in out + err
     assert "not finite" in err
+
+
+def test_eval_of_a_jet_that_overflows_warns_nothing(capsys):
+    # the DomainError alone reports the overflow: a numpy warning before it
+    # would raise through main where warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "eval", "--map", "inv", "--point", "1e200,1e200,0",
+                             "--which", "s_cl")
+    assert code == 3
+    assert err.startswith("error: DomainError:") and err.count("\n") == 1
 
 
 def test_flow_step_cap_is_named(capsys, monkeypatch):

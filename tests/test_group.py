@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heiscalc.errors import ParseError
 from heiscalc.group import (Dilate, HeisMap, Invert, LinearSL2, Point, Reflect, Rotate,
@@ -18,16 +19,36 @@ def test_group_law_pinned():
     assert group_mul((0, 0, 0), (4, 5, 6)) == Point(4, 5, 6)
 
 
-def test_group_inverse_and_associativity():
-    rng = random.Random(2)
-    for _ in range(20):
-        p, q, r = (Point(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-                   for _ in range(3))
-        pi = group_inv(p)
-        assert max(map(abs, group_mul(p, pi))) < 1e-14
-        lhs = group_mul(group_mul(p, q), r)
-        rhs = group_mul(p, group_mul(q, r))
-        assert max(abs(a - b) for a, b in zip(lhs, rhs)) < 1e-12
+# coordinates in [-2, 2], kept off the tiny magnitudes whose squares lose
+# their precision to underflow in the norm
+_coords = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+_points = st.builds(Point, _coords, _coords, _coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_points, _points, _points)
+def test_group_inverse_and_associativity(p, q, r):
+    pi = group_inv(p)
+    assert max(map(abs, group_mul(p, pi))) < 1e-14
+    lhs = group_mul(group_mul(p, q), r)
+    rhs = group_mul(p, group_mul(q, r))
+    assert max(abs(a - b) for a, b in zip(lhs, rhs)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points, _points, _points)
+# three points of one horizontal line, where the inequality is an equality
+@example(Point(0.25, -0.5, 1.0), group_mul((0.25, -0.5, 1.0), (0.5, 1.5, 0.0)),
+         group_mul((0.25, -0.5, 1.0), (1.0, 3.0, 0.0)))
+def test_koranyi_triangle_inequality(p, q, r):
+    bound = koranyi_dist(p, q) + koranyi_dist(q, r)
+    assert koranyi_dist(p, r) <= bound * (1.0 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_points, st.floats(0.01, 100.0))
+def test_koranyi_norm_homogeneous_under_dilation(p, r):
+    assert koranyi_norm(dilate_point(r, p)) == pytest.approx(r * koranyi_norm(p), rel=1e-12)
 
 
 def test_koranyi_norm_homogeneity():

@@ -41,6 +41,9 @@ DIAGNOSTICS = {
         U, P, radii=[0.4, 0.8], sample_points=[(-0.4, -0.3, -0.5), (0.3, -0.3, -0.5)]),
     "assess_contact": lambda: horizontal.assess_contact(STRETCH, P),
     "conformal_residual": lambda: fields.conformal_residual(V0, P),
+    "pushforward_w0": lambda: tuple(
+        horizontal.word_jet("ZZ", fields.pushforward_w0(STRETCH, c, P)).value
+        for c in range(1, 9)),
     "scl_flow_derivative": lambda: fields.scl_flow_derivative(V0, P),
     "jet_scan": lambda: harmonic.subharmonicity_scan(U, REGION),
     "contact_jacobian_scan": lambda: harmonic.contact_jacobian_scan(GRAD, REGION),
@@ -63,7 +66,7 @@ def _run(monkeypatch, name, shift):
     jets = HeisMap.jets
     with monkeypatch.context() as mp:
         mp.setattr(HeisMap, "jets", lambda self, p, order: jets(self, p, shift(order)))
-        for mod in (horizontal, harmonic, fields):
+        for mod in (horizontal, harmonic):
             mp.setattr(mod, "jet_eval",
                        lambda roots, p, order, f=mod.jet_eval: f(roots, p, shift(order)))
         out = DIAGNOSTICS[name]()

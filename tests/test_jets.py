@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from heiscalc.errors import DomainError, OrderError
+from heiscalc.horizontal import jx
 from heiscalc.jets import Jet, indices, jet_seed, ncoef
 
 P = (0.3, -0.2, 0.7)
@@ -130,6 +131,16 @@ def test_power_starts_from_the_base(monkeypatch):
             assert len(products) == n - 1
             assert got.coef.tobytes() == want.coef.tobytes()
         assert np.array_equal((j ** 0).coef, Jet.constant(1.0, j.base, j.order).coef)
+
+
+def test_jets_of_one_seed_share_its_base():
+    # jet_seed normalises the base point once; every operation passes it on
+    x, y, t = jet_seed((1, -2, 0.5), 3)
+    base = x.base
+    assert base == (1.0, -2.0, 0.5) and all(type(c) is float for c in base)
+    derived = (y, t, x * y, 2.0 * t - 1.0, x / 3.0, -y, x ** 2, (x - t).exp(),
+               (y + 3.0).reciprocal(), jx(x * t), (x * t).derive(2), (x * y).truncate(1))
+    assert all(j.base is base for j in derived)
 
 
 def test_conj_real_imag_split():
