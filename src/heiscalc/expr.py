@@ -352,7 +352,9 @@ class Tape:
         DomainError (at the lowest-index such point of a batch); in scalar
         mode a root that is not finite is a DomainError. Python's complex
         arithmetic raises OverflowError or ZeroDivisionError where floats
-        would give inf (x^-2 at tiny x); either becomes a DomainError.
+        would give inf (x^-2 at tiny x), and cmath raises ValueError where
+        numpy would give nan (sin of an infinite value); each becomes a
+        DomainError.
         """
         s = [vx, vy, vt, *self.consts]
         if not isinstance(vx, Jet):
@@ -377,6 +379,8 @@ class Tape:
                 push(fn(s[i], s[j]))
         except (OverflowError, ZeroDivisionError) as e:
             raise DomainError(f"evaluation overflowed: {e}") from None
+        except ValueError as e:
+            raise DomainError(f"evaluation left the domain: {e}") from None
         return tuple([s[k] for k in self.outs])
 
 

@@ -16,17 +16,17 @@ from .exact import parse_frame_word
 from . import expr as ex
 from .expr import Expr, jet_eval
 from .group import HeisMap, Point
-from .jets import Jet
+from .jets import Jet, coordinate_value
 
 
 def jx(j: Jet) -> Jet:
     dx = j.derive(0)   # first, so an order-0 jet raises OrderError
-    return dx + 2.0 * Jet.coordinate(1, j.base, dx.order) * j.derive(2)
+    return dx + j.derive(2).times_coordinate(1, coordinate_value(j.base, 1), 2.0)
 
 
 def jy(j: Jet) -> Jet:
     dy = j.derive(1)
-    return dy - 2.0 * Jet.coordinate(0, j.base, dy.order) * j.derive(2)
+    return dy - j.derive(2).times_coordinate(0, coordinate_value(j.base, 0), 2.0)
 
 
 def jt(j: Jet) -> Jet:

@@ -26,6 +26,16 @@ about 21 ms, but about 0.3 ms for one point, where `np.add.at` takes 12 us.
 Both kernels add each output coefficient's products in the same order, so
 a batched product is bitwise equal to the per-point products.
 
+A product with a coordinate takes a third kernel, `times_coordinate`: by
+c0 + (x_var - base_var) it is a scale by c0 plus a one-index shift along
+the cached `_shift_table`, two numpy calls on either shape. `Jet.coordinate`
+(so `jet_seed`, and the seeds of an evaluation) returns a jet marked with
+its variable, and `*` sends a product with a marked operand on either side
+to the shift kernel; a marked jet's series (exp(x), 1/x) runs its Horner
+steps on a marked nil of value 0, and a coordinate power x^n on the mark
+too. The frame operators call the kernel directly. The full product adds
+the same two nonzero products to each coefficient, so the bits agree.
+
 Derivatives are coefficient shifts and consume one order: the derivative of
 an order-K jet is an order-(K-1) jet. Elementary functions (exp, log, sqrt,
 sin, cos, reciprocal) are Horner evaluations of the scalar Taylor series in
@@ -115,6 +125,24 @@ def _diff_table(order: int, var: int):
     return np.asarray(src, dtype=np.intp), np.asarray(mult, dtype=np.float64)
 
 
+@lru_cache(maxsize=None)
+def _shift_table(order: int, var: int) -> np.ndarray:
+    """tgt[b] = rank of b + e_var, for each monomial b of indices(order - 1);
+    the source ranks are 0 .. ncoef(order - 1) - 1, a prefix."""
+    rank = _rank(order)
+    tgt = []
+    for b in indices(order - 1):
+        shifted = list(b)
+        shifted[var] += 1
+        tgt.append(rank[tuple(shifted)])
+    return np.asarray(tgt, dtype=np.intp)
+
+
+def coordinate_value(base, var: int):
+    """Coordinate var of a base point, or of each point of a batch."""
+    return base[:, var] if isinstance(base, np.ndarray) and base.ndim == 2 else base[var]
+
+
 def _zeros(base, order: int) -> np.ndarray:
     """Zero coefficients for a base point, or for a batch of them."""
     if isinstance(base, np.ndarray) and base.ndim == 2:
@@ -151,12 +179,12 @@ class Jet:
         if isinstance(var, str):
             var = _VARS.index(var)
         c = _zeros(base, order)
-        c[0] = base[var] if c.ndim == 1 else base[:, var]
+        c[0] = coordinate_value(base, var)
         if order >= 1:
             e = [0, 0, 0]
             e[var] = 1
             c[_rank(order)[tuple(e)]] = 1.0
-        return Jet(base, order, c)
+        return _Coordinate(var, base, order, c)
 
     def copy(self) -> "Jet":
         return Jet(self.base, self.order, self.coef.copy())
@@ -246,10 +274,29 @@ class Jet:
     def __neg__(self):
         return Jet(self.base, self.order, -self.coef)
 
+    def times_coordinate(self, var: int, c0, scale=1.0) -> "Jet":
+        """scale * (c0 + (x_var - base_var)) * self, with c0 a value or a
+        per-point array: a scale by scale * c0 plus a one-index shift of the
+        coefficients scaled by scale, in place of the full product.
+
+        The full product adds the same two products to each coefficient,
+        and exact zeros besides; its sums start at +0.0, hence the + 0.0,
+        and IEEE addition is commutative, so the bits are the same."""
+        out = self.coef * (scale * c0)
+        out += 0.0
+        tgt = _shift_table(self.order, var)
+        src = self.coef[:len(tgt)]
+        out[tgt] += src if scale == 1.0 else scale * src
+        return Jet(self.base, self.order, out)
+
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.base, self.order, self.coef * other)
         a, b = self._pair(other)
+        if isinstance(other, _Coordinate):
+            return a.times_coordinate(other.var, other.coef[0])
+        if isinstance(self, _Coordinate):
+            return b.times_coordinate(self.var, self.coef[0])
         A, B = a.coef, b.coef
         if A.ndim == 1:
             ia, ib, io = _mul_table(a.order)
@@ -304,9 +351,12 @@ class Jet:
     # --- analytic functions of the jet --------------------------------------
 
     def _series(self, derivs) -> "Jet":
-        """Horner sum of derivs[k] * (self - value)^k."""
+        """Horner sum of derivs[k] * (self - value)^k. For a coordinate,
+        self - value is a coordinate of value 0, so each step is a shift."""
         nil = self.copy()
         nil.coef[0] = 0.0
+        if isinstance(self, _Coordinate):
+            nil = _Coordinate(self.var, nil.base, nil.order, nil.coef)
         acc = Jet.constant(derivs[-1], self.base, self.order)
         for k in range(len(derivs) - 2, -1, -1):
             # a product holds no -0.0, so adding to its constant term in
@@ -359,6 +409,18 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(base={self.base}, order={self.order}, value={self.value})"
+
+
+class _Coordinate(Jet):
+    """The jet of coordinate var, c0 + (x_var - base_var) with c0 = coef[0].
+    Products with it take the shift kernel. Every operation builds a plain
+    Jet, so the mark lasts only as long as these coefficients."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, var: int, base, order: int, coef: np.ndarray):
+        super().__init__(base, order, coef)
+        self.var = var
 
 
 def jet_seed(p, order: int) -> tuple[Jet, Jet, Jet]:

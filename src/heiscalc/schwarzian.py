@@ -33,10 +33,11 @@ def _contact_gate(f: HeisMap, p, j1: Jet, j2: Jet, j3: Jet):
             f"{f!r} fails the contact equations at {j1.base}: residual {worst:.3e}")
 
 
-def _positive_jacobian(f: HeisMap, p, order: int, contact: bool = False) -> Jet:
-    """The order-(order - 1) Jacobian jet of f at p, after the contact gate
-    when contact is set; raises NotPositive unless the Jacobian is positive."""
-    j1, j2, j3 = f.jets(p, order)
+def _positive_jacobian(f: HeisMap, p, jets: tuple, contact: bool = False) -> Jet:
+    """The Jacobian jet of f at p, one order below f's jets there, after the
+    contact gate when contact is set; raises NotPositive unless the
+    Jacobian is positive."""
+    j1, j2, j3 = jets
     if contact:
         _contact_gate(f, p, j1, j2, j3)
     lam = lambda_jet(j1, j2, j3)
@@ -52,7 +53,12 @@ def s_cr(f: HeisMap, p) -> complex:
     is 2 s_cr and the chain rule below holds; the reciprocal-form variant is
     its negative, see s_cr_reciprocal_form.
     """
-    phi = _positive_jacobian(f, p, 3, contact=True).log() * 0.5   # Z^2 of log J
+    return _s_cr(f, p, f.jets(p, 3))   # Z^2 of log J
+
+
+def _s_cr(f: HeisMap, p, jets: tuple) -> complex:
+    """s_cr from the map's order-3 jets at p."""
+    phi = _positive_jacobian(f, p, jets, contact=True).log() * 0.5
     zphi = jz(phi)
     return (word_jet("ZZ", phi) - 2.0 * zphi * zphi).value
 
@@ -60,7 +66,7 @@ def s_cr(f: HeisMap, p) -> complex:
 def s_cr_reciprocal_form(f: HeisMap, p) -> complex:
     """Half the Jacobian times Z^2 of its reciprocal. Kept as an independent
     route; the suite fits the constant relating it to s_cr (it is -1)."""
-    lam = _positive_jacobian(f, p, 3)   # Z^2 of 1/J
+    lam = _positive_jacobian(f, p, f.jets(p, 3))   # Z^2 of 1/J
     return word_jet("ZZ", lam.reciprocal()).value * lam.value * 0.5
 
 
@@ -70,7 +76,7 @@ def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
     Computed through the cleared polynomial route (lambda Z^2 lambda and
     (Z lambda)^2, no logs), so it is an independent check against 2 s_cr.
     """
-    lam = _positive_jacobian(f, p, 3)   # Z^2 of J
+    lam = _positive_jacobian(f, p, f.jets(p, 3))   # Z^2 of J
     zlam = jz(lam)
     num = (lam * word_jet("ZZ", lam) - 2.0 * zlam * zlam).value
     return num / (lam.value * lam.value)
@@ -78,9 +84,13 @@ def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
 
 def s_cl(f: HeisMap, p) -> complex:
     """Classical-type Schwarzian Z^3F/ZF - (3/2)(Z^2F/ZF)^2."""
-    j1, j2, j3 = f.jets(p, 3)   # Z^3 F
-    _contact_gate(f, p, j1, j2, j3)
-    fjet = j1 + 1j * j2
+    return _s_cl(f, p, f.jets(p, 3))   # Z^3 F
+
+
+def _s_cl(f: HeisMap, p, jets: tuple) -> complex:
+    """s_cl from the map's order-3 jets at p."""
+    _contact_gate(f, p, *jets)
+    fjet = jets[0] + 1j * jets[1]
     zf = jz(fjet)
     if abs(zf.value) < _TINY:
         raise SingularError(f"ZF vanishes at {tuple(p)}")
@@ -90,12 +100,12 @@ def s_cl(f: HeisMap, p) -> complex:
 
 def preschwarzian(f: HeisMap, p) -> complex:
     """Z of the log Jacobian. Needs a positive Jacobian, not contact."""
-    return jz(_positive_jacobian(f, p, 2).log()).value   # Z of log J
+    return jz(_positive_jacobian(f, p, f.jets(p, 2)).log()).value   # Z of log J
 
 
 def preschwarzian_identity_residual(f: HeisMap, p) -> complex:
     """Z(Pf) - Pf^2 minus the tensor coefficient; zero whenever J_F > 0."""
-    pf = jz(_positive_jacobian(f, p, 3).log())   # Z^2 of log J
+    pf = jz(_positive_jacobian(f, p, f.jets(p, 3)).log())   # Z^2 of log J
     lhs = (jz(pf) - pf * pf).value
     return lhs - s_cr_tensor_coeff(f, p)
 
@@ -103,7 +113,7 @@ def preschwarzian_identity_residual(f: HeisMap, p) -> complex:
 def pluriharmonic_residual(f: HeisMap, p) -> complex:
     """Z^2 Zbar of the half-log conformal factor; zero iff the factor is
     CR-pluriharmonic at p."""
-    phi = _positive_jacobian(f, p, 4).log() * 0.5   # Z^2 Zbar of log J
+    phi = _positive_jacobian(f, p, f.jets(p, 4)).log() * 0.5   # Z^2 Zbar of log J
     return word_jet("ZZZb", phi).value
 
 
@@ -122,25 +132,25 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
     """Residual of the full CR Schwarzian chain rule at p (lhs - rhs).
 
     Both maps only need to be contact; all six right-hand terms are built
-    from independent jets of f at g(p) and of g at p.
+    from independent jets of f at g(p) and of g at p, each evaluated once.
     """
     q = g(p)
     lhs = s_cr(f.compose(g), p)
 
-    jg1, jg2, jg3 = g.jets(p, 2)   # Z^2 G and Z J_G
-    gjet = jg1 + 1j * jg2
+    jg = g.jets(p, 3)   # S_CR(g); Z^2 G and Z J_G need only 2
+    gjet = jg[0] + 1j * jg[1]
     zg = jz(gjet).value
     zgbar = jz(gjet.conj()).value
-    lam_g = lambda_jet(jg1, jg2, jg3)
+    lam_g = lambda_jet(*jg)
     lg = lam_g.value
     z2g = word_jet("ZZ", gjet).value
     z2gbar = word_jet("ZZ", gjet.conj()).value
     zlam_g = jz(lam_g).value
 
-    jf1, jf2, jf3 = f.jets(q, 3)   # Zbar Z of J_F
-    lam_f = lambda_jet(jf1, jf2, jf3)
+    jf = f.jets(q, 3)   # Zbar Z of J_F, S_CR(f)
+    lam_f = lambda_jet(*jf)
     lf = lam_f.value
-    scr_f = s_cr(f, q)
+    scr_f = _s_cr(f, q, jf)
     zbz_lam = word_jet("ZbZ", lam_f).value
     zzb_lam = word_jet("ZZb", lam_f).value
     zlam = jz(lam_f).value
@@ -150,7 +160,7 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
 
     rhs = (scr_f * zg * zg
            + scr_f.conjugate() * zgbar * zgbar
-           + s_cr(g, p)
+           + _s_cr(g, p, jg)
            + (lf * (zbz_lam + zzb_lam) - 4.0 * zlam * zblam) * zg * zgbar / (2.0 * lf * lf)
            + (z2g * lg - 2.0 * zg * zlam_g) * zln / (2.0 * lg)
            + (z2gbar * lg - 2.0 * zgbar * zlam_g) * zbln / (2.0 * lg))
@@ -184,8 +194,8 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p,
     d_big = word_jet("ZbZ", gjet).value        # Zbar Z G
     e_big = word_jet("ZbZZ", gjet).value       # Zbar Z^2 G
 
-    jf1, jf2, jf3 = f.jets(p, 2)   # Z^2 F
-    fjet = jf1 + 1j * jf2
+    jf = f.jets(p, 3)   # S_CL(f); Z^2 F needs only 2
+    fjet = jf[0] + 1j * jf[1]
     a = jz(fjet).value                         # ZF
     if abs(a) < _TINY:
         raise SingularError(f"ZF vanishes at {tuple(p)}")
@@ -194,7 +204,7 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p,
     bbar = word_jet("ZZ", fjet.conj()).value   # Z^2 Fbar
 
     lhs = s_cl(g.compose(f), p)
-    rhs = (s_cl(f, p)
+    rhs = (_s_cl(f, p, jf)
            + (1.5 * e_big - 3.0 * (b_big / a_big) * d_big) * (a * abar) / a_big
            + (d_big / a_big) * (bbar * a + middle_coeff * b * abar) / a
            - 1.5 * (d_big / a_big) ** 2 * abar * abar)

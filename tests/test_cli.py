@@ -216,6 +216,7 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("flow", "--h", "+".join(["x"] * 1000), "--s", "0.1", "--point", "0,0,0"), 0),
     (("scan", "--u", "x*y + 1/0", "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
     (("scan", "--u", "x*y + 0^-1", "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
+    (("flow", "--h", "sin(x*x)", "--point", "1e160,0,0", "--s", "0.1"), 3),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))

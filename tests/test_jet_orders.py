@@ -88,3 +88,19 @@ def test_one_order_less_at_any_evaluation_raises(monkeypatch, name):
     for k in range(count.calls):
         with pytest.raises(OrderError):
             _run(monkeypatch, name, _Shift(-1, at=k))
+
+
+# Each residual evaluates each (map, point) its terms share once: f at g(p)
+# and g at p in the chain rule, f at p in the left cocycle (14 before).
+JETS_CALLS = {"cr_chain_residual": 3, "cocycle_residual_right": 4,
+              "cocycle_residual_left": 4}
+
+
+@pytest.mark.parametrize("name", JETS_CALLS)
+def test_composition_residuals_evaluate_shared_jets_once(monkeypatch, name):
+    calls = []
+    jets = HeisMap.jets
+    monkeypatch.setattr(HeisMap, "jets",
+                        lambda self, p, order: calls.append(order) or jets(self, p, order))
+    DIAGNOSTICS[name]()
+    assert len(calls) == JETS_CALLS[name]

@@ -88,6 +88,8 @@ def _walk(roots, vx, vy, vt):
             memo[node] = r
     except (OverflowError, ZeroDivisionError) as e:
         raise DomainError(f"evaluation overflowed: {e}") from None
+    except ValueError as e:
+        raise DomainError(f"evaluation left the domain: {e}") from None
     out = tuple(map(ev, roots))
     if not all(map(cmath.isfinite, out)):
         raise DomainError(f"evaluation gave a value that is not finite: {out}")
@@ -109,6 +111,7 @@ _EXTREME = st.sampled_from([0.0, -0.0, 1e-170, 7e-199, 1e160, -1e160])
 @example("1/(x - x) + log(y)", "sqrt(t)", (1.0, -1.0, -1.0))   # the first error wins
 @example("x^-2", "x", (7e-199, 0.0, 0.0))
 @example("(x*y)^4", "t", (1e160, 1e160, 0.0))
+@example("x", "-sin((x*x))", (1e160, 0.0, 0.0))   # cmath.sin(inf) raises ValueError
 def test_tape_gives_the_walks_values_bit_for_bit(t1, t2, p):
     roots = (_parsed(t1), _parsed(t2))
     seeds = tuple(map(complex, p))
@@ -162,6 +165,18 @@ def test_a_jet_that_is_not_finite_is_a_domain_error():
             ex.jet_eval((ex.parse_expr("x*x*x*x"), ex.parse_expr("y*y*y*y")), pts2, 1)
     # finite jets at the same points pass
     assert ex.jet_eval(ex.X, pts, 1).value.tolist() == [1.0, 1e100, 1e200]
+
+
+@pytest.mark.parametrize("text", ["sin(x*x)", "cos(x*x)"])
+def test_sin_and_cos_of_an_infinite_value_are_domain_errors(text):
+    # cmath raises ValueError on inf, in scalar and in single-jet mode
+    e, p = ex.parse_expr(text), (1e160, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        ex.eval_at(e, p)
+    with pytest.raises(DomainError):
+        ex.jet_eval(e, p, 2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+        ex.jet_eval(e, np.array([p]), 2)
 
 
 def test_finite_coefficients_whose_sum_overflows_pass_without_a_warning():
