@@ -169,13 +169,14 @@ def test_a_jet_that_is_not_finite_is_a_domain_error():
 
 @pytest.mark.parametrize("text", ["sin(x*x)", "cos(x*x)"])
 def test_sin_and_cos_of_an_infinite_value_are_domain_errors(text):
-    # cmath raises ValueError on inf, in scalar and in single-jet mode
+    # cmath raises ValueError on inf, in scalar and in single-jet mode;
+    # numpy gives nan, which the finiteness check names
     e, p = ex.parse_expr(text), (1e160, 0.0, 0.0)
     with pytest.raises(DomainError):
         ex.eval_at(e, p)
     with pytest.raises(DomainError):
         ex.jet_eval(e, p, 2)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+    with pytest.raises(DomainError):
         ex.jet_eval(e, np.array([p]), 2)
 
 
