@@ -12,8 +12,9 @@ slots and one `(fn, i, j)` step per node, in that same order. `tape` keeps
 the tapes of the last 8 tuples of roots. One entry point, `evaluate`, takes
 one root or a tuple of roots that share a DAG and runs their tape over
 complex scalars or over Jet values (`eval_at` and `jet_eval` only make the
-seeds); an RK4 flow fetches its field's tape once and runs it at every
-stage.
+seeds); on jets a division multiplies by its divisor's reciprocal, made
+once per divisor. An RK4 flow fetches its field's tape once and runs it at
+every stage.
 
 Constants keep their exact type (int / Fraction) on the tree, which is what
 lets the exact polynomial kernel read coefficients off parsed input without
@@ -303,6 +304,31 @@ def _not_finite_at(jets):
     return base if bad.ndim == 0 else tuple(base[bad.argmax()].tolist())
 
 
+def _reciprocal(b, _):
+    return b.reciprocal()
+
+
+def _schedule(roots, nodes, leaves, expo, nconst, jets) -> tuple:
+    """The steps of the nodes and the roots' slots, for a run whose slots
+    `jets` hold jets (the seeds; none for scalars): there a 'div' by a jet
+    multiplies by the reciprocal of its divisor's slot, made once."""
+    slot, jets, recip, steps = dict(leaves), set(jets), {}, []
+    for node in nodes:
+        fn = _STEPS[node.op]
+        i = slot[node.args[0]]
+        j = expo[node] if node.op == "pow" else slot[node.args[-1]]
+        if fn is _div and j in jets:
+            if j not in recip:
+                recip[j] = 3 + nconst + len(steps)
+                steps.append((_reciprocal, j, j))
+            fn, j = operator.mul, recip[j]
+        k = slot[node] = 3 + nconst + len(steps)
+        if i in jets or j in jets:
+            jets.add(k)
+        steps.append((fn, i, j))
+    return tuple(steps), tuple(slot[r] for r in roots)
+
+
 class Tape:
     """A tuple of roots compiled into numbered slots and steps.
 
@@ -312,8 +338,15 @@ class Tape:
     `postorder` order. Each step is the operation the node names on the
     values of its arguments, so a run gives the values a walk over the
     nodes gives, bit for bit.
+
+    Jets run a schedule of their own, `jet_steps`: a 'div' by a jet
+    multiplies by the divisor's reciprocal, one 'reciprocal' step per
+    divisor slot, just before its first use, so the inversion's three
+    components divide by one shared denominator with one Horner series.
+    That is what `a / b` computes on jets, so the bits are the same.
+    Scalars keep `a / b`: complex `a * (1 / b)` may round otherwise.
     """
-    __slots__ = ("consts", "steps", "outs")
+    __slots__ = ("consts", "steps", "outs", "jet_steps", "jet_outs")
 
     def __init__(self, roots: tuple):
         slot, expo, consts, nodes = {}, {}, [], []
@@ -334,15 +367,10 @@ class Tape:
                     raise EvalError(f"unknown node '{op}'")
         except OverflowError as e:
             raise DomainError(f"evaluation overflowed: {e}") from None
-        steps = []
-        for node in nodes:
-            i = slot[node.args[0]]
-            j = expo[node] if node.op == "pow" else slot[node.args[-1]]
-            slot[node] = 3 + len(consts) + len(steps)
-            steps.append((_STEPS[node.op], i, j))
         self.consts = tuple(consts)
-        self.steps = tuple(steps)
-        self.outs = tuple(slot[r] for r in roots)
+        self.steps, self.outs = _schedule(roots, nodes, slot, expo, len(consts), ())
+        self.jet_steps, self.jet_outs = _schedule(roots, nodes, slot, expo, len(consts),
+                                                  (0, 1, 2))
 
     def __call__(self, vx, vy, vt) -> tuple:
         """The roots' values at the seeds, complex scalars or Jets.
@@ -358,35 +386,36 @@ class Tape:
         """
         s = [vx, vy, vt, *self.consts]
         if not isinstance(vx, Jet):
-            out = self._run(s)
+            out = self._run(s, self.steps, self.outs)
             if not all(map(cmath.isfinite, out)):
                 raise DomainError(f"evaluation gave a value that is not finite: {out}")
             return out
         # numpy's overflow warnings would only repeat the DomainError below
         with np.errstate(over="ignore", invalid="ignore"):
             out = tuple(r if isinstance(r, Jet) else Jet.constant(r, vx.base, vx.order)
-                        for r in self._run(s))
+                        for r in self._run(s, self.jet_steps, self.jet_outs))
             at = _not_finite_at(out)
         if at is not None:
             raise DomainError(f"evaluation gave a jet that is not finite at {at}")
         return out
 
-    def _run(self, s: list) -> tuple:
+    @staticmethod
+    def _run(s: list, steps: tuple, outs: tuple) -> tuple:
         """The roots' slots after the steps have run on the slots s."""
         push = s.append
         try:
-            for fn, i, j in self.steps:
+            for fn, i, j in steps:
                 push(fn(s[i], s[j]))
         except (OverflowError, ZeroDivisionError) as e:
             raise DomainError(f"evaluation overflowed: {e}") from None
         except ValueError as e:
             raise DomainError(f"evaluation left the domain: {e}") from None
-        return tuple([s[k] for k in self.outs])
+        return tuple([s[k] for k in outs])
 
 
-# The diagnostics at one point evaluate the same map's roots several times,
-# and the five trajectories of flow_contact_residuals share one field; the
-# cache keeps their DAGs alive and shares each tape, read only.
+# A map's values and its jets run the same roots, and the five trajectories
+# of flow_contact_residuals share one field; the cache keeps their DAGs
+# alive and shares each tape, read only.
 tape = functools.lru_cache(maxsize=8)(Tape)
 
 

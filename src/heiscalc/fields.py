@@ -15,7 +15,7 @@ from .errors import BadPotential, DomainError
 from .exact import RatPoly, potential_expr
 from .expr import Expr
 from .group import HeisMap, Point
-from .horizontal import apply_word, lambda_jet, sym_x, sym_y
+from .horizontal import apply_word, jacobian, sym_x, sym_y
 from .jets import Jet
 
 # Exact potential family spanning the conformal fields; entry k matches
@@ -150,12 +150,14 @@ def scl_flow_derivative(v0, p) -> complex:
 
 def pushforward_w0(f: HeisMap, case: int, p) -> Jet:
     """Jacobian-weighted pullback of basis potential `case` (1..8) along f,
-    as an order-2 jet at p, enough for Z^2; .value gives the scalar."""
+    as an order-2 jet at the single point p, enough for Z^2; .value gives
+    the scalar. The reciprocal Jacobian comes from f's reading at p."""
     if not 1 <= case <= 8:
         raise DomainError(f"case must be 1..8, got {case}")
-    j1, j2, j3 = f.jets(p, 3)   # the Jacobian consumes one order
-    lam = lambda_jet(j1, j2, j3)
-    rho = j1 * j1 + j2 * j2
+    inv = jacobian(f, p, 2, "reciprocal")   # shared by the eight cases
+    j1, j2, j3 = f.jets(p, 2)
+    if case <= 4:
+        rho = j1 * j1 + j2 * j2
     if case == 1:
         num = j3 * j3 + rho * rho
     elif case == 2:
@@ -172,7 +174,7 @@ def pushforward_w0(f: HeisMap, case: int, p) -> Jet:
         num = j3
     else:
         num = Jet.constant(1.0, j1.base, j1.order)
-    return num * lam.reciprocal()
+    return num * inv
 
 
 def flow_contact_residuals(v0, p, s: float, steps: int = 400) -> tuple[float, float]:

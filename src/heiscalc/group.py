@@ -5,18 +5,30 @@ A map is held as three expression trees (e1, e2, e3) in the source
 coordinates. Composition is one substitution over the three components
 together, so subtrees they share (the common denominator of the inversion,
 for one) stay shared, and a word of generators, folded through `compose`,
-becomes a single DAG. Its values and jets come from one evaluation of the
-three roots, with a memo private to that call.
+becomes a single DAG. Its values and jets come from one run of the three
+roots' tape.
+
+A map keeps one reading: its jets at the last single point asked for, to
+the highest order asked there so far. Every diagnostic of the map at that
+point takes the truncation to the order its formula consumes, so the
+CR and classical Schwarzians, the preschwarzian, the contact gates and the
+pushforwards of one (map, point) share one evaluation. The reading also
+holds what they derive alike: the Jacobian jet and its reciprocal and log
+(see `horizontal.jacobian`). An `(N, 3)` batch of points bypasses it.
 """
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, NotPositive, ParseError
 from .expr import Expr, eval_at, jet_eval
+from .jets import Jet
 
 
 class Point(NamedTuple):
@@ -154,18 +166,54 @@ class LinearSL2:
         return f"sl2({self.a},{self.b},{self.c},{self.d})"
 
 
+class Reading:
+    """A map's jets at one point, to the highest order asked there so far,
+    and the jets derived from them that diagnostics share, each made on
+    first use. Every coefficient array is read-only: the jets are handed
+    out, not copied, so a caller that writes to one raises."""
+    __slots__ = ("key", "jets", "derived")
+
+    def __init__(self, key: bytes, jets: tuple):
+        for j in jets:
+            j.coef.flags.writeable = False
+        self.key, self.jets, self.derived = key, jets, {}
+
+    def shared(self, name: str, make) -> Jet:
+        """The jet make() gives, made on the first call for this name."""
+        j = self.derived.get(name)
+        if j is None:
+            j = self.derived[name] = make()
+            j.coef.flags.writeable = False
+        return j
+
+
 class HeisMap:
     """A map of the group held as three coordinate expressions."""
 
     def __init__(self, e1: Expr, e2: Expr, e3: Expr, name: str = ""):
         self.e1, self.e2, self.e3 = e1, e2, e3
         self.name = name
+        self._reading = None
 
     def __call__(self, p) -> Point:
         return Point(*(v.real for v in eval_at((self.e1, self.e2, self.e3), p)))
 
+    def reading(self, p, order: int) -> Reading:
+        """The map's reading at the single point p, evaluated again only
+        for a new point or a higher order. Points are told apart by their
+        bits, so -0.0 and 0.0 are two points."""
+        key = struct.pack("3d", *p)
+        r = self._reading
+        if r is None or r.key != key or r.jets[0].order < order:
+            r = self._reading = Reading(key, jet_eval((self.e1, self.e2, self.e3), p, order))
+        return r
+
     def jets(self, p, order: int):
-        return jet_eval((self.e1, self.e2, self.e3), p, order)
+        """The three component jets to `order` at p, from the reading; at
+        an (N, 3) array of points, batched jets, evaluated afresh."""
+        if np.ndim(p) == 2:
+            return jet_eval((self.e1, self.e2, self.e3), p, order)
+        return tuple(j.truncate(order) for j in self.reading(p, order).jets)
 
     def compose(self, inner: "HeisMap") -> "HeisMap":
         """self after inner: (self.compose(g))(p) = self(g(p))."""

@@ -19,14 +19,27 @@ from .group import HeisMap, Point
 from .jets import Jet, coordinate_value
 
 
+def _x(j: Jet, dt: Jet) -> Jet:
+    """X j, given dt = d/dt j, which Y j shares."""
+    return j.derive(0) + dt.times_coordinate(1, coordinate_value(j.base, 1), 2.0)
+
+
+def _y(j: Jet, dt: Jet) -> Jet:
+    return j.derive(1) - dt.times_coordinate(0, coordinate_value(j.base, 0), 2.0)
+
+
+def _xy(j: Jet) -> tuple[Jet, Jet]:
+    """X j and Y j, with one t-derivative."""
+    dt = j.derive(2)
+    return _x(j, dt), _y(j, dt)
+
+
 def jx(j: Jet) -> Jet:
-    dx = j.derive(0)   # first, so an order-0 jet raises OrderError
-    return dx + j.derive(2).times_coordinate(1, coordinate_value(j.base, 1), 2.0)
+    return _x(j, j.derive(2))
 
 
 def jy(j: Jet) -> Jet:
-    dy = j.derive(1)
-    return dy - j.derive(2).times_coordinate(0, coordinate_value(j.base, 0), 2.0)
+    return _y(j, j.derive(2))
 
 
 def jt(j: Jet) -> Jet:
@@ -34,11 +47,13 @@ def jt(j: Jet) -> Jet:
 
 
 def jz(j: Jet) -> Jet:
-    return (jx(j) - 1j * jy(j)) * 0.5
+    x, y = _xy(j)
+    return (x - 1j * y) * 0.5
 
 
 def jzb(j: Jet) -> Jet:
-    return (jx(j) + 1j * jy(j)) * 0.5
+    x, y = _xy(j)
+    return (x + 1j * y) * 0.5
 
 
 def jlap(j: Jet) -> Jet:
@@ -89,7 +104,21 @@ def lambda_jet(j1: Jet, j2: Jet, j3: Jet) -> Jet:
     No contact assumption; j3 is accepted (and ignored) so a map's three
     jets pass as they come. The vertical route is assess_contact's.
     """
-    return jx(j1) * jy(j2) - jy(j1) * jx(j2)
+    x1, y1 = _xy(j1)
+    x2, y2 = _xy(j2)
+    return x1 * y2 - y1 * x2
+
+
+def jacobian(f: HeisMap, p, order: int, form: str = "") -> Jet:
+    """The Jacobian jet of f at the single point p to `order`, or with
+    form "reciprocal" or "log" its reciprocal or log. Each is made once per
+    reading of f at p, from its jets to order + 1, and truncated, so the
+    diagnostics of one (map, point) share them."""
+    r = f.reading(p, order + 1)
+    lam = r.shared("lam", lambda: lambda_jet(*r.jets))
+    if form:
+        lam = r.shared(form, getattr(lam, form))
+    return lam.truncate(order)
 
 
 @dataclass
@@ -129,23 +158,19 @@ class ContactAssessment:
 
 
 def assess_contact(f: HeisMap, p) -> ContactAssessment:
-    return _assess(p, *f.jets(p, 1))   # the horizontal differential and T f
-
-
-def _assess(p, j1: Jet, j2: Jet, j3: Jet) -> ContactAssessment:
-    """The assessment at p from the map's jets there, of any order >= 1:
-    the one reading of the first-order quantities, for assess_contact and
-    the gates of the Schwarzians."""
-    j1, j2, j3 = j1.truncate(1), j2.truncate(1), j3.truncate(1)
-    xf1, yf1 = jx(j1).value, jy(j1).value
-    xf2, yf2 = jx(j2).value, jy(j2).value
-    xf3, yf3 = jx(j3).value, jy(j3).value
-    f1v, f2v = j1.value, j2.value
+    """The first-order reading of f at p: the horizontal differential and
+    T f, from f's jets to order 1 (a truncation of its reading there). The
+    gates of the Schwarzians read it too."""
+    rows = []
+    for j in f.jets(p, 1):
+        dt = j.derive(2)
+        rows.append((_x(j, dt).value, _y(j, dt).value, dt.value, j.value))
+    (xf1, yf1, tf1, f1v), (xf2, yf2, tf2, f2v), (xf3, yf3, tf3, _) = rows
 
     lam_det = (xf1 * yf2 - yf1 * xf2).real
     # the vertical route Tf3 - 2 f2 Tf1 + 2 f1 Tf2, equal to lam_det
     # exactly when the map is contact
-    lam_vert = (jt(j3).value - 2.0 * f2v * jt(j1).value + 2.0 * f1v * jt(j2).value).real
+    lam_vert = (tf3 - 2.0 * f2v * tf1 + 2.0 * f1v * tf2).real
     r1 = (xf3 - 2.0 * f2v * xf1 + 2.0 * f1v * xf2).real
     r2 = (yf3 - 2.0 * f2v * yf1 + 2.0 * f1v * yf2).real
     r_z = 0.5 * (r1 - 1j * r2)

@@ -198,8 +198,8 @@ class Jet:
         return complex(v) if v.ndim == 0 else v.copy()
 
     def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise OrderError(f"cannot raise jet order {self.order} to {order}")
+        if not 0 <= order <= self.order:
+            raise OrderError(f"cannot truncate an order-{self.order} jet to order {order}")
         if order == self.order:
             return self
         return Jet(self.base, order, self.coef[:ncoef(order)].copy())

@@ -1,11 +1,16 @@
 """The two Schwarzian derivatives, the preschwarzian, composition laws, and
 the ZH = 1 potential builder.
 
-Each diagnostic evaluates the map's jets at the base point to the order its
-formula consumes (a frame derivative uses one order, the Jacobian one more);
-a higher order changes no value, only the work. The scalar fields (Jacobian,
-conformal factor, quotients) are jet-level compositions, so no symbolic
-differentiation of the map expressions happens here.
+Each diagnostic takes from the map's reading at the base point (see
+`group.HeisMap.reading`) the jets to the order its formula consumes (a frame
+derivative uses one order, the Jacobian one more); a higher order changes
+no value, only the work. The diagnostics of one (map, point) share one
+evaluation, and one Jacobian jet with its log and reciprocal. A diagnostic
+whose gate reads a lower order before its formula reads the full one first
+asks the reading for the full order, so the gate does not evaluate the map
+on its own. The scalar fields (Jacobian, conformal factor, quotients) are
+jet-level compositions, so no symbolic differentiation of the map
+expressions happens here.
 """
 from __future__ import annotations
 
@@ -17,33 +22,30 @@ from . import expr as ex
 from .errors import BadPotential, NotContact, NotPositive, SingularError
 from .exact import QQi, RatPoly, d_coord, frame_z, ratpoly_from_expr
 from .group import HeisMap
-from .horizontal import _assess, assess_contact, jz, jzb, lambda_jet, word_jet
+from .horizontal import assess_contact, jacobian, jz, jzb, word_jet
 from .jets import Jet
 
 _TINY = 1e-13
 _CONTACT_TOL = 1e-7   # contact gate of s_cr and s_cl, relative to 1 + |D_H f|^2
 
 
-def _contact_gate(f: HeisMap, p, j1: Jet, j2: Jet, j3: Jet):
-    a = _assess(p, j1, j2, j3)
+def _contact_gate(f: HeisMap, p):
+    a = assess_contact(f, p)
     scale = 1.0 + max(abs(d) for row in a.d_hf for d in row) ** 2
     worst = a.max_contact_residual()
     if worst > _CONTACT_TOL * scale:
-        raise NotContact(
-            f"{f!r} fails the contact equations at {j1.base}: residual {worst:.3e}")
+        raise NotContact(f"{f!r} fails the contact equations at "
+                         f"{tuple(map(float, p))}: residual {worst:.3e}")
 
 
-def _positive_jacobian(f: HeisMap, p, jets: tuple, contact: bool = False) -> Jet:
-    """The Jacobian jet of f at p, one order below f's jets there, after the
-    contact gate when contact is set; raises NotPositive unless the
-    Jacobian is positive."""
-    j1, j2, j3 = jets
-    if contact:
-        _contact_gate(f, p, j1, j2, j3)
-    lam = lambda_jet(j1, j2, j3)
-    if lam.value.real <= 0:
-        raise NotPositive(f"Jacobian {lam.value.real:.3e} is not positive at {tuple(p)}")
-    return lam
+def _positive_jacobian(f: HeisMap, p, order: int, form: str = "") -> Jet:
+    """horizontal.jacobian(f, p, order, form), after checking that the
+    Jacobian is positive at p; raises NotPositive otherwise."""
+    f.reading(p, order + 1)   # one evaluation for the check and the jet
+    lam = jacobian(f, p, 0).value.real
+    if lam <= 0:
+        raise NotPositive(f"Jacobian {lam:.3e} is not positive at {tuple(p)}")
+    return jacobian(f, p, order, form)
 
 
 def s_cr(f: HeisMap, p) -> complex:
@@ -53,21 +55,18 @@ def s_cr(f: HeisMap, p) -> complex:
     is 2 s_cr and the chain rule below holds; the reciprocal-form variant is
     its negative, see s_cr_reciprocal_form.
     """
-    return _s_cr(f, p, f.jets(p, 3))   # Z^2 of log J
-
-
-def _s_cr(f: HeisMap, p, jets: tuple) -> complex:
-    """s_cr from the map's order-3 jets at p."""
-    phi = _positive_jacobian(f, p, jets, contact=True).log() * 0.5
+    f.reading(p, 3)   # the contact gate reads order 1 of it
+    _contact_gate(f, p)
+    phi = _positive_jacobian(f, p, 2, "log") * 0.5   # Z^2 of log J
     zphi = jz(phi)
-    return (word_jet("ZZ", phi) - 2.0 * zphi * zphi).value
+    return (jz(zphi) - 2.0 * zphi * zphi).value
 
 
 def s_cr_reciprocal_form(f: HeisMap, p) -> complex:
     """Half the Jacobian times Z^2 of its reciprocal. Kept as an independent
     route; the suite fits the constant relating it to s_cr (it is -1)."""
-    lam = _positive_jacobian(f, p, f.jets(p, 3))   # Z^2 of 1/J
-    return word_jet("ZZ", lam.reciprocal()).value * lam.value * 0.5
+    inv = _positive_jacobian(f, p, 2, "reciprocal")   # Z^2 of 1/J
+    return word_jet("ZZ", inv).value * jacobian(f, p, 0).value * 0.5
 
 
 def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
@@ -76,36 +75,32 @@ def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
     Computed through the cleared polynomial route (lambda Z^2 lambda and
     (Z lambda)^2, no logs), so it is an independent check against 2 s_cr.
     """
-    lam = _positive_jacobian(f, p, f.jets(p, 3))   # Z^2 of J
+    lam = _positive_jacobian(f, p, 2)   # Z^2 of J
     zlam = jz(lam)
-    num = (lam * word_jet("ZZ", lam) - 2.0 * zlam * zlam).value
+    num = (lam * jz(zlam) - 2.0 * zlam * zlam).value
     return num / (lam.value * lam.value)
 
 
 def s_cl(f: HeisMap, p) -> complex:
     """Classical-type Schwarzian Z^3F/ZF - (3/2)(Z^2F/ZF)^2."""
-    return _s_cl(f, p, f.jets(p, 3))   # Z^3 F
-
-
-def _s_cl(f: HeisMap, p, jets: tuple) -> complex:
-    """s_cl from the map's order-3 jets at p."""
-    _contact_gate(f, p, *jets)
-    fjet = jets[0] + 1j * jets[1]
-    zf = jz(fjet)
+    j1, j2, _ = f.jets(p, 3)   # Z^3 F
+    _contact_gate(f, p)
+    zf = jz(j1 + 1j * j2)
     if abs(zf.value) < _TINY:
         raise SingularError(f"ZF vanishes at {tuple(p)}")
-    q = word_jet("ZZ", fjet).value / zf.value
-    return word_jet("ZZZ", fjet).value / zf.value - 1.5 * q * q
+    z2f = jz(zf)
+    q = z2f.value / zf.value
+    return jz(z2f).value / zf.value - 1.5 * q * q
 
 
 def preschwarzian(f: HeisMap, p) -> complex:
     """Z of the log Jacobian. Needs a positive Jacobian, not contact."""
-    return jz(_positive_jacobian(f, p, f.jets(p, 2)).log()).value   # Z of log J
+    return jz(_positive_jacobian(f, p, 1, "log")).value   # Z of log J
 
 
 def preschwarzian_identity_residual(f: HeisMap, p) -> complex:
     """Z(Pf) - Pf^2 minus the tensor coefficient; zero whenever J_F > 0."""
-    pf = jz(_positive_jacobian(f, p, f.jets(p, 3)).log())   # Z^2 of log J
+    pf = jz(_positive_jacobian(f, p, 2, "log"))   # Z^2 of log J
     lhs = (jz(pf) - pf * pf).value
     return lhs - s_cr_tensor_coeff(f, p)
 
@@ -113,7 +108,7 @@ def preschwarzian_identity_residual(f: HeisMap, p) -> complex:
 def pluriharmonic_residual(f: HeisMap, p) -> complex:
     """Z^2 Zbar of the half-log conformal factor; zero iff the factor is
     CR-pluriharmonic at p."""
-    phi = _positive_jacobian(f, p, f.jets(p, 4)).log() * 0.5   # Z^2 Zbar of log J
+    phi = _positive_jacobian(f, p, 3, "log") * 0.5   # Z^2 Zbar of log J
     return word_jet("ZZZb", phi).value
 
 
@@ -131,36 +126,34 @@ def _conformal_gate(g: HeisMap, p) -> complex:
 def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
     """Residual of the full CR Schwarzian chain rule at p (lhs - rhs).
 
-    Both maps only need to be contact; all six right-hand terms are built
-    from independent jets of f at g(p) and of g at p, each evaluated once.
+    Both maps only need to be contact. The six right-hand terms read f at
+    g(p) and g at p, one evaluation of each, which s_cr(f) and s_cr(g)
+    share.
     """
     q = g(p)
     lhs = s_cr(f.compose(g), p)
 
-    jg = g.jets(p, 3)   # S_CR(g); Z^2 G and Z J_G need only 2
-    gjet = jg[0] + 1j * jg[1]
-    zg = jz(gjet).value
-    zgbar = jz(gjet.conj()).value
-    lam_g = lambda_jet(*jg)
-    lg = lam_g.value
-    z2g = word_jet("ZZ", gjet).value
-    z2gbar = word_jet("ZZ", gjet.conj()).value
-    zlam_g = jz(lam_g).value
+    g.reading(p, 3)   # S_CR(g); Z^2 G and Z J_G need only 2
+    j1, j2, _ = g.jets(p, 2)
+    gjet = j1 + 1j * j2
+    zg_jet, zgbar_jet = jz(gjet), jz(gjet.conj())
+    zg, zgbar = zg_jet.value, zgbar_jet.value
+    z2g, z2gbar = jz(zg_jet).value, jz(zgbar_jet).value
+    lam_g = jacobian(g, p, 1)
+    lg, zlam_g = lam_g.value, jz(lam_g).value
 
-    jf = f.jets(q, 3)   # Zbar Z of J_F, S_CR(f)
-    lam_f = lambda_jet(*jf)
+    scr_f = s_cr(f, q)
+    lam_f = jacobian(f, q, 2)   # Zbar Z of J_F
     lf = lam_f.value
-    scr_f = _s_cr(f, q, jf)
-    zbz_lam = word_jet("ZbZ", lam_f).value
-    zzb_lam = word_jet("ZZb", lam_f).value
-    zlam = jz(lam_f).value
-    zblam = jzb(lam_f).value
-    zln = jz(lam_f.log()).value
-    zbln = jzb(lam_f.log()).value
+    zlam_f, zblam_f = jz(lam_f), jzb(lam_f)
+    zlam, zblam = zlam_f.value, zblam_f.value
+    zbz_lam, zzb_lam = jzb(zlam_f).value, jz(zblam_f).value
+    ln_f = jacobian(f, q, 1, "log")
+    zln, zbln = jz(ln_f).value, jzb(ln_f).value
 
     rhs = (scr_f * zg * zg
            + scr_f.conjugate() * zgbar * zgbar
-           + _s_cr(g, p, jg)
+           + s_cr(g, p)
            + (lf * (zbz_lam + zzb_lam) - 4.0 * zlam * zblam) * zg * zgbar / (2.0 * lf * lf)
            + (z2g * lg - 2.0 * zg * zlam_g) * zln / (2.0 * lg)
            + (z2gbar * lg - 2.0 * zgbar * zlam_g) * zbln / (2.0 * lg))
@@ -169,6 +162,7 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
 
 def cocycle_residual_right(f: HeisMap, g: HeisMap, p) -> complex:
     """Residual of S_CL(f o g) = S_CL(f) o g (ZG)^2 + S_CL(g), conformal g."""
+    g.reading(p, 3)   # S_CL(g); the conformal gate reads order 1
     zg = _conformal_gate(g, p)
     q = g(p)
     lhs = s_cl(f.compose(g), p)
@@ -179,32 +173,37 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p,
                           middle_coeff: float = -1.0) -> complex:
     """Residual of the left composition law S_CL(g o f) for conformal g.
 
-    The correction series in the mixed second derivative of G has three
-    terms; middle_coeff is the coefficient of (Z^2 F)(Z Fbar)/(ZF) in the
-    middle one, exposed so the suite can fit it from data.
+    g must be conformal where the law uses it, at f(p). The correction
+    series in the mixed second derivative of G has three terms;
+    middle_coeff is the coefficient of (Z^2 F)(Z Fbar)/(ZF) in the middle
+    one, exposed so the suite can fit it from data.
     """
-    _conformal_gate(g, p)
     q = f(p)
-    jg1, jg2, jg3 = g.jets(q, 3)   # Zbar Z^2 G
-    gjet = jg1 + 1j * jg2
-    a_big = jz(gjet).value                     # ZG at f(p)
+    g.reading(q, 3)   # Zbar Z^2 G; the conformal gate reads order 1
+    _conformal_gate(g, q)
+    jg1, jg2, _ = g.jets(q, 3)
+    zg = jz(jg1 + 1j * jg2)
+    a_big = zg.value                           # ZG at f(p)
     if abs(a_big) < _TINY:
         raise SingularError(f"ZG vanishes at {q}")
-    b_big = word_jet("ZZ", gjet).value         # Z^2 G
-    d_big = word_jet("ZbZ", gjet).value        # Zbar Z G
-    e_big = word_jet("ZbZZ", gjet).value       # Zbar Z^2 G
+    z2g = jz(zg)
+    b_big = z2g.value                          # Z^2 G
+    d_big = jzb(zg).value                      # Zbar Z G
+    e_big = jzb(z2g).value                     # Zbar Z^2 G
 
-    jf = f.jets(p, 3)   # S_CL(f); Z^2 F needs only 2
-    fjet = jf[0] + 1j * jf[1]
-    a = jz(fjet).value                         # ZF
+    f.reading(p, 3)   # S_CL(f); Z^2 F needs only 2
+    jf1, jf2, _ = f.jets(p, 2)
+    fjet = jf1 + 1j * jf2
+    zf, zfbar = jz(fjet), jz(fjet.conj())
+    a = zf.value                               # ZF
     if abs(a) < _TINY:
         raise SingularError(f"ZF vanishes at {tuple(p)}")
-    b = word_jet("ZZ", fjet).value             # Z^2 F
-    abar = jz(fjet.conj()).value               # Z Fbar
-    bbar = word_jet("ZZ", fjet.conj()).value   # Z^2 Fbar
+    b = jz(zf).value                           # Z^2 F
+    abar = zfbar.value                         # Z Fbar
+    bbar = jz(zfbar).value                     # Z^2 Fbar
 
     lhs = s_cl(g.compose(f), p)
-    rhs = (_s_cl(f, p, jf)
+    rhs = (s_cl(f, p)
            + (1.5 * e_big - 3.0 * (b_big / a_big) * d_big) * (a * abar) / a_big
            + (d_big / a_big) * (bbar * a + middle_coeff * b * abar) / a
            - 1.5 * (d_big / a_big) ** 2 * abar * abar)

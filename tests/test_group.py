@@ -186,3 +186,62 @@ def test_empty_word_is_a_fresh_identity():
     assert IDENTITY.name == "id"
     assert word_to_map([]).name == "id"
     assert tuple(m((0.3, -0.5, 0.7))) == (0.3, -0.5, 0.7)
+
+
+# --- the reading: one evaluation per (map, point) ------------------------------
+
+def _bits(jets) -> list:
+    return [j.coef.tobytes() for j in jets]
+
+
+def test_a_reading_serves_lower_orders_and_reevaluates_higher():
+    from heiscalc import group
+    m = word_to_map([Invert(), Rotate(0.3), Translate((0.2, -0.1, 0.4))])
+    p = (0.3, -0.5, 0.7)
+    r3 = m.reading(p, 3)
+    assert m.reading(p, 1) is r3 and m.reading(p, 3) is r3
+    for k in range(4):   # a truncation has the bits of a direct evaluation
+        assert _bits(m.jets(p, k)) == _bits(group.jet_eval((m.e1, m.e2, m.e3), p, k))
+    assert m.reading(p, 4) is not r3 and m.reading(p, 4).jets[0].order == 4
+    assert m.reading((0.3, -0.5, 0.8), 1).jets[0].order == 1
+
+
+def test_signed_zero_points_are_two_readings():
+    from heiscalc import schwarzian as sw
+    word = [Dilate(1.5)]   # x -> 1.5 x keeps the sign of a zero x
+    m = word_to_map(word)
+    plus, minus = (0.0, 0.6, -0.3), (-0.0, 0.6, -0.3)
+    got = [repr(sw.s_cr(m, plus)), _bits(m.jets(plus, 3)),
+           repr(sw.s_cr(m, minus)), _bits(m.jets(minus, 3))]
+    fresh = [repr(sw.s_cr(word_to_map(word), plus)), _bits(word_to_map(word).jets(plus, 3)),
+             repr(sw.s_cr(word_to_map(word), minus)), _bits(word_to_map(word).jets(minus, 3))]
+    assert got == fresh
+    assert got[1] != got[3]
+
+
+def test_handed_out_jets_are_read_only():
+    from heiscalc import schwarzian as sw
+    from heiscalc.horizontal import jacobian
+    m = word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5)])
+    p = (1.0, 1.0, 0.0)
+    want = sw.s_cr(m, p)
+    for j in (*m.jets(p, 3), jacobian(m, p, 2), jacobian(m, p, 2, "log"),
+              jacobian(m, p, 2, "reciprocal")):
+        with pytest.raises(ValueError):
+            j.coef[0] = 1.0
+        with pytest.raises(ValueError):
+            j.coef *= 2.0
+    assert repr(sw.s_cr(m, p)) == repr(want)
+    low = m.jets(p, 2)[0]   # a truncation is a copy, free to change
+    low.coef[0] = 1.0
+    assert repr(sw.s_cr(m, p)) == repr(want)
+
+
+def test_a_batch_bypasses_the_reading():
+    import numpy as np
+    m = word_to_map([Invert(), Translate((0.2, -0.1, 0.4))])
+    p = (0.3, -0.5, 0.7)
+    r = m.reading(p, 2)
+    batch = m.jets(np.array([p, (0.1, 0.2, 0.3)]), 3)
+    assert batch[0].coef.shape[1] == 2 and batch[0].coef.flags.writeable
+    assert m.reading(p, 2) is r

@@ -1,52 +1,71 @@
-"""Each scalar diagnostic seeds exactly the jet order its formula consumes.
+"""Each scalar diagnostic reads exactly the jet order its formula consumes,
+and each (map, point) is evaluated once.
 
-Every jet evaluation (HeisMap.jets and each module's jet_eval) is
-intercepted and its order shifted. One order more, at every evaluation,
-must leave the result equal, so the chosen orders lose nothing; one order
-less, at any single evaluation, must raise OrderError, so each chosen order
-is the minimum.
+A map's jets come from its reading (HeisMap.reading), which evaluates at
+the highest order asked so far and hands each consumer a truncation. So the
+test intercepts two things: the order each consumer asks for (HeisMap.jets,
+horizontal.jacobian, and each module's jet_eval, which evaluates at once),
+and the order of each evaluation inside a reading (group.jet_eval). One
+order more, at every consumer and every evaluation, must leave the result
+equal, so the chosen orders lose nothing; one order less, at any single
+consumer, must raise OrderError, so each chosen order is the minimum. Every
+run builds its maps afresh, so no reading carries over from an earlier run.
 """
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
-from heiscalc import fields, harmonic, horizontal, schwarzian as sw
+from heiscalc import expr, fields, group, harmonic, horizontal, schwarzian as sw
 from heiscalc.errors import OrderError
 from heiscalc.group import (HeisMap, Invert, LinearSL2, Rotate, Translate,
                             word_to_map)
+from heiscalc.jets import Jet
 
 P = (0.4, 0.7, -0.3)
-# contact, not conformal, with a non-constant Jacobian, so S_CR is not zero
-STRETCH = word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5), Translate((0.2, -0.1, 0.3))])
-CONFORMAL = word_to_map([Translate((0.3, -0.2, 0.5)), Invert(), Rotate(0.4)])
+
+
+def stretch():
+    """Contact, not conformal, with a non-constant Jacobian, so S_CR is not zero."""
+    return word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5), Translate((0.2, -0.1, 0.3))])
+
+
+def conformal():
+    return word_to_map([Translate((0.3, -0.2, 0.5)), Invert(), Rotate(0.4)])
+
+
 U = "exp(x)*cos(y) + t^2 - 2/3*(x^4 + y^4)"
-GRAD = harmonic.gradient_harmonic(U)
 V0 = fields.conformal_v0([0.3, -0.2, 0.5, 0.1, -0.4, 0.6, 0.2, -0.7])
 REGION = ((-0.5, 0.5, 3), (-0.5, 0.5, 2), (0.25, 0.75, 2))
 
 DIAGNOSTICS = {
-    "s_cr": lambda: sw.s_cr(STRETCH, P),
-    "s_cr_reciprocal_form": lambda: sw.s_cr_reciprocal_form(STRETCH, P),
-    "s_cr_tensor_coeff": lambda: sw.s_cr_tensor_coeff(STRETCH, P),
-    "s_cl": lambda: sw.s_cl(STRETCH, P),
-    "preschwarzian": lambda: sw.preschwarzian(STRETCH, P),
-    "preschwarzian_identity_residual": lambda: sw.preschwarzian_identity_residual(STRETCH, P),
-    "pluriharmonic_residual": lambda: sw.pluriharmonic_residual(STRETCH, P),
-    "cr_chain_residual": lambda: sw.cr_chain_residual(STRETCH, CONFORMAL, P),
-    "cocycle_residual_right": lambda: sw.cocycle_residual_right(STRETCH, CONFORMAL, P),
-    "cocycle_residual_left": lambda: sw.cocycle_residual_left(CONFORMAL, STRETCH, P),
-    "harmonic_system_residuals": lambda: harmonic.harmonic_system_residuals(GRAD, P),
+    "s_cr": lambda: sw.s_cr(stretch(), P),
+    "s_cr_reciprocal_form": lambda: sw.s_cr_reciprocal_form(stretch(), P),
+    "s_cr_tensor_coeff": lambda: sw.s_cr_tensor_coeff(stretch(), P),
+    "s_cl": lambda: sw.s_cl(stretch(), P),
+    "preschwarzian": lambda: sw.preschwarzian(stretch(), P),
+    "preschwarzian_identity_residual": lambda: sw.preschwarzian_identity_residual(stretch(), P),
+    "pluriharmonic_residual": lambda: sw.pluriharmonic_residual(stretch(), P),
+    "cr_chain_residual": lambda: sw.cr_chain_residual(stretch(), conformal(), P),
+    "cocycle_residual_right": lambda: sw.cocycle_residual_right(stretch(), conformal(), P),
+    "cocycle_residual_left": lambda: sw.cocycle_residual_left(conformal(), stretch(), P),
+    "harmonic_system_residuals": lambda: harmonic.harmonic_system_residuals(
+        harmonic.gradient_harmonic(U), P),
     "bochner_residual": lambda: harmonic.bochner_residual(U, P),
     "hessian_report": lambda: harmonic.hessian_report(U, P),
     "geom_term": lambda: harmonic.geom_term(U, P),
     "growth_ingredients": lambda: harmonic.growth_ingredients(
         U, P, radii=[0.4, 0.8], sample_points=[(-0.4, -0.3, -0.5), (0.3, -0.3, -0.5)]),
-    "assess_contact": lambda: horizontal.assess_contact(STRETCH, P),
+    "assess_contact": lambda: horizontal.assess_contact(stretch(), P),
     "conformal_residual": lambda: fields.conformal_residual(V0, P),
     "pushforward_w0": lambda: tuple(
-        horizontal.word_jet("ZZ", fields.pushforward_w0(STRETCH, c, P)).value
-        for c in range(1, 9)),
+        horizontal.word_jet("ZZ", fields.pushforward_w0(m, c, P)).value
+        for m in [stretch()] for c in range(1, 9)),
     "scl_flow_derivative": lambda: fields.scl_flow_derivative(V0, P),
     "jet_scan": lambda: harmonic.subharmonicity_scan(U, REGION),
-    "contact_jacobian_scan": lambda: harmonic.contact_jacobian_scan(GRAD, REGION),
+    "contact_jacobian_scan": lambda: harmonic.contact_jacobian_scan(
+        harmonic.gradient_harmonic(U), REGION),
 }
 
 
@@ -62,13 +81,21 @@ class _Shift:
         return order + self.delta if self.at in (None, k) else order
 
 
-def _run(monkeypatch, name, shift):
-    jets = HeisMap.jets
+def _run(monkeypatch, name, shift, evals=None):
+    """The diagnostic's result with each consumer's order passed through
+    shift and each evaluation's inside a reading through evals."""
+    evals = evals or _Shift(0)
+    jets, jacobian = HeisMap.jets, horizontal.jacobian
     with monkeypatch.context() as mp:
         mp.setattr(HeisMap, "jets", lambda self, p, order: jets(self, p, shift(order)))
+        for mod in (horizontal, sw, fields):
+            mp.setattr(mod, "jacobian", lambda f, p, order, form="":
+                       jacobian(f, p, shift(order), form))
         for mod in (horizontal, harmonic):
             mp.setattr(mod, "jet_eval",
                        lambda roots, p, order, f=mod.jet_eval: f(roots, p, shift(order)))
+        mp.setattr(group, "jet_eval",
+                   lambda roots, p, order, f=group.jet_eval: f(roots, p, evals(order)))
         out = DIAGNOSTICS[name]()
     if isinstance(out, harmonic.SignReport):
         return out, {k: v.tolist() for k, v in out.columns.items()}
@@ -77,7 +104,8 @@ def _run(monkeypatch, name, shift):
 
 @pytest.mark.parametrize("name", DIAGNOSTICS)
 def test_one_order_more_changes_nothing(monkeypatch, name):
-    assert _run(monkeypatch, name, _Shift(1)) == _run(monkeypatch, name, _Shift(0))
+    more = _run(monkeypatch, name, _Shift(1), _Shift(1))
+    assert more == _run(monkeypatch, name, _Shift(0))
 
 
 @pytest.mark.parametrize("name", DIAGNOSTICS)
@@ -90,17 +118,45 @@ def test_one_order_less_at_any_evaluation_raises(monkeypatch, name):
             _run(monkeypatch, name, _Shift(-1, at=k))
 
 
-# Each residual evaluates each (map, point) its terms share once: f at g(p)
-# and g at p in the chain rule, f at p in the left cocycle (14 before).
-JETS_CALLS = {"cr_chain_residual": 3, "cocycle_residual_right": 4,
-              "cocycle_residual_left": 4}
+def _count_jet_evaluations(monkeypatch) -> list:
+    """Patch expr.evaluate to record the order of each run on jets."""
+    orders = []
+    evaluate = expr.evaluate
+
+    def counted(roots, vx, vy, vt):
+        if isinstance(vx, Jet):
+            orders.append(vx.order)
+        return evaluate(roots, vx, vy, vt)
+    monkeypatch.setattr(expr, "evaluate", counted)
+    return orders
+
+
+# Each residual evaluates each map it reads, at each point, once: the
+# composite at p and the two maps at p and at their image (3, 4 and 4 before
+# the readings, when the right cocycle's gate evaluated g at p again).
+JETS_CALLS = {"cr_chain_residual": 3, "cocycle_residual_right": 3,
+              "cocycle_residual_left": 3}
 
 
 @pytest.mark.parametrize("name", JETS_CALLS)
 def test_composition_residuals_evaluate_shared_jets_once(monkeypatch, name):
-    calls = []
-    jets = HeisMap.jets
-    monkeypatch.setattr(HeisMap, "jets",
-                        lambda self, p, order: calls.append(order) or jets(self, p, order))
+    orders = _count_jet_evaluations(monkeypatch)
     DIAGNOSTICS[name]()
-    assert len(calls) == JETS_CALLS[name]
+    assert orders == [3] * JETS_CALLS[name]
+
+
+def test_a_words_block_evaluates_each_map_and_point_once(monkeypatch):
+    # Block 0 of seed 1 of the benchmark's words workload: 16 single maps,
+    # one evaluation each for s_cr, s_cl, the preschwarzian, the contact
+    # assessment and four pushforwards; 4 pairs, 3 + 1 + 3 for the three
+    # residuals; the pinned map, 1.
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclasses
+    spec.loader.exec_module(workloads)
+    words = workloads.Words(workloads.Words.default_refs(None))
+    cases = words.block(1, 0)
+    orders = _count_jet_evaluations(monkeypatch)
+    assert all(words.check(case, workloads.Stats()) for case in cases)
+    assert len(orders) == 16 + 4 * 7 + 1 == 45

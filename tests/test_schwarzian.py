@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from heiscalc import expr as ex
-from heiscalc import schwarzian as sw
+from heiscalc import fields, schwarzian as sw
 from heiscalc.errors import BadPotential, HeisError, NotContact, NotPositive
 from heiscalc.exact import RatPoly
 from heiscalc.expr import jet_eval, parse_expr
@@ -255,6 +255,17 @@ def test_gates():
         sw.s_cr(word_to_map([Reflect()]), Point(0.5, 0.5, 0.5))
     with pytest.raises(NotContact):
         sw.cocycle_residual_right(STRETCH, STRETCH, P0)  # inner not conformal
+
+
+def test_left_cocycle_gates_g_where_it_is_used():
+    # G = the time-1/2 flow of h = x^3 is contact with Zbar G = -i s h''(x)/2,
+    # so it is conformal exactly on x = 0; the law uses G at f(p), with f a
+    # translation by 0.5 in x.
+    g = fields.flow_closed_form("x^3", 0.5)
+    f = word_to_map([Translate((0.5, -0.2, 0.1))])
+    with pytest.raises(NotContact, match=r"at \(0\.5, "):
+        sw.cocycle_residual_left(g, f, (0.0, 0.7, -0.4))   # f(p) has x = 0.5
+    assert math.isfinite(abs(sw.cocycle_residual_left(g, f, (-0.5, 0.7, -0.4))))
 
 
 # --- ZH = 1 builder ---------------------------------------------------------

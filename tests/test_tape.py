@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from heiscalc import expr as ex
 from heiscalc import fields, schwarzian as sw
 from heiscalc.errors import DomainError, EvalError
-from heiscalc.group import HeisMap
-from heiscalc.jets import Jet
+from heiscalc.group import HeisMap, Invert
+from heiscalc.jets import Jet, jet_seed
 
 from test_walks import _POINTS, _TEXTS, _parsed
 
@@ -91,7 +91,7 @@ def _walk(roots, vx, vy, vt):
     except ValueError as e:
         raise DomainError(f"evaluation left the domain: {e}") from None
     out = tuple(map(ev, roots))
-    if not all(map(cmath.isfinite, out)):
+    if not isinstance(vx, Jet) and not all(map(cmath.isfinite, out)):
         raise DomainError(f"evaluation gave a value that is not finite: {out}")
     return out
 
@@ -116,6 +116,38 @@ def test_tape_gives_the_walks_values_bit_for_bit(t1, t2, p):
     roots = (_parsed(t1), _parsed(t2))
     seeds = tuple(map(complex, p))
     assert _outcome(ex.tape(roots), *seeds) == _outcome(_walk, roots, *seeds)
+
+
+def _jet_outcome(fn, roots, p):
+    """The coefficient bytes of each root's order-2 jet at p, or the
+    DomainError that a coefficient that is not finite raises on the tape."""
+    seeds = jet_seed(p, 2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(roots, *seeds)
+    except DomainError:
+        return "DomainError"
+    out = [r if isinstance(r, Jet) else Jet.constant(r, seeds[0].base, 2) for r in out]
+    if not all(np.isfinite(j.coef).all() for j in out):
+        return "DomainError"
+    return [j.coef.tobytes() for j in out]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS, _TEXTS, _POINTS)
+@example("x/(x*x + y)", "y/(x*x + y) - 1/(x*x + y)", (0.5, 0.25, 0.0))
+@example("2/x", "x/2", (0.75, -0.5, 0.25))   # a scalar divisor keeps its division
+def test_jets_multiply_by_one_reciprocal_per_divisor_bit_for_bit(t1, t2, p):
+    roots = (_parsed(t1), _parsed(t2))
+    assert (_jet_outcome(lambda r, *s: ex.tape(r)(*s), roots, p)
+            == _jet_outcome(_walk, roots, p))
+
+
+def test_the_inversion_takes_one_reciprocal_for_three_divisions():
+    t = ex.Tape(Invert().exprs())
+    ops = [fn.__name__ for fn, _, _ in t.jet_steps]
+    assert ops.count("_reciprocal") == 1 and ops.count("_div") == 0
+    assert [fn.__name__ for fn, _, _ in t.steps].count("_div") == 3
 
 
 _ORDER1 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
