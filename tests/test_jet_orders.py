@@ -70,8 +70,8 @@ DIAGNOSTICS = {
 
 
 class _Shift:
-    """Adds delta to the order of jet evaluation number `at`, or of every
-    one when at is None, and counts the evaluations."""
+    """Adds delta to the order of intercepted call number `at`, or of
+    every one when at is None, and counts the calls."""
 
     def __init__(self, delta, at=None):
         self.delta, self.at, self.calls = delta, at, 0
