@@ -265,7 +265,19 @@ def test_left_cocycle_gates_g_where_it_is_used():
     f = word_to_map([Translate((0.5, -0.2, 0.1))])
     with pytest.raises(NotContact, match=r"at \(0\.5, "):
         sw.cocycle_residual_left(g, f, (0.0, 0.7, -0.4))   # f(p) has x = 0.5
-    assert math.isfinite(abs(sw.cocycle_residual_left(g, f, (-0.5, 0.7, -0.4))))
+
+
+def test_conformal_gate_reads_the_derivatives_of_zbar_g():
+    # The same G at a point of x = 0. There Zbar G = -3i s x vanishes, but
+    # Z Zbar G = Zbar Zbar G = -3i s / 2 does not (|.| = 0.75): G is
+    # conformal at the point and not around it. A gate that read only
+    # Zbar G let the left law through, with residual 0.84375.
+    g = fields.flow_closed_form("x^3", 0.5)
+    f = word_to_map([Translate((0.5, -0.2, 0.1))])
+    with pytest.raises(NotContact, match=r"not conformal around \(0\.0, "):
+        sw.cocycle_residual_left(g, f, (-0.5, 0.7, -0.4))   # f(p) has x = 0
+    with pytest.raises(NotContact, match="not conformal around"):
+        sw.cocycle_residual_right(f, g, (0.0, 0.7, -0.4))
 
 
 # --- ZH = 1 builder ---------------------------------------------------------
