@@ -10,58 +10,67 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
+
+import numpy as np
 
 from .errors import OrderError
 from .exact import parse_frame_word
 from . import expr as ex
 from .expr import Expr, jet_eval
 from .group import HeisMap, Point
-from .jets import Jet, coordinate_value
+from .jets import Jet, _diff_table, _shift_table, coordinate_value, ncoef
+
+# Each letter L is the sum over var in (x, y) of c d/dvar + s var d/dt:
+# ((c, s) for x, (c, s) for y).
+_FRAME = {"X": ((1.0, 0.0), (0.0, 2.0)), "Y": ((0.0, -2.0), (1.0, 0.0)),
+          "Z": ((0.5, 1j), (-0.5j, 1.0)), "Zb": ((0.5, -1j), (0.5j, 1.0))}
 
 
-def _x(j: Jet, dt: Jet) -> Jet:
-    """X j, given dt = d/dt j, which Y j shares."""
-    return j.derive(0) + dt.times_coordinate(1, coordinate_value(j.base, 1), 2.0)
+@lru_cache(maxsize=None)
+def _frame_op(order: int, letter: str) -> np.ndarray:
+    """The letter's operator on the coefficients of an order-`order` jet, a
+    (2m, n) array with m, n the coefficient counts of orders order-1 and
+    order. Rows :m are A_L, the sum over var of c Dvar + s S_var Dt, with
+    S_var the product by var - base_var; rows m: are Dt. Built by index
+    assignment from the derivative and shift tables."""
+    m, low = ncoef(order - 1), ncoef(order - 2)   # S_var moves Dt[:low] up a grade
+    op = np.zeros((2 * m, ncoef(order)), dtype=np.complex128)
+    tsrc, tmult = _diff_table(order, 2)
+    op[np.arange(m, 2 * m), tsrc] = tmult
+    for var, (c, s) in enumerate(_FRAME[letter]):
+        src, mult = _diff_table(order, var)
+        op[np.arange(m), src] += c * mult
+        op[_shift_table(order - 1, var), tsrc[:low]] += s * tmult[:low]
+    return op
 
 
-def _y(j: Jet, dt: Jet) -> Jet:
-    return j.derive(1) - dt.times_coordinate(0, coordinate_value(j.base, 0), 2.0)
+def frame(j: Jet, letter: str) -> Jet:
+    """L j for a letter L of X, Y, Z, Zb, on one jet or a batch: one matrix
+    product gives A_L c and Dt c for the coefficients c, and L j is
+    A_L c + kappa Dt c, kappa the sum over var of s var0 at each base point."""
+    if j.order == 0:
+        raise OrderError("derivative of an order-0 jet")
+    (_, sx), (_, sy) = _FRAME[letter]
+    r = _frame_op(j.order, letter) @ j.coef
+    out = r[:len(r) // 2]
+    out += (sx * coordinate_value(j.base, 0) + sy * coordinate_value(j.base, 1)) * r[len(out):]
+    return Jet(j.base, j.order - 1, out)
 
 
-def _xy(j: Jet) -> tuple[Jet, Jet]:
-    """X j and Y j, with one t-derivative."""
-    dt = j.derive(2)
-    return _x(j, dt), _y(j, dt)
-
-
-def jx(j: Jet) -> Jet:
-    return _x(j, j.derive(2))
-
-
-def jy(j: Jet) -> Jet:
-    return _y(j, j.derive(2))
+jx = partial(frame, letter="X")
+jy = partial(frame, letter="Y")
+jz = partial(frame, letter="Z")
+jzb = partial(frame, letter="Zb")
 
 
 def jt(j: Jet) -> Jet:
     return j.derive(2)
 
 
-def jz(j: Jet) -> Jet:
-    x, y = _xy(j)
-    return (x - 1j * y) * 0.5
-
-
-def jzb(j: Jet) -> Jet:
-    x, y = _xy(j)
-    return (x + 1j * y) * 0.5
-
-
 def jlap(j: Jet) -> Jet:
     """The sublaplacian X^2 + Y^2; consumes two orders."""
     return jx(jx(j)) + jy(jy(j))
-
-
-FRAME_JET_OPS = {"X": jx, "Y": jy, "T": jt, "Z": jz, "Zb": jzb}
 
 
 def sym_x(e: Expr) -> Expr:
@@ -84,7 +93,7 @@ def word_jet(word, j: Jet) -> Jet:
         raise OrderError(
             f"word {word!r} needs order {len(letters)}, jet has {j.order}")
     for letter in reversed(letters):
-        j = FRAME_JET_OPS[letter](j)
+        j = jt(j) if letter == "T" else frame(j, letter)
     return j
 
 
@@ -104,9 +113,7 @@ def lambda_jet(j1: Jet, j2: Jet, j3: Jet) -> Jet:
     No contact assumption; j3 is accepted (and ignored) so a map's three
     jets pass as they come. The vertical route is assess_contact's.
     """
-    x1, y1 = _xy(j1)
-    x2, y2 = _xy(j2)
-    return x1 * y2 - y1 * x2
+    return jx(j1) * jy(j2) - jy(j1) * jx(j2)
 
 
 def jacobian(f: HeisMap, p, order: int, form: str = "") -> Jet:
@@ -161,10 +168,7 @@ def assess_contact(f: HeisMap, p) -> ContactAssessment:
     """The first-order reading of f at p: the horizontal differential and
     T f, from f's jets to order 1 (a truncation of its reading there). The
     gates of the Schwarzians read it too."""
-    rows = []
-    for j in f.jets(p, 1):
-        dt = j.derive(2)
-        rows.append((_x(j, dt).value, _y(j, dt).value, dt.value, j.value))
+    rows = [(jx(j).value, jy(j).value, jt(j).value, j.value) for j in f.jets(p, 1)]
     (xf1, yf1, tf1, f1v), (xf2, yf2, tf2, f2v), (xf3, yf3, tf3, _) = rows
 
     lam_det = (xf1 * yf2 - yf1 * xf2).real

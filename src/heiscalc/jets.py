@@ -114,15 +114,11 @@ def _mul_rows(order: int):
 
 @lru_cache(maxsize=None)
 def _diff_table(order: int, var: int):
-    # new_coef[beta] = old_coef[beta + e_var] * (beta_var + 1), new order-1
-    rank_old = _rank(order)
-    src, mult = [], []
-    for b in indices(order - 1):
-        shifted = list(b)
-        shifted[var] += 1
-        src.append(rank_old[tuple(shifted)])
-        mult.append(b[var] + 1)
-    return np.asarray(src, dtype=np.intp), np.asarray(mult, dtype=np.float64)
+    """(src, mult): the derivative in var has new_coef[b] = old_coef[src[b]]
+    * mult[b], src[b] the rank of b + e_var and mult[b] = b_var + 1, for
+    each monomial b of indices(order - 1)."""
+    mult = [b[var] + 1 for b in indices(order - 1)]
+    return _shift_table(order, var), np.asarray(mult, dtype=np.float64)
 
 
 @lru_cache(maxsize=None)
@@ -274,19 +270,18 @@ class Jet:
     def __neg__(self):
         return Jet(self.base, self.order, -self.coef)
 
-    def times_coordinate(self, var: int, c0, scale=1.0) -> "Jet":
-        """scale * (c0 + (x_var - base_var)) * self, with c0 a value or a
-        per-point array: a scale by scale * c0 plus a one-index shift of the
-        coefficients scaled by scale, in place of the full product.
+    def times_coordinate(self, var: int, c0) -> "Jet":
+        """(c0 + (x_var - base_var)) * self, with c0 a value or a per-point
+        array: a scale by c0 plus a one-index shift of the coefficients, in
+        place of the full product.
 
         The full product adds the same two products to each coefficient,
         and exact zeros besides; its sums start at +0.0, hence the + 0.0,
         and IEEE addition is commutative, so the bits are the same."""
-        out = self.coef * (scale * c0)
+        out = self.coef * c0
         out += 0.0
         tgt = _shift_table(self.order, var)
-        src = self.coef[:len(tgt)]
-        out[tgt] += src if scale == 1.0 else scale * src
+        out[tgt] += self.coef[:len(tgt)]
         return Jet(self.base, self.order, out)
 
     def __mul__(self, other):

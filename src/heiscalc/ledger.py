@@ -33,28 +33,21 @@ class LedgerEntry:
         return s + (f" ({self.detail})" if self.detail else "")
 
 
-def _pairs_over_grad_maps(lhs_fn, rhs_fn, dmax: int = 4):
-    for u in harmonic_nullspace(dmax):
-        yield lhs_fn(u), rhs_fn(u)
-
-
-def _fit(lhs_fn, rhs_fn, dmax: int = 4):
-    return fit_constant(_pairs_over_grad_maps(lhs_fn, rhs_fn, dmax))
-
-
 def ledger_run() -> list[LedgerEntry]:
     entries = []
+    # the gradient-map potentials of (a), (d) and (i), computed once
+    basis = harmonic_nullspace(4)
 
     # (a) first-order system of the gradient map: lap f1 = c T f2
-    c = _fit(lambda u: laplacian_h(frame_x(u)), lambda u: frame_t(frame_y(u)))
+    c = fit_constant((laplacian_h(frame_x(u)), frame_t(frame_y(u))) for u in basis)
     entries.append(LedgerEntry(
         key="system-constant", stated="8", fitted=repr(c), agrees=c == 8,
         detail="lap(Xu) = c T(Yu) over the harmonic basis, exact"))
 
     # (b) decoupled fourth-order equation: lap lap f1 = c T^2 f1; T^2 Xu only
     # shows up at weighted degree 5, so the basis needs dmax >= 5
-    c = _fit(lambda u: laplacian_h(laplacian_h(frame_x(u))),
-             lambda u: frame_t(frame_t(frame_x(u))), dmax=6)
+    c = fit_constant((laplacian_h(laplacian_h(frame_x(u))), frame_t(frame_t(frame_x(u))))
+                     for u in harmonic_nullspace(6))
     entries.append(LedgerEntry(
         key="bilaplace-constant", stated="-64", fitted=repr(c), agrees=c == -64,
         detail="lap^2(Xu) = c T^2(Xu), exact"))
@@ -68,15 +61,12 @@ def ledger_run() -> list[LedgerEntry]:
                "engine adopts the fitted value"))
 
     # (d) lap log J_F = c Re(Zb Pf), cleared of denominators
-    def lhs_d(u):
+    def pair_d(u):
         j = frame_x(frame_x(u)) * frame_y(frame_y(u)) - frame_y(frame_x(u)) * frame_x(frame_y(u))
-        return j * laplacian_h(j) - frame_x(j) ** 2 - frame_y(j) ** 2
+        return (j * laplacian_h(j) - frame_x(j) ** 2 - frame_y(j) ** 2,
+                (j * frame_zbar(frame_z(j)) - frame_z(j) * frame_zbar(j)).re_part())
 
-    def rhs_d(u):
-        j = frame_x(frame_x(u)) * frame_y(frame_y(u)) - frame_y(frame_x(u)) * frame_x(frame_y(u))
-        return (j * frame_zbar(frame_z(j)) - frame_z(j) * frame_zbar(j)).re_part()
-
-    c = _fit(lhs_d, rhs_d)
+    c = fit_constant(map(pair_d, basis))
     entries.append(LedgerEntry(
         key="lap-log-jacobian-constant", stated="8", fitted=repr(c), agrees=c == 8,
         detail="J lap J - |grad_H J|^2 = c Re(J ZbZJ - ZJ ZbJ) over gradient-map "
@@ -131,7 +121,7 @@ def ledger_run() -> list[LedgerEntry]:
     # (i) |Pf| against the horizontal gradient of log J
     ok = all((frame_x(u) ** 2 + frame_y(u) ** 2
               - frame_z(u) * frame_zbar(u) * 4).is_zero()
-             for u in harmonic_nullspace(4))
+             for u in basis)
     entries.append(LedgerEntry(
         key="pf-gradient-norm", stated="|Pf| = |grad_H ln J|",
         fitted="|Pf| = (1/2) |grad_H ln J|", agrees=False,

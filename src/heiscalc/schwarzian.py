@@ -114,13 +114,19 @@ def pluriharmonic_residual(f: HeisMap, p) -> complex:
 
 # --- composition laws ----------------------------------------------------------
 
-def _conformal_gate(g: HeisMap, p) -> complex:
-    """ZG at p, after checking that Zbar G vanishes there."""
-    a = assess_contact(g, p)
-    if abs(a.zbar_f) > 1e-8 * (1.0 + abs(a.z_f)):
-        raise NotContact(
-            f"{g!r} is not conformal at {tuple(p)}: |Zbar G| = {abs(a.zbar_f):.3e}")
-    return a.z_f
+def _conformal_gate(g: HeisMap, p, order: int) -> Jet:
+    """The jet of ZG at p to order - 1, from g's jets to order >= 2, after
+    checking that g is conformal around p: Zbar G and its horizontal
+    derivatives Z Zbar G and Zbar Zbar G vanish there, relative to
+    1 + |ZG| + |Z^2 G|."""
+    j1, j2, _ = g.jets(p, order)
+    gjet = j1 + 1j * j2
+    zg, zbg = jz(gjet), jzb(gjet)
+    worst = max(abs(zbg.value), abs(jz(zbg).value), abs(jzb(zbg).value))
+    if worst > 1e-8 * (1.0 + abs(zg.value) + abs(jz(zg).value)):
+        raise NotContact(f"{g!r} is not conformal at {tuple(map(float, p))}: "
+                         f"Zbar G or a first derivative of it is {worst:.3e}")
+    return zg
 
 
 def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
@@ -162,8 +168,8 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
 
 def cocycle_residual_right(f: HeisMap, g: HeisMap, p) -> complex:
     """Residual of S_CL(f o g) = S_CL(f) o g (ZG)^2 + S_CL(g), conformal g."""
-    g.reading(p, 3)   # S_CL(g); the conformal gate reads order 1
-    zg = _conformal_gate(g, p)
+    g.reading(p, 3)   # S_CL(g); the conformal gate reads order 2
+    zg = _conformal_gate(g, p, 2).value
     q = g(p)
     lhs = s_cl(f.compose(g), p)
     return lhs - (s_cl(f, q) * zg * zg + s_cl(g, p))
@@ -179,10 +185,7 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p,
     one, exposed so the suite can fit it from data.
     """
     q = f(p)
-    g.reading(q, 3)   # Zbar Z^2 G; the conformal gate reads order 1
-    _conformal_gate(g, q)
-    jg1, jg2, _ = g.jets(q, 3)
-    zg = jz(jg1 + 1j * jg2)
+    zg = _conformal_gate(g, q, 3)   # Zbar Z^2 G reads order 3
     a_big = zg.value                           # ZG at f(p)
     if abs(a_big) < _TINY:
         raise SingularError(f"ZG vanishes at {q}")

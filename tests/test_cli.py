@@ -7,6 +7,7 @@ import pytest
 
 from heiscalc import exact
 from heiscalc.cli import main
+from heiscalc.errors import SingularError
 
 
 def run(capsys, *argv):
@@ -66,6 +67,27 @@ def test_verify_out_payload(tmp_path, capsys):
     assert doc["schema"] == 1
     assert doc["results"]["appendix"]["ok"] is True
     assert doc["results"]["appendix"]["dims"] == {str(d): 8 for d in range(4, 11)}
+
+
+def test_verify_cocycles_counts_the_draws_it_evaluated(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", "--suite", "cocycles", "--out", str(out_file))
+    res = json.loads(out_file.read_text())["results"]["cocycles"]
+    assert code == 0 and res["ok"] is True
+    assert res["drawn"] == 25 and 0 < res["evaluated"]
+    assert res["evaluated"] + sum(res["skipped"].values()) == 25
+    assert f"evaluated {res['evaluated']} of 25 draws" in out
+
+    def singular(*args):
+        raise SingularError("ZF vanishes")
+
+    # a suite that evaluates none of its draws fails, whatever its residuals
+    monkeypatch.setattr("heiscalc.schwarzian.cr_chain_residual", singular)
+    code, out, _ = run(capsys, "verify", "--suite", "cocycles", "--out", str(out_file))
+    res = json.loads(out_file.read_text())["results"]["cocycles"]
+    assert code == 1 and res["ok"] is False
+    assert res["evaluated"] == 0 and res["skipped"] == {"SingularError": 25}
+    assert "evaluated 0 of 25 draws, skipped 25 (SingularError)" in out
 
 
 def test_scan_csv_deterministic(tmp_path, capsys):

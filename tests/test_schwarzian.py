@@ -274,9 +274,9 @@ def test_conformal_gate_reads_the_derivatives_of_zbar_g():
     # Zbar G let the left law through, with residual 0.84375.
     g = fields.flow_closed_form("x^3", 0.5)
     f = word_to_map([Translate((0.5, -0.2, 0.1))])
-    with pytest.raises(NotContact, match=r"not conformal around \(0\.0, "):
+    with pytest.raises(NotContact, match=r"not conformal at \(0\.0, "):
         sw.cocycle_residual_left(g, f, (-0.5, 0.7, -0.4))   # f(p) has x = 0
-    with pytest.raises(NotContact, match="not conformal around"):
+    with pytest.raises(NotContact, match=r"not conformal at \(0\.0, "):
         sw.cocycle_residual_right(f, g, (0.0, 0.7, -0.4))
 
 

@@ -1,5 +1,6 @@
 """Products with a coordinate take the shift kernel, with the bits of the
-full product.
+full product; the frame kernel agrees with the frame operators composed
+from derivatives and full coordinate products.
 
 The oracle is the full truncated product as Jet.__mul__ ran it before the
 shift kernel existed, copied here; `_full_products` swaps it in. Bits are
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heiscalc.horizontal import jx, jy
-from heiscalc.jets import Jet, _mul_rows, _mul_table, jet_seed, ncoef
+from heiscalc.horizontal import frame
+from heiscalc.jets import Jet, _mul_rows, _mul_table, indices, jet_seed, ncoef
 
 
 def _full_product(self, other):
@@ -43,20 +44,6 @@ def _full_products():
         yield
     finally:
         Jet.__mul__ = Jet.__rmul__ = kernel
-
-
-def _refuse(*args):
-    raise AssertionError("no coordinate jet and no jet product here")
-
-
-@contextmanager
-def _no_coordinates_or_products():
-    saved = Jet.__dict__["coordinate"], Jet.__mul__
-    Jet.coordinate, Jet.__mul__ = _refuse, _refuse
-    try:
-        yield
-    finally:
-        Jet.coordinate, Jet.__mul__ = saved
 
 
 def _bits(j):
@@ -122,26 +109,61 @@ def test_series_of_a_coordinate_are_the_full_products(setup, var, name):
     assert _bits(getattr(x, name)()) == _bits(want)
 
 
-def _parent_jx(j):
-    dx = j.derive(0)
-    return dx + 2.0 * Jet.coordinate(1, j.base, dx.order) * j.derive(2)
+def _derive(j, var):
+    """d/dvar of a single jet, read off its multi-indices."""
+    rank = {m: r for r, m in enumerate(indices(j.order))}
+    coef = []
+    for b in indices(j.order - 1):
+        up = list(b)
+        up[var] += 1
+        coef.append(j.coef[rank[tuple(up)]] * (b[var] + 1))
+    return Jet(j.base, j.order - 1, np.array(coef))
 
 
-def _parent_jy(j):
-    dy = j.derive(1)
-    return dy - 2.0 * Jet.coordinate(0, j.base, dy.order) * j.derive(2)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_setup(min_order=1))
-def test_frame_operators_are_the_formula_with_full_products(setup):
-    j = setup[1]
+def _parent_frame(j, letter):
+    """The frame operators as they were composed before the frame kernel,
+    X = Dx + 2y Dt and Y = Dy - 2x Dt, then Z and Zb from X and Y. The
+    derivatives and the coordinate products (full products here) read
+    neither the derivative nor the shift table."""
+    dt = _derive(j, 2)
     with _full_products():
-        want = (_parent_jx(j), _parent_jy(j))
-    with _no_coordinates_or_products():
-        got = (jx(j), jy(j))
-    assert _bits(got[0]) == _bits(want[0])
-    assert _bits(got[1]) == _bits(want[1])
+        x = _derive(j, 0) + 2.0 * Jet.coordinate(1, j.base, dt.order) * dt
+        y = _derive(j, 1) - 2.0 * Jet.coordinate(0, j.base, dt.order) * dt
+        return {"X": x, "Y": y, "Z": (x - 1j * y) * 0.5, "Zb": (x + 1j * y) * 0.5}[letter]
+
+
+# Signed zeros, both signs, and values whose products round.
+_FRAME_POINTS = np.array([[0.3, -0.7, 1.0 / 3.0], [-2.5, 1e-3, 7.25],
+                          [0.0, -0.0, 0.3], [1.0 / 3.0, 7.25, -0.7]])
+
+
+def test_frame_kernel_is_the_parent_composition():
+    """frame(j, L) against the parent's composition, for every letter and
+    orders 1-5, on single jets and on a batch of the same coefficients.
+
+    The kernel sums each coefficient as one matrix product, so it rounds
+    differently from the composition: each result must agree to 1e-14 of
+    the largest coefficient of the oracle's result. A batch column is not
+    bitwise the single-point result (a matrix-matrix product against a
+    matrix-vector one, which BLAS may sum in another order), so it is held
+    to the same bound."""
+    rng = np.random.default_rng(12)
+    n = len(_FRAME_POINTS)
+    for order in range(1, 6):
+        coef = (rng.standard_normal((ncoef(order), n))
+                + 1j * rng.standard_normal((ncoef(order), n)))
+        coef.real[rng.random(coef.shape) < 0.2] = -0.0
+        for letter in ("X", "Y", "Z", "Zb"):
+            batch = frame(Jet(_FRAME_POINTS, order, coef), letter)
+            assert batch.order == order - 1
+            for i, p in enumerate(_FRAME_POINTS):
+                single = Jet(tuple(map(float, p)), order, coef[:, i].copy())
+                want = _parent_frame(single, letter).coef
+                got = frame(single, letter)
+                assert got.order == order - 1 and got.coef.shape == want.shape
+                bound = 1e-14 * np.abs(want).max()
+                assert np.abs(got.coef - want).max() <= bound, (letter, order, i)
+                assert np.abs(batch.coef[:, i] - want).max() <= bound, (letter, order, i)
 
 
 def test_operations_on_a_coordinate_give_plain_jets():
