@@ -5,6 +5,29 @@ pair Z = (X - iY)/2, Zbar = (X + iY)/2. Each application consumes one jet
 order. Contact assessment reports the horizontal differential, the Jacobian
 through two independent routes, the three contact residuals, the Beltrami
 quotient and the distortion.
+
+One kernel, `frame`, applies X, Y, Z and Zbar. Writing x = x0 + (x - x0)
+and y = y0 + (y - y0), each letter L on the coefficients c of an order-k
+jet is a fixed linear map plus one base-point term:
+
+    L j = A_L(k) c + kappa_L (Dt c)
+
+    letter  A_L                                kappa_L
+    X       Dx + 2 S_y Dt                      2 y0
+    Y       Dy - 2 S_x Dt                      -2 x0
+    Z       Dx/2 - i Dy/2 + (i S_x + S_y) Dt   y0 + i x0
+    Zb      Dx/2 + i Dy/2 - (i S_x - S_y) Dt   y0 - i x0
+
+with Dvar the derivative and S_var the product by (var - var0), a shift
+by one grade. A_L(k) and Dt, stacked, are built once per (order, letter)
+by index assignment, and one matrix product gives both on a single jet
+(`(n,)`) or a batch (`(n, N)`). T stays `Jet.derive`.
+
+The matrix product sums each output coefficient's (at most four) nonzero
+terms in BLAS's order, not in the order of the composition Dx j + 2y Dt j
+and (X j - i Y j) / 2, so results agree with that composition to rounding,
+not bitwise; and a batch column (a matrix-matrix product) need not be
+bitwise the single-point result (a matrix-vector product).
 """
 from __future__ import annotations
 

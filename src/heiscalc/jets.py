@@ -33,13 +33,15 @@ the cached `_shift_table`, two numpy calls on either shape. `Jet.coordinate`
 its variable, and `*` sends a product with a marked operand on either side
 to the shift kernel; a marked jet's series (exp(x), 1/x) runs its Horner
 steps on a marked nil of value 0, and a coordinate power x^n on the mark
-too. The frame operators call the kernel directly. The full product adds
-the same two nonzero products to each coefficient, so the bits agree.
+too. The full product adds the same two nonzero products to each
+coefficient, so the bits agree.
 
 Derivatives are coefficient shifts and consume one order: the derivative of
-an order-K jet is an order-(K-1) jet. Elementary functions (exp, log, sqrt,
-sin, cos, reciprocal) are Horner evaluations of the scalar Taylor series in
-the nilpotent part and keep the order.
+an order-K jet is an order-(K-1) jet. The frame operators of `horizontal`
+build their own operator from `_diff_table` and `_shift_table` and go
+through neither `derive` nor `times_coordinate`. Elementary functions (exp,
+log, sqrt, sin, cos, reciprocal) are Horner evaluations of the scalar
+Taylor series in the nilpotent part and keep the order.
 """
 from __future__ import annotations
 
