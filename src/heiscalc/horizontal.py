@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,14 +81,24 @@ def frame(j: Jet, letter: str) -> Jet:
     return Jet(j.base, j.order - 1, out)
 
 
-jx = partial(frame, letter="X")
-jy = partial(frame, letter="Y")
-jz = partial(frame, letter="Z")
-jzb = partial(frame, letter="Zb")
+def jx(j: Jet) -> Jet:
+    return frame(j, "X")
+
+
+def jy(j: Jet) -> Jet:
+    return frame(j, "Y")
 
 
 def jt(j: Jet) -> Jet:
     return j.derive(2)
+
+
+def jz(j: Jet) -> Jet:
+    return frame(j, "Z")
+
+
+def jzb(j: Jet) -> Jet:
+    return frame(j, "Zb")
 
 
 def jlap(j: Jet) -> Jet:

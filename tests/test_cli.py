@@ -87,7 +87,7 @@ def test_verify_cocycles_counts_the_draws_it_evaluated(tmp_path, capsys, monkeyp
     res = json.loads(out_file.read_text())["results"]["cocycles"]
     assert code == 1 and res["ok"] is False
     assert res["evaluated"] == 0 and res["skipped"] == {"SingularError": 25}
-    assert "evaluated 0 of 25 draws, skipped 25 (SingularError)" in out
+    assert "evaluated 0 of 25 draws, skipped by error {'SingularError': 25}" in out
 
 
 def test_scan_csv_deterministic(tmp_path, capsys):
