@@ -227,23 +227,35 @@ def _grid_array(region) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-# Points per route call of a sign scan. A larger chunk spreads each numpy
-# call over more points but holds every intermediate of the chunk at once:
-# on a 10^3 jet-path scan of exp(x)cos(y) + u* (order-4 jets, 2-vCPU host),
-# 64 points raise a fresh process's peak memory by about 0.4 MiB and 128
-# points by about 1 MiB, for a quarter to a third less time.
-_CHUNK = 64
+# Points per route call of a sign scan, one size per route. A larger chunk
+# spreads each numpy call over more points but holds every intermediate of
+# the chunk at once.
+#
+# The jet routes carry 35 complex coefficients per point at order 4: on a
+# 10^3 jet-path scan of exp(x)cos(y) + u* (2-vCPU host), 64 points raise a
+# fresh process's peak memory by about 0.4 MiB and 128 points by about
+# 1 MiB, for a quarter to a third less time.
+_JET_CHUNK = 64
+# The polynomial route holds about one number per point for each power and
+# quantity, and at 64 points was almost all numpy call overhead. On a 21^3
+# scan of u* (2-vCPU host, best of 100), 1024 points take 2.6-4.8 ms against
+# 21-23 ms at 64, and raise the scan's tracemalloc peak from 617 to 868 KiB
+# (a fresh process's peak RSS by 0.15-0.46 MiB); 512 points take 4.2-7.1 ms
+# at 734 KiB, and the whole grid at once peaks at 1875 KiB and raises RSS
+# by about 1.3 MiB.
+_POLY_CHUNK = 1024
 
 
-def _sign_scan(region, shape, label, tol, claims, route) -> SignReport:
+def _sign_scan(region, shape, label, tol, claims, route, chunk) -> SignReport:
     """The one grid walk of every sign scan. claims is a (name, expect) pair
-    per check; route(p), on an (m, 3) chunk of the grid, gives a singular
-    mask, a (values, gate) pair per claim and a dict of further columns."""
+    per check; route(p), on an (m, 3) chunk of at most chunk grid points,
+    gives a singular mask, a (values, gate) pair per claim and a dict of
+    further columns."""
     points = _grid_array(region)
     checks = [CheckStat(name=n, expect=e) for n, e in claims]
     columns = {}
-    for lo in range(0, len(points), _CHUNK):
-        p = points[lo:lo + _CHUNK]
+    for lo in range(0, len(points), chunk):
+        p = points[lo:lo + chunk]
         singular, pairs, extra = route(p)
         for stat, (val, gate_ok) in zip(checks, pairs):
             stat.record(p, val, gate_ok, tol)
@@ -303,7 +315,8 @@ def subharmonicity_scan(u, region, label: str | None = None,
 
     def route(p):
         return _gradient_claims(*(q.eval(p).real for q in quantities), tol)
-    return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS, route)
+    return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS,
+                      route, _POLY_CHUNK)
 
 
 def _scan_jets(u, region, label, tol, shape) -> SignReport:
@@ -321,7 +334,8 @@ def _scan_jets(u, region, label, tol, shape) -> SignReport:
         return _gradient_claims(g.value.real, lap_g.value.real, cleared,
                                 jlap((fc * fc.conj()).real()).value.real,
                                 jlap((f1 * f1 + f2 * f2).real()).value.real, geom, tol)
-    return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS, route)
+    return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS,
+                      route, _JET_CHUNK)
 
 
 def contact_jacobian_scan(m: HeisMap, region, tol: float = 1e-10) -> SignReport:
@@ -342,7 +356,8 @@ def contact_jacobian_scan(m: HeisMap, region, tol: float = 1e-10) -> SignReport:
                              (cleared, (h1 <= tol) & (jval > tol))), {"h1": h1}
     return _sign_scan(region, tuple(n for (_, _, n) in region),
                       "contact-jacobian-scan", tol,
-                      (("lap_jf", "nonpos"), ("cleared_log_jf", "nonpos")), route)
+                      (("lap_jf", "nonpos"), ("cleared_log_jf", "nonpos")), route,
+                      _JET_CHUNK)
 
 
 # --- growth ingredients ----------------------------------------------------------

@@ -1,4 +1,5 @@
 """Command line behaviour: output schema, exit codes, determinism."""
+import itertools
 import json
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from heiscalc import exact
 from heiscalc.cli import main
 from heiscalc.errors import SingularError
+from heiscalc.group import Point
 
 
 def run(capsys, *argv):
@@ -88,6 +90,49 @@ def test_verify_cocycles_counts_the_draws_it_evaluated(tmp_path, capsys, monkeyp
     assert code == 1 and res["ok"] is False
     assert res["evaluated"] == 0 and res["skipped"] == {"SingularError": 25}
     assert "evaluated 0 of 25 draws, skipped by error {'SingularError': 25}" in out
+
+
+def test_verify_conformal_counts_the_points_it_evaluated(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", "--suite", "conformal", "--out", str(out_file))
+    res = json.loads(out_file.read_text())["results"]["conformal"]
+    assert code == 0 and res["ok"] is True
+    assert (res["n_words"], res["drawn"]) == (40, 80) and 0 < res["evaluated"]
+    assert res["evaluated"] + sum(res["skipped"].values()) == 80
+    assert f"evaluated {res['evaluated']} of 80 points on 40 words" in out
+
+    # _rand_point draws its shell with koranyi_norm too, so it gets a fixed
+    # point; image norms alternately 1 and 100 skip half the points, and
+    # image norms of 100 skip them all
+    monkeypatch.setattr("heiscalc.cli._rand_point",
+                        lambda rng, lo=0.1, hi=3.0: Point(0.5, -0.3, 0.4))
+    calls = itertools.count()
+    monkeypatch.setattr("heiscalc.cli.koranyi_norm",
+                        lambda p: 100.0 if next(calls) % 2 else 1.0)
+    code, out, _ = run(capsys, "verify", "--suite", "conformal", "--out", str(out_file))
+    res = json.loads(out_file.read_text())["results"]["conformal"]
+    far = "image Koranyi norm above 50"
+    assert code == 0 and (res["evaluated"], res["skipped"]) == (40, {far: 40})
+    monkeypatch.setattr("heiscalc.cli.koranyi_norm", lambda p: 100.0)
+    code, out, _ = run(capsys, "verify", "--suite", "conformal", "--out", str(out_file))
+    res = json.loads(out_file.read_text())["results"]["conformal"]
+    assert code == 1 and res["ok"] is False
+    assert (res["evaluated"], res["skipped"]) == (0, {far: 80})
+    assert f"evaluated 0 of 80 points on 40 words, skipped {{'{far}': 80}}" in out
+
+
+def test_verify_vfields_reports_each_bound_and_headroom(tmp_path, capsys):
+    out_file = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", "--suite", "vfields", "--tol", "1e-9",
+                       "--out", str(out_file))
+    res = json.loads(out_file.read_text())["results"]["vfields"]
+    assert code == 0 and res["ok"] is True
+    # the two fixed bounds, and --tol for the pushforwards
+    assert res["bounds"] == {"v0": 1e-10, "push": 1e-9, "flow": 1e-8}
+    for key, bound in res["bounds"].items():
+        assert 0 < res[key] <= bound
+        assert res["headroom"][key] == pytest.approx(bound / res[key], rel=1e-12)
+        assert f"= {res[key]:.3e} (bound {bound:g}, headroom {bound / res[key]:.1e}x)" in out
 
 
 def test_scan_csv_deterministic(tmp_path, capsys):

@@ -236,6 +236,45 @@ def test_polynomial_and_jet_routes_agree():
             np.testing.assert_allclose(jets.columns[name], col, rtol=1e-12, atol=0, err_msg=name)
 
 
+# 13 x 11 x 9 = 1287 points: more than one polynomial-route chunk, a multiple
+# of neither chunk size, and t = 0 is on the grid
+WIDE = ((-1.2, 1.2, 13), (-1.0, 0.9, 11), (-0.8, 0.8, 9))
+
+
+# u* is clean and singular on t = 0; a harmonic polynomial with complex
+# coefficients lies outside the claims and fails them at many points, which
+# gives worst and the examples real content
+@pytest.mark.parametrize("u, clean", [
+    (USTAR, True),
+    (RatPoly({(1, 0, 0): QQi(0, -1), (0, 2, 1): -1, (1, 3, 0): Fraction(-8, 3),
+              (2, 0, 1): 1}), False),
+])
+def test_polynomial_scan_is_bitwise_a_per_point_loop(u, clean):
+    tol = 1e-10
+    rep = hm.subharmonicity_scan(u, WIDE, tol=tol)
+    quantities = hm._grad_quantities_poly(hm._try_poly(u))
+    points = hm._grid_array(WIDE)
+    assert len(points) == 1287
+    checks = [hm.CheckStat(name=n, expect=e) for n, e in hm._GRADIENT_CLAIMS]
+    columns = {"singular": [], **{c.name: [] for c in checks}, "geom": []}
+    for p in points:
+        singular, pairs, extra = hm._gradient_claims(
+            *(q.eval(tuple(p)).real for q in quantities), tol)
+        for stat, (val, gate_ok) in zip(checks, pairs):
+            stat.record(p[None], [val], gate_ok, tol)
+        columns["singular"].append(singular)
+        for stat, (val, _) in zip(checks, pairs):
+            columns[stat.name].append(val)
+        columns["geom"].append(extra["geom"])
+    assert sorted(rep.columns) == sorted(columns)
+    for name, col in columns.items():
+        assert rep.columns[name].tobytes() == np.array(col).tobytes(), name
+    assert rep.singular_count == sum(columns["singular"]) > 0
+    # dataclass equality compares every field exactly, worst and examples included
+    assert rep.checks == checks
+    assert rep.ok() == clean
+
+
 def test_contact_jacobian_scan_on_isometry():
     m = word_to_map(make_type1((0.2, -0.1, 0.3), 0.6, 1.2, (0.0, 0.1, 0.0)))
     rep = hm.contact_jacobian_scan(m, ((-0.8, 0.8, 4), (-0.8, 0.8, 4), (-0.8, 0.8, 3)))
