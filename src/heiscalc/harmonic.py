@@ -237,12 +237,12 @@ def _grid_array(region) -> np.ndarray:
 # 1 MiB, for a quarter to a third less time.
 _JET_CHUNK = 64
 # The polynomial route holds about one number per point for each power and
-# quantity, and at 64 points was almost all numpy call overhead. On a 21^3
-# scan of u* (2-vCPU host, best of 100), 1024 points take 2.6-4.8 ms against
-# 21-23 ms at 64, and raise the scan's tracemalloc peak from 617 to 868 KiB
-# (a fresh process's peak RSS by 0.15-0.46 MiB); 512 points take 4.2-7.1 ms
-# at 734 KiB, and the whole grid at once peaks at 1875 KiB and raises RSS
-# by about 1.3 MiB.
+# quantity, so at 64 points its scan is almost all numpy call overhead. On
+# a 21^3 scan of u* (2-vCPU host, best of 100), 1024 points take 2.6-4.8 ms
+# against 21-23 ms at 64, and raise the scan's tracemalloc peak from 617 to
+# 868 KiB (a fresh benchmark process's peak RSS by 0.18-0.59 MiB, median
+# 0.39); 512 points take 4.2-7.1 ms at 734 KiB, and the whole grid at once
+# peaks at 1875 KiB and raises RSS by about 1.3 MiB.
 _POLY_CHUNK = 1024
 
 
