@@ -403,13 +403,11 @@ def laplacian_h(p: RatPoly) -> RatPoly:
 
 # --- monomial bases and exact linear algebra ---------------------------------
 
-def monomials_wdeg(dmax: int, tmax: int | None = None) -> list:
-    """Monomials with weighted degree i + j + 2k <= dmax (optionally k <= tmax)."""
+def monomials_wdeg(dmax: int) -> list:
+    """Monomials with weighted degree i + j + 2k <= dmax."""
     out = []
     for d in range(dmax + 1):
         for k in range(d // 2 + 1):
-            if tmax is not None and k > tmax:
-                continue
             for i in range(d - 2 * k + 1):
                 j = d - 2 * k - i
                 out.append((i, j, k))
@@ -510,13 +508,9 @@ def harmonic_nullspace(d: int) -> list[RatPoly]:
     return real_nullspace(laplacian_h, monomials_wdeg(d))
 
 
-def vzerosol_nullspace(dmax: int, tmax: int | None = None):
-    """(dimension, basis) of real polynomial potentials killed by Z^2.
-
-    tmax bounds the t-degree of the monomial pool; leaving it unrestricted
-    must not change the answer, which the suite checks.
-    """
-    basis = real_nullspace(lambda p: frame_z(frame_z(p)), monomials_wdeg(dmax, tmax))
+def vzerosol_nullspace(dmax: int):
+    """(dimension, basis) of real polynomial potentials killed by Z^2."""
+    basis = real_nullspace(lambda p: frame_z(frame_z(p)), monomials_wdeg(dmax))
     return len(basis), basis
 
 

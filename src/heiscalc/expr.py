@@ -27,6 +27,7 @@ import cmath
 import functools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -534,54 +535,25 @@ def to_str(e: Expr) -> str:
 
 # --- parser -----------------------------------------------------------------
 
+# one token: a number in ASCII digits with an optional fraction and exponent,
+# a name, an operator (** is ^), a run of whitespace, or a bad character
+_TOKEN = re.compile(r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*/^(),])|\s+|(?P<bad>.)")
+
+
 def _tokenize(s: str):
-    toks, i, n = [], 0, len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and s[i + 1].isdigit()):
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                cj = s[j]
-                if cj.isdigit():
-                    j += 1
-                elif cj == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif cj in "eE" and j + 1 < n and (s[j + 1].isdigit() or s[j + 1] in "+-") \
-                        and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 2 if s[j + 1] in "+-" else 1
-                else:
-                    break
-            text = s[i:j]
-            if seen_dot or seen_exp:
-                toks.append(("num", float(text)))
-            else:
-                toks.append(("num", int(text)))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            toks.append(("name", s[i:j]))
-            i = j
-            continue
-        if s.startswith("**", i):
-            toks.append(("op", "^"))
-            i += 2
-            continue
-        if c in "+-*/^(),":
-            toks.append(("op", c))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r} at position {i} in {s!r}")
-    toks.append(("end", ""))
-    return toks
+    toks = []
+    for m in _TOKEN.finditer(s):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r} at position {m.start()} in {s!r}")
+        if kind == "num" and text.isdigit() and len(text) > 4300:   # int()'s digit limit
+            raise ParseError(f"integer constant of {len(text)} digits (at most 4300)")
+        if kind == "num":
+            toks.append((kind, int(text) if text.isdigit() else float(text)))
+        elif kind:
+            toks.append((kind, "^" if text == "**" else text))
+    return toks + [("end", "")]
 
 
 def parse_expr(s: str) -> Expr:

@@ -26,6 +26,14 @@ from .horizontal import (assess_contact, jlap, jt, jx, jy, jz, lambda_jet,
 from .jets import Jet
 from .schwarzian import preschwarzian
 
+# the adopted constants of the gradient map's system and of the Bochner-type
+# identity; ledger.ledger_run checks each one against its exact fit
+SYSTEM_CONSTANT = 8        # lap f1 = c T f2, lap f2 = -c T f1
+BILAPLACE_CONSTANT = -64   # lap lap fi = c T^2 fi, i = 1, 2
+BOCHNER_KAPPA = 8
+# the points where a non-polynomial potential's sublaplacian must vanish
+_HARMONIC_SAMPLES = ((0.3, -0.7, 0.4), (1.1, 0.5, -0.8), (-0.6, 0.9, 1.3))
+
 
 def _try_poly(u) -> RatPoly | None:
     if isinstance(u, RatPoly):
@@ -36,19 +44,18 @@ def _try_poly(u) -> RatPoly | None:
         return None
 
 
-def _check_harmonic(u, poly: RatPoly | None,
-                    samples=((0.3, -0.7, 0.4), (1.1, 0.5, -0.8), (-0.6, 0.9, 1.3))):
+def _check_harmonic(u, poly: RatPoly | None):
     """poly is _try_poly(u), converted once by the caller."""
     if poly is not None:
         if not laplacian_h(poly).is_zero():
             raise NotHarmonic("sublaplacian of the potential is not the zero polynomial")
         return
-    j = jet_eval(potential_expr(u), np.array(samples, dtype=float), 2)
+    j = jet_eval(potential_expr(u), np.array(_HARMONIC_SAMPLES, dtype=float), 2)
     r = jlap(j).value
     bad = np.abs(r) > 1e-9 * (1.0 + np.abs(j.value))
     if bad.any():
         i = int(bad.argmax())
-        raise NotHarmonic(f"sublaplacian is {complex(r[i]):.3e} at {samples[i]}")
+        raise NotHarmonic(f"sublaplacian is {complex(r[i]):.3e} at {_HARMONIC_SAMPLES[i]}")
 
 
 def gradient_harmonic(u) -> HeisMap:
@@ -69,21 +76,21 @@ def _geom(f1: Jet, f2: Jet, f3: Jet):
 
 
 class SystemResiduals(NamedTuple):
-    r1: float          # lap f1 - 8 T f2
-    r2: float          # lap f2 + 8 T f1
+    r1: float          # lap f1 - SYSTEM_CONSTANT T f2
+    r2: float          # lap f2 + SYSTEM_CONSTANT T f1
     r3: float          # lap f3
-    rb1: float         # lap lap f1 + 64 T^2 f1
-    rb2: float         # lap lap f2 + 64 T^2 f2
+    rb1: float         # lap lap f1 - BILAPLACE_CONSTANT T^2 f1
+    rb2: float         # lap lap f2 - BILAPLACE_CONSTANT T^2 f2
 
 
 def harmonic_system_residuals(m: HeisMap, p) -> SystemResiduals:
     """Residuals of the coupled system a gradient-harmonic map satisfies."""
     j1, j2, j3 = m.jets(p, 4)   # the bi-sublaplacian
-    r1 = (jlap(j1) - 8.0 * jt(j2)).value
-    r2 = (jlap(j2) + 8.0 * jt(j1)).value
+    r1 = (jlap(j1) - SYSTEM_CONSTANT * jt(j2)).value
+    r2 = (jlap(j2) + SYSTEM_CONSTANT * jt(j1)).value
     r3 = jlap(j3).value
-    rb1 = (jlap(jlap(j1)) + 64.0 * jt(jt(j1))).value
-    rb2 = (jlap(jlap(j2)) + 64.0 * jt(jt(j2))).value
+    rb1 = (jlap(jlap(j1)) - BILAPLACE_CONSTANT * jt(jt(j1))).value
+    rb2 = (jlap(jlap(j2)) - BILAPLACE_CONSTANT * jt(jt(j2))).value
     return SystemResiduals(r1.real, r2.real, r3.real, rb1.real, rb2.real)
 
 
@@ -118,7 +125,7 @@ def hessian_report(u, p) -> HessianReport:
                          j_f=j_f, gap=det_hess - det_sym)
 
 
-def bochner_residual(u, p, kappa: float = 8.0) -> float:
+def bochner_residual(u, p, kappa: float = BOCHNER_KAPPA) -> float:
     """Residual of (1/2) lap |grad u|^2 = ||Hess u||^2 + kappa (Xu YTu - Yu XTu)."""
     j = jet_eval(potential_expr(u), p, 3)   # lap |grad u|^2
     gx, gy = jx(j), jy(j)

@@ -175,14 +175,17 @@ def cocycle_residual_right(f: HeisMap, g: HeisMap, p) -> complex:
     return lhs - (s_cl(f, q) * zg * zg + s_cl(g, p))
 
 
+LEFT_MIDDLE_COEFF = -1   # the adopted middle coefficient of the left law below
+
+
 def cocycle_residual_left(g: HeisMap, f: HeisMap, p,
-                          middle_coeff: float = -1.0) -> complex:
+                          middle_coeff: float = LEFT_MIDDLE_COEFF) -> complex:
     """Residual of the left composition law S_CL(g o f) for conformal g.
 
     g must be conformal where the law uses it, at f(p). The correction
     series in the mixed second derivative of G has three terms;
     middle_coeff is the coefficient of (Z^2 F)(Z Fbar)/(ZF) in the middle
-    one, exposed so the suite can fit it from data.
+    one, exposed so ledger.ledger_run can fit it from data.
     """
     q = f(p)
     zg = _conformal_gate(g, q, 3)   # Zbar Z^2 G reads order 3

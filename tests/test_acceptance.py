@@ -281,6 +281,7 @@ def test_criterion_08_arbitration_ledger_verdicts_reproduce():
         e = entries[key]
         assert e.agrees is agrees, e.line()
         assert e.fitted == fitted, e.line()
+        assert e.holds is True, e.line()
     n_agree = sum(1 for a, _ in EXPECTED_LEDGER.values() if a)
     print(f"criterion 08: {len(EXPECTED_LEDGER)} ledger entries reproduce "
           f"their recorded verdicts ({n_agree} agree, "

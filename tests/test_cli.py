@@ -284,6 +284,10 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("scan", "--u", "x*y + 1/0", "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
     (("scan", "--u", "x*y + 0^-1", "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
     (("flow", "--h", "sin(x*x)", "--point", "1e160,0,0", "--s", "0.1"), 3),
+    (("scan", "--u", "1e+x", "--grid=-1:1:3,-1:1:3,-1:1:3"), 2),
+    (("flow", "--h", "1e-", "--s", "1", "--point", "0,0,0"), 2),
+    (("flow", "--h", "x*\u00b2", "--s", "1", "--point", "0,0,0"), 2),
+    (("flow", "--h", "1" * 5000 + "*x", "--s", "1", "--point", "0,0,0"), 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))

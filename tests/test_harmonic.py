@@ -124,14 +124,17 @@ CROSSING = ((-1.0, 1.0, 9), (-0.5, 1.25, 8), (-0.5, 0.5, 5))
 
 
 def _per_point_stats(names, region, quantities, tol):
-    """CheckStat fields from a plain loop over grid points: quantities(p)
-    gives (singular, ((value, gate_ok), ...)) at one point."""
+    """CheckStat fields and the report's columns from a plain loop over grid
+    points: quantities(p) gives (singular, ((value, gate_ok), ...), extra)
+    at one point, extra a dict of further columns."""
     stats = {n: dict(n_points=0, n_gated=0, n_violations=0, worst=0.0, examples=[])
              for n, _ in names}
-    singular = 0
+    columns = {}
     for p in map(tuple, hm._grid_array(region).tolist()):
-        sing, vals = quantities(p)
-        singular += sing
+        sing, vals, extra = quantities(p)
+        row = {"singular": sing, **{n: v for (n, _), (v, _) in zip(names, vals)}, **extra}
+        for k, v in row.items():
+            columns.setdefault(k, []).append(v)
         for (name, expect), (val, gate_ok) in zip(names, vals):
             st = stats[name]
             st["n_points"] += 1
@@ -144,11 +147,11 @@ def _per_point_stats(names, region, quantities, tol):
                 st["worst"] = min(st["worst"], margin)
                 if len(st["examples"]) < 5:
                     st["examples"].append((p, val))
-    return stats, singular
+    return stats, columns
 
 
-def _assert_same(rep, stats, singular):
-    assert rep.singular_count == singular
+def _assert_same(rep, stats, columns):
+    assert rep.singular_count == sum(columns["singular"])
     for c in rep.checks:
         want = stats[c.name]
         assert (c.n_points, c.n_gated, c.n_violations) == (
@@ -157,6 +160,12 @@ def _assert_same(rep, stats, singular):
         assert [p for p, _ in c.examples] == [p for p, _ in want["examples"]]
         assert [v for _, v in c.examples] == pytest.approx(
             [v for _, v in want["examples"]], rel=1e-12, abs=1e-12)
+    assert sorted(rep.columns) == sorted(columns)
+    for name, col in rep.columns.items():
+        if col.dtype == bool:
+            assert col.tolist() == columns[name], name
+        else:
+            assert col.tolist() == pytest.approx(columns[name], rel=1e-12, abs=1e-12), name
 
 
 def _gradient_quantities(e, tol):
@@ -173,7 +182,7 @@ def _gradient_quantities(e, tol):
             (jlap(g).value.real, True),
             (cleared, gval > tol),
             (jlap((fc * fc.conj()).real()).value.real, geomv >= -tol),
-            (jlap((f1 * f1 + f2 * f2).real()).value.real, geomv >= -tol))
+            (jlap((f1 * f1 + f2 * f2).real()).value.real, geomv >= -tol)), {"geom": geomv}
     return at
 
 
@@ -187,7 +196,7 @@ def _jacobian_quantities(m, tol):
               - (jx(j2) * jx(tf1) + jy(j2) * jy(tf1))).value.real
         cleared = (jac * jlap(jac) - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
         return jval <= tol, ((jlap(jac).value.real, h1 <= tol),
-                             (cleared, h1 <= tol and jval > tol))
+                             (cleared, h1 <= tol and jval > tol)), {"h1": h1}
     return at
 
 
@@ -199,9 +208,9 @@ def test_jet_scan_matches_per_point_loop(u):
              ("lap_abs_f2", "nonneg"), ("lap_grad_u2", "nonneg"))
     tol = 1e-10
     rep = hm._scan_jets(u, CROSSING, None, tol, None)
-    stats, singular = _per_point_stats(
+    stats, columns = _per_point_stats(
         names, CROSSING, _gradient_quantities(parse_expr(u), tol), tol)
-    _assert_same(rep, stats, singular)
+    _assert_same(rep, stats, columns)
     assert rep.singular_count > 0
     assert rep.ok() == (u == JET_U)
 
@@ -214,8 +223,8 @@ def test_contact_jacobian_scan_matches_per_point_loop(m):
     names = (("lap_jf", "nonpos"), ("cleared_log_jf", "nonpos"))
     tol = 1e-10
     rep = hm.contact_jacobian_scan(m, CROSSING, tol=tol)
-    stats, singular = _per_point_stats(names, CROSSING, _jacobian_quantities(m, tol), tol)
-    _assert_same(rep, stats, singular)
+    stats, columns = _per_point_stats(names, CROSSING, _jacobian_quantities(m, tol), tol)
+    _assert_same(rep, stats, columns)
     assert rep.singular_count > 0
 
 

@@ -1,7 +1,10 @@
 """The arbitration battery: every contested constant lands on its recorded
-verdict with the engine-fitted value."""
+verdict with the engine-fitted value, and every verdict is computed from
+its evidence, so a perturbed route flips it."""
 import pytest
 
+from heiscalc import fields, harmonic, ledger, schwarzian
+from heiscalc.cli import main
 from heiscalc.ledger import ledger_run
 
 # key -> (agrees, fitted)
@@ -34,6 +37,7 @@ def test_ledger_entry(key, entries):
     e = entries[key]
     assert e.agrees == agrees, e.line()
     assert e.fitted == fitted, e.line()
+    assert e.holds is True, e.line()
 
 
 def test_entry_lines_render(entries):
@@ -41,3 +45,38 @@ def test_entry_lines_render(entries):
         line = e.line()
         assert e.key in line
         assert ("agrees" in line) or ("MISMATCH" in line)
+
+
+def _shift_middle_coeff(monkeypatch):
+    # the left law's zero moves from -1 to -2
+    law = schwarzian.cocycle_residual_left
+    monkeypatch.setattr(schwarzian, "cocycle_residual_left",
+                        lambda g, f, p, middle_coeff: law(g, f, p, middle_coeff + 1))
+
+
+def _double_zbar(monkeypatch):
+    frame_zbar = ledger.frame_zbar
+    monkeypatch.setattr(ledger, "frame_zbar", lambda u: frame_zbar(u) * 2)
+
+
+# key -> a perturbation of that entry's evidence or of its owner constant
+PERTURBATIONS = {
+    "exp-flow-closed-form": lambda mp: mp.setattr(
+        fields, "scl_exp_flow", fields.scl_exp_flow_reference),
+    "cr-sign-family": lambda mp: mp.setattr(
+        schwarzian, "s_cr_reciprocal_form", schwarzian.s_cr),   # returns +S
+    "left-cocycle-middle-coefficient": _shift_middle_coeff,
+    "pf-gradient-norm": _double_zbar,
+    "vertical-jacobian-sign": lambda mp: mp.setattr(            # composites lose contact
+        ledger, "_rp_compose", lambda g, f1, f2, f3: (f1, f2, f3 * 2)),
+    "system-constant": lambda mp: mp.setattr(harmonic, "SYSTEM_CONSTANT", 7),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PERTURBATIONS))
+def test_perturbed_evidence_flips_the_verdict(key, monkeypatch, capsys):
+    PERTURBATIONS[key](monkeypatch)
+    e = {e.key: e for e in ledger_run()}[key]
+    assert e.holds is False, e.line()
+    assert main(["verify", "--suite", "ledger"]) == 1
+    assert f"unexpected fit for {key}:" in capsys.readouterr().out

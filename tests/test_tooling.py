@@ -1,9 +1,14 @@
 """Guards for the tools around the package: the benchmark's traced run wraps
-heiscalc functions by name, so a rename must fail here first."""
+heiscalc functions by name, and its exact workload checks the ledger against
+a recorded table, so a rename or a changed verdict must fail here first."""
 import importlib.util
+import json
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from heiscalc.ledger import ledger_run
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def test_bench_span_targets_resolve():
@@ -12,3 +17,9 @@ def test_bench_span_targets_resolve():
     spec.loader.exec_module(spans)
     for name, owner, attr in spans.TARGETS:
         assert callable(getattr(owner, attr, None)), (name, attr)
+
+
+def test_ledger_matches_the_benchmark_reference():
+    # the exact workload fails every case on any difference from this table
+    table = json.loads((BENCH / "reference.json").read_text())["exact"]["ledger"]
+    assert {e.key: [e.fitted, e.agrees] for e in ledger_run()} == table
