@@ -288,6 +288,7 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("flow", "--h", "1e-", "--s", "1", "--point", "0,0,0"), 2),
     (("flow", "--h", "x*\u00b2", "--s", "1", "--point", "0,0,0"), 2),
     (("flow", "--h", "1" * 5000 + "*x", "--s", "1", "--point", "0,0,0"), 2),
+    (("eval", "--map", "dil(1e-100)", "--point", "1,1,1", "--which", "s_cr"), 3),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))

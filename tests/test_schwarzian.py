@@ -280,6 +280,30 @@ def test_conformal_gate_reads_the_derivatives_of_zbar_g():
         sw.cocycle_residual_right(f, g, (0.0, 0.7, -0.4))
 
 
+TINY_JACOBIAN_DIAGNOSTICS = {
+    "preschwarzian_identity_residual": sw.preschwarzian_identity_residual,
+    "pluriharmonic_residual": sw.pluriharmonic_residual,
+    "s_cr_reciprocal_form": sw.s_cr_reciprocal_form,
+    "s_cr_tensor_coeff": sw.s_cr_tensor_coeff,
+    "preschwarzian": sw.preschwarzian,
+    "pushforward_w0": lambda f, p: word_jet("ZZ", fields.pushforward_w0(f, 8, p)).value,
+}
+
+
+@pytest.mark.parametrize("eps", [1e-155, 1e-165, 1e-200])
+@pytest.mark.parametrize("name", TINY_JACOBIAN_DIAGNOSTICS)
+def test_a_tiny_jacobian_gives_a_finite_value_or_a_typed_error(name, eps):
+    # J = eps + (x - 0.3) at x = 0.3: the coefficients of 1/J and log J
+    # are powers of 1/eps, which overflow, or divide by eps^k, which
+    # underflows to zero
+    f = HeisMap(ex.X, ex.mul(ex.Y, ex.add(ex.const(eps), ex.sub(ex.X, ex.const(0.3)))), ex.T)
+    try:
+        value = TINY_JACOBIAN_DIAGNOSTICS[name](f, Point(0.3, 0.5, 0.1))
+    except HeisError:
+        return
+    assert math.isfinite(abs(value))
+
+
 # --- ZH = 1 builder ---------------------------------------------------------
 
 @pytest.mark.parametrize("seed_text", ["3*x^2*y - y^3", "x^4 - 6*x^2*y^2 + y^4",
