@@ -179,11 +179,22 @@ class Reading:
         self.key, self.jets, self.derived = key, jets, {}
 
     def shared(self, name: str, make) -> Jet:
-        """The jet make() gives, made on the first call for this name."""
+        """The jet make() gives, made on the first call for this name. A
+        derived jet that divides by an underflowing power, or overflows,
+        is a DomainError, as it is inside an evaluation."""
         j = self.derived.get(name)
         if j is None:
-            j = self.derived[name] = make()
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    j = make()
+                    at = ex._not_finite_at((j,))
+            except (OverflowError, ZeroDivisionError) as e:
+                raise DomainError(f"the {name} jet at {self.jets[0].base} "
+                                  f"leaves the float range: {e}") from None
+            if at is not None:
+                raise DomainError(f"the {name} jet is not finite at {at}")
             j.coef.flags.writeable = False
+            self.derived[name] = j
         return j
 
 

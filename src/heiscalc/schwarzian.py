@@ -14,12 +14,14 @@ expressions happens here.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
 from . import expr as ex
-from .errors import BadPotential, NotContact, NotPositive, SingularError
+from .errors import (BadPotential, DomainError, NotContact, NotPositive,
+                     SingularError)
 from .exact import QQi, RatPoly, d_coord, frame_z, ratpoly_from_expr
 from .group import HeisMap
 from .horizontal import assess_contact, jacobian, jz, jzb, word_jet
@@ -78,7 +80,11 @@ def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
     lam = _positive_jacobian(f, p, 2)   # Z^2 of J
     zlam = jz(lam)
     num = (lam * jz(zlam) - 2.0 * zlam * zlam).value
-    return num / (lam.value * lam.value)
+    den = lam.value * lam.value   # zero for a Jacobian below about 1e-162
+    if not den or not cmath.isfinite(num / den):
+        raise DomainError(f"the cleared route overflows at {tuple(p)}: "
+                          f"Jacobian {lam.value.real:.3e}")
+    return num / den
 
 
 def s_cl(f: HeisMap, p) -> complex:
