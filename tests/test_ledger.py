@@ -80,3 +80,17 @@ def test_perturbed_evidence_flips_the_verdict(key, monkeypatch, capsys):
     assert e.holds is False, e.line()
     assert main(["verify", "--suite", "ledger"]) == 1
     assert f"unexpected fit for {key}:" in capsys.readouterr().out
+
+
+def test_an_exact_route_that_fits_no_constant_is_a_verdict(monkeypatch, capsys):
+    # lap(Xu) + T(Xu) is no constant multiple of T(Yu): the fit of entry (a)
+    # finds none, which fails that entry and leaves the other nine
+    laplacian_h = ledger.laplacian_h
+    monkeypatch.setattr(ledger, "laplacian_h", lambda u: laplacian_h(u) + ledger.frame_t(u))
+    entries = {e.key: e for e in ledger_run()}
+    assert set(entries) == set(EXPECTED)
+    e = entries["system-constant"]
+    assert e.fitted == "no candidate fits", e.line()
+    assert e.holds is False, e.line()
+    assert main(["verify", "--suite", "ledger"]) == 1
+    assert "unexpected fit for system-constant:" in capsys.readouterr().out
