@@ -17,6 +17,7 @@ from . import harmonic as hm
 from . import schwarzian as sw
 from .exact import (RatPoly, fit_constant, frame_t, frame_x, frame_y, frame_z,
                     frame_zbar, harmonic_nullspace, laplacian_h)
+from .errors import NoConsistentConstant
 from .group import Invert, LinearSL2, Point, Translate, word_to_map
 
 # a float route fits a candidate whose worst residual over its probe points is
@@ -28,6 +29,15 @@ _NO_FIT = "no candidate fits"
 def _fit(residuals: dict) -> str:
     """The first candidate whose worst residual is within _FIT_BOUND."""
     return next((c for c, r in residuals.items() if r <= _FIT_BOUND), _NO_FIT)
+
+
+def _exact_fit(fit) -> tuple[str, str]:
+    """The repr of the constant fit() finds exactly and an empty note, or
+    _NO_FIT and the reason it found none, for the detail."""
+    try:
+        return repr(fit()), ""
+    except NoConsistentConstant as e:
+        return _NO_FIT, f"; {e}"
 
 
 @dataclass
@@ -58,25 +68,27 @@ def ledger_run() -> list[LedgerEntry]:
     basis = harmonic_nullspace(4)
 
     # (a) first-order system of the gradient map: lap f1 = c T f2
-    c = fit_constant((laplacian_h(frame_x(u)), frame_t(frame_y(u))) for u in basis)
+    c, why = _exact_fit(lambda: fit_constant(
+        (laplacian_h(frame_x(u)), frame_t(frame_y(u))) for u in basis))
     entries.append(LedgerEntry(
-        key="system-constant", stated="8", fitted=repr(c), adopted=str(hm.SYSTEM_CONSTANT),
-        detail="lap(Xu) = c T(Yu) over the harmonic basis, exact"))
+        key="system-constant", stated="8", fitted=c, adopted=str(hm.SYSTEM_CONSTANT),
+        detail="lap(Xu) = c T(Yu) over the harmonic basis, exact" + why))
 
     # (b) decoupled fourth-order equation: lap lap f1 = c T^2 f1; T^2 Xu only
     # shows up at weighted degree 5, so the basis needs dmax >= 5
-    c = fit_constant((laplacian_h(laplacian_h(frame_x(u))), frame_t(frame_t(frame_x(u))))
-                     for u in harmonic_nullspace(6))
+    c, why = _exact_fit(lambda: fit_constant(
+        (laplacian_h(laplacian_h(frame_x(u))), frame_t(frame_t(frame_x(u))))
+        for u in harmonic_nullspace(6)))
     entries.append(LedgerEntry(
-        key="bilaplace-constant", stated="-64", fitted=repr(c),
-        adopted=str(hm.BILAPLACE_CONSTANT), detail="lap^2(Xu) = c T^2(Xu), exact"))
+        key="bilaplace-constant", stated="-64", fitted=c,
+        adopted=str(hm.BILAPLACE_CONSTANT), detail="lap^2(Xu) = c T^2(Xu), exact" + why))
 
     # (c) Bochner constant
+    c, why = _exact_fit(lambda: hm.determine_kappa(4))
     entries.append(LedgerEntry(
-        key="bochner-kappa", stated="1/2", fitted=repr(hm.determine_kappa(4)),
-        adopted=str(hm.BOCHNER_KAPPA),
+        key="bochner-kappa", stated="1/2", fitted=c, adopted=str(hm.BOCHNER_KAPPA),
         detail="(1/2) lap|grad u|^2 - ||Hess u||^2 = kappa (Xu YTu - Yu XTu); "
-               "engine adopts the fitted value"))
+               "engine adopts the fitted value" + why))
 
     # (d) lap log J_F = c Re(Zb Pf), cleared of denominators
     def pair_d(u):
@@ -84,19 +96,19 @@ def ledger_run() -> list[LedgerEntry]:
         return (j * laplacian_h(j) - frame_x(j) ** 2 - frame_y(j) ** 2,
                 (j * frame_zbar(frame_z(j)) - frame_z(j) * frame_zbar(j)).re_part())
 
+    c, why = _exact_fit(lambda: fit_constant(map(pair_d, basis)))
     entries.append(LedgerEntry(
-        key="lap-log-jacobian-constant", stated="8", fitted=repr(fit_constant(map(pair_d, basis))),
-        adopted="4",
+        key="lap-log-jacobian-constant", stated="8", fitted=c, adopted="4",
         detail="J lap J - |grad_H J|^2 = c Re(J ZbZJ - ZJ ZbJ) over gradient-map "
-               "Jacobians; engine adopts the fitted value"))
+               "Jacobians; engine adopts the fitted value" + why))
 
     # (e) sublaplacian prefactor: lap = c (ZbZ + ZZb)
-    c = fit_constant(
+    c, why = _exact_fit(lambda: fit_constant(
         (laplacian_h(q), exact.word_apply("ZbZ", q) + exact.word_apply("ZZb", q))
-        for q in (RatPoly.monomial(*m) for m in exact.monomials_wdeg(4)))
+        for q in (RatPoly.monomial(*m) for m in exact.monomials_wdeg(4))))
     entries.append(LedgerEntry(
-        key="sublaplacian-prefactor", stated="4", fitted=repr(c), adopted="2",
-        detail="lap = c (ZbZ + ZZb) on monomials; engine normalises to X^2 + Y^2"))
+        key="sublaplacian-prefactor", stated="4", fitted=c, adopted="2",
+        detail="lap = c (ZbZ + ZZb) on monomials; engine normalises to X^2 + Y^2" + why))
 
     # (f) exponential-flow closed form: the two forms differ on a probe grid,
     # and s_cl of the time-1 flow map, from its jets, decides between them
