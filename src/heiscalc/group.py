@@ -14,7 +14,8 @@ point takes the truncation to the order its formula consumes, so the
 CR and classical Schwarzians, the preschwarzian, the contact gates and the
 pushforwards of one (map, point) share one evaluation. The reading also
 holds what they derive alike: the Jacobian jet and its reciprocal and log
-(see `horizontal.jacobian`). An `(N, 3)` batch of points bypasses it.
+(`horizontal.jacobian`), Z F and Z conj(F) (`horizontal.zf`), and the
+contact assessment. An `(N, 3)` batch of points bypasses it.
 """
 from __future__ import annotations
 
@@ -168,7 +169,7 @@ class LinearSL2:
 
 class Reading:
     """A map's jets at one point, to the highest order asked there so far,
-    and the jets derived from them that diagnostics share, each made on
+    and the values derived from them that diagnostics share, each made on
     first use. Every coefficient array is read-only: the jets are handed
     out, not copied, so a caller that writes to one raises."""
     __slots__ = ("key", "jets", "derived")
@@ -178,24 +179,26 @@ class Reading:
             j.coef.flags.writeable = False
         self.key, self.jets, self.derived = key, jets, {}
 
-    def shared(self, name: str, make) -> Jet:
-        """The jet make() gives, made on the first call for this name. A
-        derived jet that divides by an underflowing power, or overflows,
-        is a DomainError, as it is inside an evaluation."""
-        j = self.derived.get(name)
-        if j is None:
+    def shared(self, name: str, make):
+        """The value make() gives, made on the first call for this name and
+        handed out shared: a jet is made read-only, any other value must be
+        immutable. A jet that overflows, or a division by an underflowed
+        power in make, is a DomainError, as inside an evaluation."""
+        v = self.derived.get(name)
+        if v is None:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    j = make()
-                    at = ex._not_finite_at((j,))
+                    v = make()
+                    at = ex._not_finite_at((v,)) if isinstance(v, Jet) else None
             except (OverflowError, ZeroDivisionError) as e:
-                raise DomainError(f"the {name} jet at {self.jets[0].base} "
+                raise DomainError(f"the {name} at {self.jets[0].base} "
                                   f"leaves the float range: {e}") from None
             if at is not None:
                 raise DomainError(f"the {name} jet is not finite at {at}")
-            j.coef.flags.writeable = False
-            self.derived[name] = j
-        return j
+            if isinstance(v, Jet):
+                v.coef.flags.writeable = False
+            self.derived[name] = v
+        return v
 
 
 class HeisMap:

@@ -161,7 +161,19 @@ def jacobian(f: HeisMap, p, order: int, form: str = "") -> Jet:
     return lam.truncate(order)
 
 
-@dataclass
+def zf(f: HeisMap, p, order: int, conj: bool = False) -> Jet:
+    """The jet of Z F, F = f1 + i f2 the complex horizontal part of f, at
+    the single point p to `order`, or with conj that of Z conj(F). Each is
+    made once per reading of f at p, from its jets to order + 1, and
+    truncated, like `jacobian`."""
+    r = f.reading(p, order + 1)
+    j1, j2, _ = r.jets
+    z = r.shared("zfbar" if conj else "zf",
+                 lambda: jz((j1 + 1j * j2).conj() if conj else j1 + 1j * j2))
+    return z.truncate(order)
+
+
+@dataclass(frozen=True)
 class ContactAssessment:
     point: Point
     d_hf: tuple              # ((Xf1, Yf1), (Xf2, Yf2))
@@ -199,8 +211,12 @@ class ContactAssessment:
 
 def assess_contact(f: HeisMap, p) -> ContactAssessment:
     """The first-order reading of f at p: the horizontal differential and
-    T f, from f's jets to order 1 (a truncation of its reading there). The
-    gates of the Schwarzians read it too."""
+    T f, from f's jets to order 1 (a truncation of its reading there), made
+    once per reading and read by the gates of the Schwarzians too."""
+    return f.reading(p, 1).shared("contact assessment", lambda: _assess(f, p))
+
+
+def _assess(f: HeisMap, p) -> ContactAssessment:
     rows = [(jx(j).value, jy(j).value, jt(j).value, j.value) for j in f.jets(p, 1)]
     (xf1, yf1, tf1, f1v), (xf2, yf2, tf2, f2v), (xf3, yf3, tf3, _) = rows
 

@@ -5,10 +5,11 @@ Each diagnostic takes from the map's reading at the base point (see
 `group.HeisMap.reading`) the jets to the order its formula consumes (a frame
 derivative uses one order, the Jacobian one more); a higher order changes
 no value, only the work. The diagnostics of one (map, point) share one
-evaluation, and one Jacobian jet with its log and reciprocal. A diagnostic
-whose gate reads a lower order before its formula reads the full one first
-asks the reading for the full order, so the gate does not evaluate the map
-on its own. The scalar fields (Jacobian, conformal factor, quotients) are
+evaluation, one Jacobian jet with its log and reciprocal, one Z F and
+Z conj(F), and one contact assessment. A diagnostic whose gate reads a
+lower order before its formula reads the full one first asks the reading
+for the full order, so the gate does not evaluate the map on its own.
+The scalar fields (Jacobian, conformal factor, quotients) are
 jet-level compositions, so no symbolic differentiation of the map
 expressions happens here.
 """
@@ -24,7 +25,7 @@ from .errors import (BadPotential, DomainError, NotContact, NotPositive,
                      SingularError)
 from .exact import QQi, RatPoly, d_coord, frame_z, ratpoly_from_expr
 from .group import HeisMap
-from .horizontal import assess_contact, jacobian, jz, jzb, word_jet
+from .horizontal import assess_contact, jacobian, jz, jzb, word_jet, zf
 from .jets import Jet
 
 _TINY = 1e-13
@@ -89,14 +90,14 @@ def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
 
 def s_cl(f: HeisMap, p) -> complex:
     """Classical-type Schwarzian Z^3F/ZF - (3/2)(Z^2F/ZF)^2."""
-    j1, j2, _ = f.jets(p, 3)   # Z^3 F
+    f.reading(p, 3)   # the contact gate reads order 1 of it
     _contact_gate(f, p)
-    zf = jz(j1 + 1j * j2)
-    if abs(zf.value) < _TINY:
+    z1 = zf(f, p, 2)   # Z^3 F
+    if abs(z1.value) < _TINY:
         raise SingularError(f"ZF vanishes at {tuple(p)}")
-    z2f = jz(zf)
-    q = z2f.value / zf.value
-    return jz(z2f).value / zf.value - 1.5 * q * q
+    z2 = jz(z1)
+    q = z2.value / z1.value
+    return jz(z2).value / z1.value - 1.5 * q * q
 
 
 def preschwarzian(f: HeisMap, p) -> complex:
@@ -122,12 +123,10 @@ def pluriharmonic_residual(f: HeisMap, p) -> complex:
 
 def _conformal_gate(g: HeisMap, p, order: int) -> Jet:
     """The jet of ZG at p to order - 1, from g's jets to order >= 2, after
-    checking that g is conformal around p: Zbar G and its horizontal
-    derivatives Z Zbar G and Zbar Zbar G vanish there, relative to
-    1 + |ZG| + |Z^2 G|."""
-    j1, j2, _ = g.jets(p, order)
-    gjet = j1 + 1j * j2
-    zg, zbg = jz(gjet), jzb(gjet)
+    checking that g is conformal around p: Zbar G = conj(Z conj(G)) and its
+    horizontal derivatives Z Zbar G and Zbar Zbar G vanish there, relative
+    to 1 + |ZG| + |Z^2 G|."""
+    zg, zbg = zf(g, p, order - 1), zf(g, p, 1, conj=True).conj()
     worst = max(abs(zbg.value), abs(jz(zbg).value), abs(jzb(zbg).value))
     if worst > 1e-8 * (1.0 + abs(zg.value) + abs(jz(zg).value)):
         raise NotContact(f"{g!r} is not conformal at {tuple(map(float, p))}: "
@@ -146,9 +145,7 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
     lhs = s_cr(f.compose(g), p)
 
     g.reading(p, 3)   # S_CR(g); Z^2 G and Z J_G need only 2
-    j1, j2, _ = g.jets(p, 2)
-    gjet = j1 + 1j * j2
-    zg_jet, zgbar_jet = jz(gjet), jz(gjet.conj())
+    zg_jet, zgbar_jet = zf(g, p, 1), zf(g, p, 1, conj=True)
     zg, zgbar = zg_jet.value, zgbar_jet.value
     z2g, z2gbar = jz(zg_jet).value, jz(zgbar_jet).value
     lam_g = jacobian(g, p, 1)
@@ -204,15 +201,13 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p,
     e_big = jzb(z2g).value                     # Zbar Z^2 G
 
     f.reading(p, 3)   # S_CL(f); Z^2 F needs only 2
-    jf1, jf2, _ = f.jets(p, 2)
-    fjet = jf1 + 1j * jf2
-    zf, zfbar = jz(fjet), jz(fjet.conj())
-    a = zf.value                               # ZF
+    z1, z1bar = zf(f, p, 1), zf(f, p, 1, conj=True)
+    a = z1.value                               # ZF
     if abs(a) < _TINY:
         raise SingularError(f"ZF vanishes at {tuple(p)}")
-    b = jz(zf).value                           # Z^2 F
-    abar = zfbar.value                         # Z Fbar
-    bbar = jz(zfbar).value                     # Z^2 Fbar
+    b = jz(z1).value                           # Z^2 F
+    abar = z1bar.value                         # Z Fbar
+    bbar = jz(z1bar).value                     # Z^2 Fbar
 
     lhs = s_cl(g.compose(f), p)
     rhs = (s_cl(f, p)

@@ -221,12 +221,12 @@ def test_signed_zero_points_are_two_readings():
 
 def test_handed_out_jets_are_read_only():
     from heiscalc import schwarzian as sw
-    from heiscalc.horizontal import jacobian
+    from heiscalc.horizontal import jacobian, zf
     m = word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5)])
     p = (1.0, 1.0, 0.0)
     want = sw.s_cr(m, p)
     for j in (*m.jets(p, 3), jacobian(m, p, 2), jacobian(m, p, 2, "log"),
-              jacobian(m, p, 2, "reciprocal")):
+              jacobian(m, p, 2, "reciprocal"), zf(m, p, 2), zf(m, p, 2, conj=True)):
         with pytest.raises(ValueError):
             j.coef[0] = 1.0
         with pytest.raises(ValueError):
@@ -235,6 +235,20 @@ def test_handed_out_jets_are_read_only():
     low = m.jets(p, 2)[0]   # a truncation is a copy, free to change
     low.coef[0] = 1.0
     assert repr(sw.s_cr(m, p)) == repr(want)
+
+
+def test_the_shared_contact_assessment_is_immutable():
+    import dataclasses
+    from heiscalc import schwarzian as sw
+    from heiscalc.horizontal import assess_contact
+    m = word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5)])
+    p = (1.0, 1.0, 0.0)
+    want = sw.s_cl(m, p)
+    a = assess_contact(m, p)
+    assert assess_contact(m, p) is a   # the one the gate of s_cl read
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.r1 = 1.0
+    assert repr(sw.s_cl(m, p)) == repr(want)
 
 
 def test_a_batch_bypasses_the_reading():

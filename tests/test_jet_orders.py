@@ -4,7 +4,8 @@ and each (map, point) is evaluated once.
 A map's jets come from its reading (HeisMap.reading), which evaluates at
 the highest order asked so far and hands each consumer a truncation. So the
 test intercepts two things: the order each consumer asks for (HeisMap.jets,
-horizontal.jacobian, and each module's jet_eval, which evaluates at once),
+horizontal.jacobian, horizontal.zf, and each module's jet_eval, which
+evaluates at once),
 and the order of each evaluation inside a reading (group.jet_eval). One
 order more, at every consumer and every evaluation, must leave the result
 equal, so the chosen orders lose nothing; one order less, at any single
@@ -85,12 +86,13 @@ def _run(monkeypatch, name, shift, evals=None):
     """The diagnostic's result with each consumer's order passed through
     shift and each evaluation's inside a reading through evals."""
     evals = evals or _Shift(0)
-    jets, jacobian = HeisMap.jets, horizontal.jacobian
+    jets, jacobian, zf = HeisMap.jets, horizontal.jacobian, horizontal.zf
     with monkeypatch.context() as mp:
         mp.setattr(HeisMap, "jets", lambda self, p, order: jets(self, p, shift(order)))
         for mod in (horizontal, sw, fields):
             mp.setattr(mod, "jacobian", lambda f, p, order, form="":
                        jacobian(f, p, shift(order), form))
+        mp.setattr(sw, "zf", lambda f, p, order, conj=False: zf(f, p, shift(order), conj))
         for mod in (horizontal, harmonic):
             mp.setattr(mod, "jet_eval",
                        lambda roots, p, order, f=mod.jet_eval: f(roots, p, shift(order)))
@@ -145,11 +147,9 @@ def test_composition_residuals_evaluate_shared_jets_once(monkeypatch, name):
     assert orders == [3] * JETS_CALLS[name]
 
 
-def test_a_words_block_evaluates_each_map_and_point_once(monkeypatch):
-    # Block 0 of seed 1 of the benchmark's words workload: 16 single maps,
-    # one evaluation each for s_cr, s_cl, the preschwarzian, the contact
-    # assessment and four pushforwards; 4 pairs, 3 + 1 + 3 for the three
-    # residuals; the pinned map, 1.
+def _words_block_0(monkeypatch):
+    """A function that checks block 0 of seed 1 of the benchmark's words
+    workload, all of whose cases pass."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -157,6 +157,28 @@ def test_a_words_block_evaluates_each_map_and_point_once(monkeypatch):
     spec.loader.exec_module(workloads)
     words = workloads.Words(workloads.Words.default_refs(None))
     cases = words.block(1, 0)
+    return lambda: all(words.check(case, workloads.Stats()) for case in cases)
+
+
+def test_a_words_block_evaluates_each_map_and_point_once(monkeypatch):
+    # 16 single maps, one evaluation each for s_cr, s_cl, the preschwarzian,
+    # the contact assessment and four pushforwards; 4 pairs, 3 + 1 + 3 for
+    # the three residuals; the pinned map, 1.
+    check = _words_block_0(monkeypatch)
     orders = _count_jet_evaluations(monkeypatch)
-    assert all(words.check(case, workloads.Stats()) for case in cases)
+    assert check()
     assert len(orders) == 16 + 4 * 7 + 1 == 45
+
+
+def test_a_words_block_assesses_contact_once_per_reading(monkeypatch):
+    # One assessment per reading that a contact gate or the plain case reads:
+    # each single map, 1 for s_cr, s_cl and is_contact; each pair, 3 for the
+    # chain rule's three S_CR, 1 for the right law's composite (it reads f
+    # and g where the chain rule did), 2 for the left law's composite and f
+    # at p; the pinned map, 1. A gate that built its own made 81.
+    check = _words_block_0(monkeypatch)
+    builds = []
+    assess = horizontal._assess
+    monkeypatch.setattr(horizontal, "_assess", lambda f, p: builds.append(p) or assess(f, p))
+    assert check()
+    assert len(builds) == 16 + 4 * (3 + 1 + 2) + 1 == 41
