@@ -327,7 +327,7 @@ def cmd_scan(args) -> int:
         u = harmonic._try_poly(u)
         if u is None:
             raise ParseError("scan output needs a polynomial potential")
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = args.tol if args.tol is not None else harmonic.SCAN_TOL
     rep = harmonic.subharmonicity_scan(u, region, tol=tol)
     if as_csv:
         names = [c.name for c in rep.checks] + ["geom"]

@@ -251,6 +251,9 @@ _JET_CHUNK = 64
 # 0.39); 512 points take 4.2-7.1 ms at 734 KiB, and the whole grid at once
 # peaks at 1875 KiB and raises RSS by about 1.3 MiB.
 _POLY_CHUNK = 1024
+# The sign scans' default tolerance: how far a claim's value may miss its
+# sign, and the threshold of the singular and gate tests.
+SCAN_TOL = 1e-10
 
 
 def _sign_scan(region, shape, label, tol, claims, route, chunk) -> SignReport:
@@ -307,7 +310,7 @@ def _grad_quantities_poly(u: RatPoly) -> tuple:
 
 
 def subharmonicity_scan(u, region, label: str | None = None,
-                        tol: float = 1e-10) -> SignReport:
+                        tol: float = SCAN_TOL) -> SignReport:
     """Scan the gradient-map sign claims for a harmonic potential over a grid.
 
     region is three (lo, hi, n) triples for x, y, t. Points where ZF = 0 are
@@ -345,7 +348,7 @@ def _scan_jets(u, region, label, tol, shape) -> SignReport:
                       route, _JET_CHUNK)
 
 
-def contact_jacobian_scan(m: HeisMap, region, tol: float = 1e-10) -> SignReport:
+def contact_jacobian_scan(m: HeisMap, region, tol: float = SCAN_TOL) -> SignReport:
     """Sign scan of lap J and the cleared lap log J for a contact harmonic map,
     gated on the mixed-gradient condition for superharmonicity."""
 
