@@ -8,7 +8,7 @@ For each workload, pair i runs `bench/run.py --workload W --seed S
 (cycled) and the parent first on even i, the change first on odd i, so a
 drift of the host's speed falls on both sides alike. The output records how
 it was made (the command, each side's `git describe --always --dirty`, the
-host), then gives, for each workload and end-to-end metric, the median and
+host, and whether each side's runs write bytecode), then gives, for each workload and end-to-end metric, the median and
 interquartile range of each side, the ratio of the medians (change /
 parent), the pairs in which the change is lower, and each pair's values;
 then, from one `--trace 1` run per side on the first seed, the call count
@@ -54,6 +54,17 @@ def summary(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def bytecode_mode(root: Path) -> dict:
+    """Whether the runs in root write bytecode: PYTHONDONTWRITEBYTECODE as
+    they inherit it, and sys.flags.dont_write_bytecode as an interpreter
+    started there the way they are reads it."""
+    flag = subprocess.run([sys.executable, "-c",
+                           "import sys; print(sys.flags.dont_write_bytecode)"],
+                          cwd=root, capture_output=True, text=True, check=True).stdout
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "dont_write_bytecode": bool(int(flag))}
+
+
 def describe(root: Path) -> str:
     proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
                           capture_output=True, text=True)
@@ -69,7 +80,9 @@ def main(argv=None) -> int:
     doc = {"command": ["scripts/bench_pairs.py", *sys.argv[1:]],
            "parent": describe(args.parent), "change": describe(args.change),
            "host": {"platform": platform.platform(), "nproc": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": numpy.__version__},
+                    "python": platform.python_version(), "numpy": numpy.__version__,
+                    "bytecode": {side: bytecode_mode(getattr(args, side))
+                                 for side in ("parent", "change")}},
            "pairs": PAIRS, "seconds": SECONDS, "seeds": SEEDS, "workloads": {}}
     for workload in WORKLOADS:
         runs = []
