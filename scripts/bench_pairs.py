@@ -8,11 +8,12 @@ For each workload, pair i runs `bench/run.py --workload W --seed S
 (cycled) and the parent first on even i, the change first on odd i, so a
 drift of the host's speed falls on both sides alike. The output records how
 it was made (the command, each side's `git describe --always --dirty`, the
-host, and whether each side's runs write bytecode), then gives, for each workload and end-to-end metric, the median and
-interquartile range of each side, the ratio of the medians (change /
-parent), the pairs in which the change is lower, and each pair's values;
-then, from one `--trace 1` run per side on the first seed, the call count
-and self-time fraction of every span that was called.
+host, and whether each side's runs write bytecode), then gives, for each
+workload and end-to-end metric, the median and interquartile range of each
+side, the ratio of the medians (change / parent), the pairs in which the
+change is lower, and each pair's values; then, from one `--trace 1` run per
+side on the first seed, the call count and self-time fraction of every span
+that was called.
 """
 from __future__ import annotations
 

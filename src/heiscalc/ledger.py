@@ -31,11 +31,11 @@ def _fit(residuals: dict) -> str:
     return next((c for c, r in residuals.items() if r <= _FIT_BOUND), _NO_FIT)
 
 
-def _exact_fit(fit) -> tuple[str, str]:
-    """The repr of the constant fit() finds exactly and an empty note, or
-    _NO_FIT and the reason it found none, for the detail."""
+def _exact_fit(fit, arg) -> tuple[str, str]:
+    """The repr of the constant fit(arg) finds exactly and an empty note,
+    or _NO_FIT and the reason it found none, for the detail."""
     try:
-        return repr(fit()), ""
+        return repr(fit(arg)), ""
     except NoConsistentConstant as e:
         return _NO_FIT, f"; {e}"
 
@@ -68,15 +68,15 @@ def ledger_run() -> list[LedgerEntry]:
     basis = harmonic_nullspace(4)
 
     # (a) first-order system of the gradient map: lap f1 = c T f2
-    c, why = _exact_fit(lambda: fit_constant(
-        (laplacian_h(frame_x(u)), frame_t(frame_y(u))) for u in basis))
+    c, why = _exact_fit(fit_constant,
+                        ((laplacian_h(frame_x(u)), frame_t(frame_y(u))) for u in basis))
     entries.append(LedgerEntry(
         key="system-constant", stated="8", fitted=c, adopted=str(hm.SYSTEM_CONSTANT),
         detail="lap(Xu) = c T(Yu) over the harmonic basis, exact" + why))
 
     # (b) decoupled fourth-order equation: lap lap f1 = c T^2 f1; T^2 Xu only
     # shows up at weighted degree 5, so the basis needs dmax >= 5
-    c, why = _exact_fit(lambda: fit_constant(
+    c, why = _exact_fit(fit_constant, (
         (laplacian_h(laplacian_h(frame_x(u))), frame_t(frame_t(frame_x(u))))
         for u in harmonic_nullspace(6)))
     entries.append(LedgerEntry(
@@ -84,7 +84,7 @@ def ledger_run() -> list[LedgerEntry]:
         adopted=str(hm.BILAPLACE_CONSTANT), detail="lap^2(Xu) = c T^2(Xu), exact" + why))
 
     # (c) Bochner constant
-    c, why = _exact_fit(lambda: hm.determine_kappa(4))
+    c, why = _exact_fit(hm.determine_kappa, 4)
     entries.append(LedgerEntry(
         key="bochner-kappa", stated="1/2", fitted=c, adopted=str(hm.BOCHNER_KAPPA),
         detail="(1/2) lap|grad u|^2 - ||Hess u||^2 = kappa (Xu YTu - Yu XTu); "
@@ -96,14 +96,14 @@ def ledger_run() -> list[LedgerEntry]:
         return (j * laplacian_h(j) - frame_x(j) ** 2 - frame_y(j) ** 2,
                 (j * frame_zbar(frame_z(j)) - frame_z(j) * frame_zbar(j)).re_part())
 
-    c, why = _exact_fit(lambda: fit_constant(map(pair_d, basis)))
+    c, why = _exact_fit(fit_constant, map(pair_d, basis))
     entries.append(LedgerEntry(
         key="lap-log-jacobian-constant", stated="8", fitted=c, adopted="4",
         detail="J lap J - |grad_H J|^2 = c Re(J ZbZJ - ZJ ZbJ) over gradient-map "
                "Jacobians; engine adopts the fitted value" + why))
 
     # (e) sublaplacian prefactor: lap = c (ZbZ + ZZb)
-    c, why = _exact_fit(lambda: fit_constant(
+    c, why = _exact_fit(fit_constant, (
         (laplacian_h(q), exact.word_apply("ZbZ", q) + exact.word_apply("ZZb", q))
         for q in (RatPoly.monomial(*m) for m in exact.monomials_wdeg(4))))
     entries.append(LedgerEntry(
