@@ -162,23 +162,26 @@ def _words_block_0(monkeypatch):
 
 def test_a_words_block_evaluates_each_map_and_point_once(monkeypatch):
     # 16 single maps, one evaluation each for s_cr, s_cl, the preschwarzian,
-    # the contact assessment and four pushforwards; 4 pairs, 3 + 1 + 3 for
-    # the three residuals; the pinned map, 1.
+    # the contact assessment and four pushforwards; 4 pairs, 3 + 0 + 3 for
+    # the three residuals (the right law reads the chain rule's composite,
+    # kept by f.compose, and f and g where the chain rule did); the pinned
+    # map, 1. Building the composite afresh for each law made 45.
     check = _words_block_0(monkeypatch)
     orders = _count_jet_evaluations(monkeypatch)
     assert check()
-    assert len(orders) == 16 + 4 * 7 + 1 == 45
+    assert len(orders) == 16 + 4 * 6 + 1 == 41
 
 
 def test_a_words_block_assesses_contact_once_per_reading(monkeypatch):
     # One assessment per reading that a contact gate or the plain case reads:
     # each single map, 1 for s_cr, s_cl and is_contact; each pair, 3 for the
-    # chain rule's three S_CR, 1 for the right law's composite (it reads f
-    # and g where the chain rule did), 2 for the left law's composite and f
-    # at p; the pinned map, 1. A gate that built its own made 81.
+    # chain rule's three S_CR, 0 for the right law (it reads the chain
+    # rule's composite, and f and g where the chain rule did), 2 for the
+    # left law's composite and f at p; the pinned map, 1. A gate that built
+    # its own made 81, and a composite built afresh for each law 41.
     check = _words_block_0(monkeypatch)
     builds = []
     assess = horizontal._assess
     monkeypatch.setattr(horizontal, "_assess", lambda f, p: builds.append(p) or assess(f, p))
     assert check()
-    assert len(builds) == 16 + 4 * (3 + 1 + 2) + 1 == 41
+    assert len(builds) == 16 + 4 * (3 + 0 + 2) + 1 == 37
