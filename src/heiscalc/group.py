@@ -208,6 +208,7 @@ class HeisMap:
         self.e1, self.e2, self.e3 = e1, e2, e3
         self.name = name
         self._reading = None
+        self._composed = None   # (inner, self after inner), the last composite
 
     def __call__(self, p) -> Point:
         return Point(*(v.real for v in eval_at((self.e1, self.e2, self.e3), p)))
@@ -230,9 +231,16 @@ class HeisMap:
         return tuple(j.truncate(order) for j in self.reading(p, order).jets)
 
     def compose(self, inner: "HeisMap") -> "HeisMap":
-        """self after inner: (self.compose(g))(p) = self(g(p))."""
-        return HeisMap(*ex.subs((self.e1, self.e2, self.e3), inner.e1, inner.e2, inner.e3),
-                       name=f"{self.name or '?'}∘{inner.name or '?'}")
+        """self after inner: (self.compose(g))(p) = self(g(p)).
+
+        The last composite is kept, keyed by the inner map object, so the
+        laws that read one pair's composite share it and its reading."""
+        c = self._composed
+        if c is None or c[0] is not inner:
+            c = self._composed = (inner, HeisMap(
+                *ex.subs((self.e1, self.e2, self.e3), inner.e1, inner.e2, inner.e3),
+                name=f"{self.name or '?'}∘{inner.name or '?'}"))
+        return c[1]
 
     def __repr__(self):
         return f"HeisMap({self.name or 'anonymous'})"
@@ -247,8 +255,8 @@ def word_to_map(word) -> HeisMap:
     m = HeisMap(ex.X, ex.Y, ex.T)
     for gen in reversed(word):
         m = HeisMap(*gen.exprs()).compose(m)
-    m.name = "∘".join(gen.label() for gen in word) or "id"
-    return m
+    # a map of its own, so the name goes on no composite that a map keeps
+    return HeisMap(m.e1, m.e2, m.e3, "∘".join(gen.label() for gen in word) or "id")
 
 
 def word_orientation(word) -> int:
