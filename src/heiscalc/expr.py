@@ -310,9 +310,10 @@ def _reciprocal(b, _):
 
 
 def _schedule(roots, nodes, leaves, expo, nconst, jets) -> tuple:
-    """The steps of the nodes and the roots' slots, for a run whose slots
-    `jets` hold jets (the seeds; none for scalars): there a 'div' by a jet
-    multiplies by the reciprocal of its divisor's slot, made once."""
+    """The steps `(fn, i, j, k)` of the nodes and the roots' slots, for a
+    run whose slots `jets` hold jets (the seeds; none for scalars): there a
+    'div' by a jet multiplies by the reciprocal of its divisor's slot, made
+    once."""
     slot, jets, recip, steps = dict(leaves), set(jets), {}, []
     for node in nodes:
         fn = _STEPS[node.op]
@@ -321,12 +322,12 @@ def _schedule(roots, nodes, leaves, expo, nconst, jets) -> tuple:
         if fn is _div and j in jets:
             if j not in recip:
                 recip[j] = 3 + nconst + len(steps)
-                steps.append((_reciprocal, j, j))
+                steps.append((_reciprocal, j, j, recip[j]))
             fn, j = operator.mul, recip[j]
         k = slot[node] = 3 + nconst + len(steps)
         if i in jets or j in jets:
             jets.add(k)
-        steps.append((fn, i, j))
+        steps.append((fn, i, j, k))
     return tuple(steps), tuple(slot[r] for r in roots)
 
 
@@ -334,11 +335,13 @@ class Tape:
     """A tuple of roots compiled into numbered slots and steps.
 
     Slots 0-2 hold the seeds x, y, t; then come the constants, lowered to
-    complex here (a 'pow' exponent stays an int); then one slot per step
-    `(fn, i, j)`, which stores fn(slot i, slot j), one per remaining node in
-    `postorder` order. Each step is the operation the node names on the
-    values of its arguments, so a run gives the values a walk over the
-    nodes gives, bit for bit.
+    complex here (a 'pow' exponent stays an int); then one slot per step.
+    A step `(fn, i, j, k)` stores fn(slot i, slot j) in slot k, one per
+    remaining node in `postorder` order. Each step is the operation the
+    node names on the values of its arguments, so a run gives the values a
+    walk over the nodes gives, bit for bit. `template` is the slot list
+    before a run: the constants in place, the other slots empty; a run
+    fills a copy of it.
 
     Jets run a schedule of their own, `jet_steps`: a 'div' by a jet
     multiplies by the divisor's reciprocal, one 'reciprocal' step per
@@ -347,7 +350,7 @@ class Tape:
     That is what `a / b` computes on jets, so the bits are the same.
     Scalars keep `a / b`: complex `a * (1 / b)` may round otherwise.
     """
-    __slots__ = ("consts", "steps", "outs", "jet_steps", "jet_outs")
+    __slots__ = ("template", "steps", "outs", "jet_steps", "jet_outs")
 
     def __init__(self, roots: tuple):
         slot, expo, consts, nodes = {}, {}, [], []
@@ -368,10 +371,11 @@ class Tape:
                     raise EvalError(f"unknown node '{op}'")
         except OverflowError as e:
             raise DomainError(f"evaluation overflowed: {e}") from None
-        self.consts = tuple(consts)
         self.steps, self.outs = _schedule(roots, nodes, slot, expo, len(consts), ())
         self.jet_steps, self.jet_outs = _schedule(roots, nodes, slot, expo, len(consts),
                                                   (0, 1, 2))
+        # the jet schedule has the more steps: its reciprocals
+        self.template = (None,) * 3 + tuple(consts) + (None,) * len(self.jet_steps)
 
     def __call__(self, vx, vy, vt) -> tuple:
         """The roots' values at the seeds, complex scalars or Jets.
@@ -385,33 +389,43 @@ class Tape:
         numpy would give nan (sin of an infinite value); each becomes a
         DomainError.
         """
-        s = [vx, vy, vt, *self.consts]
+        s = list(self.template)
+        s[0], s[1], s[2] = vx, vy, vt
         if not isinstance(vx, Jet):
-            out = self._run(s, self.steps, self.outs)
+            out = _run(s, self.steps, self.outs)
             if not all(map(cmath.isfinite, out)):
                 raise DomainError(f"evaluation gave a value that is not finite: {out}")
             return out
         # numpy's overflow warnings would only repeat the DomainError below
         with np.errstate(over="ignore", invalid="ignore"):
             out = tuple(r if isinstance(r, Jet) else Jet.constant(r, vx.base, vx.order)
-                        for r in self._run(s, self.jet_steps, self.jet_outs))
+                        for r in _run(s, self.jet_steps, self.jet_outs))
             at = _not_finite_at(out)
         if at is not None:
             raise DomainError(f"evaluation gave a jet that is not finite at {at}")
         return out
 
-    @staticmethod
-    def _run(s: list, steps: tuple, outs: tuple) -> tuple:
-        """The roots' slots after the steps have run on the slots s."""
-        push = s.append
-        try:
-            for fn, i, j in steps:
-                push(fn(s[i], s[j]))
-        except (OverflowError, ZeroDivisionError) as e:
-            raise DomainError(f"evaluation overflowed: {e}") from None
-        except ValueError as e:
-            raise DomainError(f"evaluation left the domain: {e}") from None
-        return tuple([s[k] for k in outs])
+
+def _run(s: list, steps: tuple, outs: tuple) -> tuple:
+    """The roots' slots after the steps have run on the slot list s, in place."""
+    try:
+        for fn, i, j, k in steps:
+            s[k] = fn(s[i], s[j])
+    except STEP_ERRORS as e:
+        raise step_error(e) from None
+    return tuple([s[k] for k in outs])
+
+
+# what Python's complex arithmetic and cmath raise where floats and numpy
+# would give inf or nan
+STEP_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def step_error(e: Exception) -> DomainError:
+    """The DomainError of one of the STEP_ERRORS a step raised."""
+    if isinstance(e, ValueError):
+        return DomainError(f"evaluation left the domain: {e}")
+    return DomainError(f"evaluation overflowed: {e}")
 
 
 # A map's values and its jets run the same roots, and the five trajectories

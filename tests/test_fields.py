@@ -3,12 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heiscalc import fields
 from heiscalc import schwarzian as sw
 from heiscalc.errors import BadPotential, DomainError
 from heiscalc.exact import RatPoly, frame_z, ratpoly_from_expr
-from heiscalc.expr import eval_at, jet_eval, parse_expr
+from heiscalc.expr import eval_at, jet_eval, parse_expr, tape
 from heiscalc.group import Point, Rotate, koranyi_norm, random_word, word_to_map
 from heiscalc.horizontal import word_jet
 
@@ -194,3 +195,76 @@ def test_flow_that_escapes_raises_domain_error(h):
     # infinite coordinate; neither may end in OverflowError or inf/nan
     with pytest.raises(DomainError):
         fields.flow_integrate(parse_expr(h), (0.3, 0.7, -0.4), 0.3, steps=32)
+
+
+# --- the fused RK4 stage against a run of the tape per stage ---------------------
+
+def _reference_velocity(run, x, y, t):
+    """One run of the field's tape, then the coordinate velocity in floats."""
+    v1, v2, v0v = run(complex(x), complex(y), complex(t))
+    v1, v2 = v1.real, v2.real
+    return v1, v2, 2.0 * y * v1 - 2.0 * x * v2 - 4.0 * v0v.real
+
+
+def _reference_flow(v0, p, s, steps):
+    run = tape(fields.field_components(v0))
+    h = s / steps
+    x, y, t = float(p[0]), float(p[1]), float(p[2])
+    for _ in range(steps):
+        k1 = _reference_velocity(run, x, y, t)
+        k2 = _reference_velocity(run, x + 0.5 * h * k1[0], y + 0.5 * h * k1[1],
+                                 t + 0.5 * h * k1[2])
+        k3 = _reference_velocity(run, x + 0.5 * h * k2[0], y + 0.5 * h * k2[1],
+                                 t + 0.5 * h * k2[2])
+        k4 = _reference_velocity(run, x + h * k3[0], y + h * k3[1], t + h * k3[2])
+        x += h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
+        y += h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
+        t += h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0
+    if not math.isfinite(x + y + t):
+        raise DomainError(f"the flow from {tuple(p)} does not stay bounded up to s = {s:g}")
+    return Point(x, y, t)
+
+
+def _reference_contact_residuals(v0, p, s, steps):
+    h = 1e-4
+    x, y, t = float(p[0]), float(p[1]), float(p[2])
+
+    def at(q):
+        return _reference_flow(v0, q, s, steps)
+
+    f = at((x, y, t))
+    dx = [(a - b) / (2.0 * h)
+          for a, b in zip(at((x + h, y, t + 2 * y * h)), at((x - h, y, t - 2 * y * h)))]
+    dy = [(a - b) / (2.0 * h)
+          for a, b in zip(at((x, y + h, t - 2 * x * h)), at((x, y - h, t + 2 * x * h)))]
+    return (dx[2] - 2.0 * f[1] * dx[0] + 2.0 * f[0] * dx[1],
+            dy[2] - 2.0 * f[1] * dy[0] + 2.0 * f[0] * dy[1])
+
+
+def _result(fn, *args):
+    try:
+        return tuple(fn(*args))
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["0.3*x^2 + 0.4*x - 0.2", "exp(x)", "x*t + x^2*y",
+                        "sin(x)*y - t^2"]),
+       st.tuples(_UNIT, _UNIT, _UNIT), st.floats(0.2, 1.5), st.integers(1, 300))
+# three ways to escape: a complex power overflows, a stage's outputs are not
+# finite, the endpoint is not finite
+@example("sin(x)*y - t^2", (0.48, 0.59, 0.88), 1.16, 34)
+@example("sin(x)*y - t^2", (-0.68, -0.9, 0.97), 0.89, 26)
+@example("sin(x)*y - t^2", (0.58, -0.83, 0.97), 0.41, 5)
+def test_the_fused_stage_gives_a_tape_run_per_stage_bit_for_bit(text, p, s, steps):
+    v0 = parse_expr(text)
+    assert (_result(fields.flow_integrate, v0, p, s, steps)
+            == _result(_reference_flow, v0, p, s, steps))
+    assert (_result(fields.vector_field_at, v0, p)
+            == _result(_reference_velocity, tape(fields.field_components(v0)), *p))
+    assert (_result(fields.flow_contact_residuals, v0, p, s, steps)
+            == _result(_reference_contact_residuals, v0, p, s, steps))
