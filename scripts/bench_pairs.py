@@ -11,9 +11,10 @@ it was made (the command, each side's `git describe --always --dirty`, the
 host, and whether each side's runs write bytecode), then gives, for each
 workload and end-to-end metric, the median and interquartile range of each
 side, the ratio of the medians (change / parent), the pairs in which the
-change is lower, and each pair's values; then, from one `--trace 1` run per
-side on the first seed, the call count and self-time fraction of every span
-that was called.
+change is lower, the verdicts of `verdicts` under the metric's bound and
+better direction in the change's BENCHMARK.json, and each pair's values;
+then, from one `--trace 1` run per side on the first seed, the call count
+and self-time fraction of every span that was called.
 """
 from __future__ import annotations
 
@@ -55,6 +56,43 @@ def summary(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def verdicts(parent: list, change: list, bound: float, better: str) -> list:
+    """The verdicts that hold on paired runs of one metric, each side's
+    values in pair order, with `better` "lower" or "higher":
+
+    - "gain": the change is better in at least 9 of 10 pairs (a tie counts
+      for neither side), and its median is better than the parent's by
+      more than the parent's interquartile range;
+    - "regression": the change's median is worse than the parent's by more
+      than `bound` times the parent's median;
+    - "unresolved": the parent's interquartile range exceeds `bound` times
+      its median, and not every change run is better than every parent run.
+    """
+    sign = 1 if better == "lower" else -1
+
+    def beats(b, a):
+        return sign * (b - a) < 0
+
+    p, c = summary(parent), summary(change)
+    gap = sign * (p["median"] - c["median"])   # > 0 where the change is better
+    out = []
+    if 10 * sum(map(beats, change, parent)) >= 9 * len(parent) and gap > p["iqr"]:
+        out.append("gain")
+    if -gap > bound * abs(p["median"]):
+        out.append("regression")
+    if (p["iqr"] > bound * abs(p["median"])
+            and not all(beats(b, a) for a in parent for b in change)):
+        out.append("unresolved")
+    return out
+
+
+def end_to_end(root: Path) -> dict:
+    """{metric: (bound, better)} for the end-to-end metrics of root's
+    BENCHMARK.json."""
+    doc = json.loads((root / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["bound"], m["better"]) for m in doc["end_to_end"]}
+
+
 def bytecode_mode(root: Path) -> dict:
     """Whether the runs in root write bytecode: PYTHONDONTWRITEBYTECODE as
     they inherit it, and sys.flags.dont_write_bytecode as an interpreter
@@ -78,6 +116,7 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    bounds = end_to_end(args.change)
     doc = {"command": ["scripts/bench_pairs.py", *sys.argv[1:]],
            "parent": describe(args.parent), "change": describe(args.change),
            "host": {"platform": platform.platform(), "nproc": os.cpu_count(),
@@ -103,6 +142,8 @@ def main(argv=None) -> int:
             metrics[m] = {"parent": p, "change": c,
                           "ratio": c["median"] / p["median"] if p["median"] else None,
                           "change_lower_in": sum(b < a for a, b in zip(parent, change))}
+            if m in bounds:
+                metrics[m]["verdicts"] = verdicts(parent, change, *bounds[m])
         spans = {}
         for side in ("parent", "change"):
             traced = bench(getattr(args, side), workload, SEEDS[0], 1)["metrics"]

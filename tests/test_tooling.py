@@ -37,3 +37,51 @@ def test_bench_pairs_records_the_bytecode_mode(tmp_path, monkeypatch):
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert pairs.bytecode_mode(tmp_path) == {"PYTHONDONTWRITEBYTECODE": None,
                                              "dont_write_bytecode": False}
+
+
+def _pairs_module():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    return pairs
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+
+
+def test_bench_pairs_verdicts_on_synthetic_runs():
+    verdicts = _pairs_module().verdicts
+    faster = [0.6 * v for v in PARENT]
+    assert verdicts(PARENT, faster, 0.25, "lower") == ["gain"]
+    assert verdicts(PARENT, PARENT, 0.25, "lower") == []
+    # better in 8 of 10 pairs is no gain, however large the gap
+    assert verdicts(PARENT, faster[:8] + [1.5, 1.5], 0.25, "lower") == []
+    # ties count for neither side: 9 better and 1 tied is a gain, 8 and 2 not
+    assert verdicts(PARENT, faster[:9] + PARENT[9:], 0.25, "lower") == ["gain"]
+    assert verdicts(PARENT, faster[:8] + PARENT[8:], 0.25, "lower") == []
+    # better in every pair by less than the parent's IQR (0.0175) is no gain
+    assert verdicts(PARENT, [v - 0.01 for v in PARENT], 0.25, "lower") == []
+    # worse by more than the bound, lower-is-better and higher-is-better
+    assert verdicts(PARENT, [1.3 * v for v in PARENT], 0.25, "lower") == ["regression"]
+    assert verdicts(PARENT, [1.2 * v for v in PARENT], 0.25, "lower") == []
+    assert verdicts(PARENT, faster, 0.25, "higher") == ["regression"]
+    assert verdicts(PARENT, [1.6 * v for v in PARENT], 0.25, "higher") == ["gain"]
+
+
+def test_bench_pairs_calls_a_wide_parent_unresolved():
+    verdicts = _pairs_module().verdicts
+    wide = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]   # IQR 1, median 1.5
+    assert verdicts(wide, wide, 0.25, "lower") == ["unresolved"]
+    # unless every change run beats every parent run; a gain still needs a
+    # gap of more than the IQR
+    assert verdicts(wide, [0.99] * 10, 0.25, "lower") == []
+    assert verdicts(wide, [0.4] * 10, 0.25, "lower") == ["gain"]
+    assert verdicts(wide, [1.01] * 10, 0.25, "lower") == ["unresolved"]
+    assert verdicts(wide, [2.6] * 10, 0.25, "higher") == ["gain"]
+
+
+def test_bench_pairs_reads_the_bounds_of_the_benchmark():
+    bounds = _pairs_module().end_to_end(BENCH.parent)
+    assert bounds == {m["name"]: (m["bound"], m["better"]) for m in json.loads(
+        (BENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert set(_pairs_module().METRICS) <= set(bounds)
