@@ -210,39 +210,59 @@ def _against_bound(text, worst, bound):
     return f"{text} = {worst:.3e} (bound {bound:g}, headroom {room})", headroom
 
 
+def _sampled(n, draw):
+    """The worst of n values of draw(), which draws a case and measures it,
+    and the counts: a draw that raises a HeisError is skipped and counted
+    by error type."""
+    worst, evaluated, skipped = 0.0, 0, Counter()
+    for _ in range(n):
+        try:
+            worst = max(worst, draw())
+            evaluated += 1
+        except HeisError as e:
+            skipped[type(e).__name__] += 1
+    return worst, {"drawn": n, "evaluated": evaluated, "skipped": dict(skipped)}
+
+
 def _suite_vfields(rng, tol):
-    worst_v0 = 0.0
-    for _ in range(10):
+    def potential():
         v0 = fields.conformal_v0([rng.uniform(-1, 1) for _ in range(8)])
         p = _rand_point(rng, 0.1, 2.0)
-        worst_v0 = max(worst_v0, abs(fields.conformal_residual(v0, p).z2v0))
-    worst_push = 0.0
-    for _ in range(10):
+        return abs(fields.conformal_residual(v0, p).z2v0)
+
+    def pushforward():
         m = word_to_map(random_word(rng, length=2, allow_invert=True))
         p = _rand_point(rng, 0.3, 1.5)
-        for case in (4, 5, 6, 8):
-            w = fields.pushforward_w0(m, case, p)
-            worst_push = max(worst_push, abs(word_jet("ZZ", w).value))
+        return max(abs(word_jet("ZZ", fields.pushforward_w0(m, case, p)).value)
+                   for case in (4, 5, 6, 8))
+
     h = parse_expr("0.3*x^2 + 0.4*x - 0.2")
-    worst_flow = 0.0
-    for _ in range(5):
+
+    def flow():
         p = _rand_point(rng, 0.1, 1.5)
         s = rng.uniform(0.2, 1.5)
         q1 = fields.flow_closed_form(h, s)(p)
         q2 = fields.flow_integrate(h, p, s, steps=64)
-        worst_flow = max(worst_flow, max(abs(a - b) for a, b in zip(q1, q2)))
-    lines, payload = [], {"bounds": {}, "headroom": {}}
-    for key, text, worst, bound in (
-            ("v0", "conformal potentials: worst |Z^2 v0|", worst_v0, _VFIELDS_V0_BOUND),
-            ("push", "pushforward cases 4,5,6,8: worst |Z^2 w0|", worst_push, tol),
-            ("flow", "quadratic flow closed vs integrated: worst", worst_flow,
+        return max(abs(a - b) for a, b in zip(q1, q2))
+
+    lines, payload = [], {"bounds": {}, "headroom": {}, "counts": {}}
+    for key, name, n, draw, worst_of, bound in (
+            ("v0", "conformal potentials", 10, potential, "worst |Z^2 v0|",
+             _VFIELDS_V0_BOUND),
+            ("push", "pushforward cases 4,5,6,8", 10, pushforward, "worst |Z^2 w0|", tol),
+            ("flow", "quadratic flow closed vs integrated", 5, flow, "worst",
              _VFIELDS_FLOW_BOUND)):
-        line, headroom = _against_bound(text, worst, bound)
+        worst, counts = _sampled(n, draw)
+        lines.append(f"{name}: evaluated {counts['evaluated']} of {n} draws, "
+                     f"skipped by error {counts['skipped']}")
+        line, headroom = _against_bound(f"{name}: {worst_of}", worst, bound)
         lines.append(line)
         payload[key] = worst
         payload["bounds"][key] = bound
         payload["headroom"][key] = headroom
-    ok = all(payload[k] <= b for k, b in payload["bounds"].items())
+        payload["counts"][key] = counts
+    ok = all(payload[k] <= b and payload["counts"][k]["evaluated"] > 0
+             for k, b in payload["bounds"].items())
     return ok, lines, payload
 
 
