@@ -19,7 +19,7 @@ reciprocal, made once per divisor. An RK4 flow fetches its field's tape
 once and runs its scalar steps inside each stage, on a slot list of the
 flow's own (`fields._stage`): the one other loop over a tape's steps, kept
 because the flows spend nearly all their time there and a run of the tape
-per stage took about 1.6 times as long.
+per stage took 1.45 to 1.7 times as long.
 
 Constants keep their exact type (int / Fraction) on the tree, which is what
 lets the exact polynomial kernel read coefficients off parsed input without
