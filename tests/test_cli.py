@@ -133,6 +133,10 @@ def test_verify_vfields_reports_each_bound_and_headroom(tmp_path, capsys):
         assert 0 < res[key] <= bound
         assert res["headroom"][key] == pytest.approx(bound / res[key], rel=1e-12)
         assert f"= {res[key]:.3e} (bound {bound:g}, headroom {bound / res[key]:.1e}x)" in out
+    # and each sampler's counts
+    for key, (name, n) in _VFIELDS_SAMPLERS.items():
+        assert res["counts"][key] == {"drawn": n, "evaluated": n, "skipped": {}}
+        assert f"{name}: evaluated {n} of {n} draws, skipped by error {{}}" in out
 
 
 _VFIELDS_SAMPLERS = {"v0": ("conformal potentials", 10),
@@ -143,22 +147,15 @@ _VFIELDS_SAMPLERS = {"v0": ("conformal potentials", 10),
 @pytest.mark.parametrize("key, patched", [("v0", "conformal_residual"),
                                           ("push", "pushforward_w0"),
                                           ("flow", "flow_integrate")])
-def test_verify_vfields_counts_each_samplers_draws(tmp_path, capsys, monkeypatch,
-                                                   key, patched):
-    out_file = tmp_path / "verify.json"
-    code, out, _ = run(capsys, "verify", "--suite", "vfields", "--out", str(out_file))
-    res = json.loads(out_file.read_text())["results"]["vfields"]
-    assert code == 0 and res["ok"] is True
-    for k, (name, n) in _VFIELDS_SAMPLERS.items():
-        assert res["counts"][k] == {"drawn": n, "evaluated": n, "skipped": {}}
-        assert f"{name}: evaluated {n} of {n} draws, skipped by error {{}}" in out
-
+def test_verify_vfields_fails_when_a_sampler_evaluates_none(tmp_path, capsys, monkeypatch,
+                                                            key, patched):
     def escapes(*args, **kwargs):
         raise DomainError("escapes")
 
     # a sampler that evaluates none of its draws fails the suite, whatever
     # the others measured
     monkeypatch.setattr(f"heiscalc.fields.{patched}", escapes)
+    out_file = tmp_path / "verify.json"
     code, out, _ = run(capsys, "verify", "--suite", "vfields", "--out", str(out_file))
     res = json.loads(out_file.read_text())["results"]["vfields"]
     name, n = _VFIELDS_SAMPLERS[key]
