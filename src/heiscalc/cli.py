@@ -14,28 +14,27 @@ import os
 import random
 import sys
 import tempfile
-from collections import Counter
 
-from . import exact, fields, harmonic, ledger, schwarzian
+from . import fields, harmonic, schwarzian, verify
 from .errors import HeisError, ParseError
 from .expr import parse_expr
-from .group import (Point, koranyi_norm, parse_word, random_word, word_to_map)
-from .horizontal import assess_contact, word_jet
-
-_SUITES = ("conformal", "cocycles", "vfields", "appendix", "harmonic", "ledger")
+from .group import Point, parse_word, word_to_map
+from .horizontal import assess_contact
 
 
 def _write_atomic(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".heiscalc-tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".heiscalc-tmp-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e}") from None
 
 
 def _emit(doc: dict, out: str | None):
@@ -64,6 +63,11 @@ def _parse_point(s: str) -> Point:
     return Point(*(_parse_number(v) for v in parts))
 
 
+# a scan keeps about 70 bytes a grid point, CSV output peaks at about 530
+# (measured on 41^3 grids): about 70 MB at the cap, 0.5 GB with CSV output
+_MAX_GRID_POINTS = 10 ** 6
+
+
 def _parse_grid(s: str):
     axes = []
     for part in s.split(","):
@@ -77,6 +81,8 @@ def _parse_grid(s: str):
         axes.append((_parse_number(bits[0]), _parse_number(bits[1]), n))
     if len(axes) != 3:
         raise ParseError("grid needs three axes")
+    if math.prod(n for *_, n in axes) > _MAX_GRID_POINTS:
+        raise ParseError(f"grid has more than the cap of {_MAX_GRID_POINTS} points")
     return tuple(axes)
 
 
@@ -126,212 +132,16 @@ def cmd_eval(args) -> int:
 
 # --- verify ----------------------------------------------------------------------
 
-def _rand_point(rng, lo=0.1, hi=3.0):
-    # Koranyi shell sampling, away from the group origin and inversion pole
-    while True:
-        p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-3, 3))
-        if lo <= koranyi_norm(p) <= hi:
-            return p
-
-
-# the conformal suite skips a drawn point whose image under the word lies
-# beyond this Koranyi norm, and counts the skip
-_CONFORMAL_IMAGE_NORM_MAX = 50
-
-
-def _suite_conformal(rng, tol):
-    lines = []
-    worst = 0.0
-    n_words, drawn, evaluated, skipped = 40, 0, 0, Counter()
-    for i in range(n_words):
-        w = random_word(rng, length=rng.randint(1, 4), allow_invert=True)
-        m = word_to_map(w)
-        for _ in range(2):
-            p = _rand_point(rng)
-            drawn += 1
-            if koranyi_norm(m(p)) > _CONFORMAL_IMAGE_NORM_MAX:
-                skipped[f"image Koranyi norm above {_CONFORMAL_IMAGE_NORM_MAX}"] += 1
-                continue
-            a = abs(schwarzian.s_cr(m, p))
-            b = abs(schwarzian.s_cl(m, p))
-            worst = max(worst, a, b)
-            evaluated += 1
-    ok = evaluated > 0 and worst <= tol
-    lines.append(f"evaluated {evaluated} of {drawn} points on {n_words} words, "
-                 f"skipped {dict(skipped)}")
-    lines.append(f"conformal words: worst |S_CR|,|S_CL| = {worst:.3e} (tol {tol:g})")
-    return ok, lines, {"worst": worst, "n_words": n_words, "drawn": drawn,
-                       "evaluated": evaluated, "skipped": dict(skipped)}
-
-
-def _suite_cocycles(rng, tol):
-    from .group import Invert, LinearSL2
-    lines = []
-    worst_chain = worst_right = worst_left = 0.0
-    base = word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5)])
-    drawn, evaluated, skipped = 25, 0, Counter()
-    for _ in range(drawn):
-        f = base.compose(word_to_map(random_word(rng, length=2, allow_invert=False)))
-        g = word_to_map(random_word(rng, length=3, allow_invert=True))
-        p = _rand_point(rng, 0.3, 1.5)
-        try:
-            worst_chain = max(worst_chain, abs(schwarzian.cr_chain_residual(f, g, p)))
-            worst_right = max(worst_right, abs(schwarzian.cocycle_residual_right(f, g, p)))
-            worst_left = max(worst_left, abs(schwarzian.cocycle_residual_left(g, f, p)))
-            evaluated += 1
-        except HeisError as e:   # a draw that any of the three laws rejects
-            skipped[type(e).__name__] += 1
-    lines.append(f"evaluated {evaluated} of {drawn} draws, skipped by error {dict(skipped)}")
-    lines.append(f"chain rule worst residual {worst_chain:.3e}")
-    lines.append(f"right cocycle worst residual {worst_right:.3e}")
-    lines.append(f"left cocycle worst residual {worst_left:.3e}")
-    pinned = schwarzian.s_cr(base, Point(1.0, 1.0, 0.0))
-    want = -6.0 * (4.25 / 18.0625) * (5.0 / 4.0) * (3.0 / 4.0)
-    c3 = abs(pinned - want)
-    lines.append(f"pinned composite value error {c3:.3e}")
-    ok = evaluated > 0 and max(worst_chain, worst_right, worst_left, c3) <= tol
-    return ok, lines, {"chain": worst_chain, "right": worst_right,
-                       "left": worst_left, "pinned": c3, "drawn": drawn,
-                       "evaluated": evaluated, "skipped": dict(skipped)}
-
-
-# fixed bounds of the vfields suite, beside --tol for the pushforwards:
-# |Z^2 v0| is 0 in exact arithmetic, and the flow bound also allows for the
-# step error of 64 RK4 steps against the closed form
-_VFIELDS_V0_BOUND = 1e-10
-_VFIELDS_FLOW_BOUND = 1e-8
-
-
-def _against_bound(text, worst, bound):
-    """The report line of a worst value and its bound, and its headroom, the
-    factor bound / worst (None when worst is 0)."""
-    headroom = bound / worst if worst else None
-    room = f"{headroom:.1e}x" if headroom is not None else "unbounded"
-    return f"{text} = {worst:.3e} (bound {bound:g}, headroom {room})", headroom
-
-
-def _sampled(n, draw):
-    """The worst of n values of draw(), which draws a case and measures it,
-    and the counts: a draw that raises a HeisError is skipped and counted
-    by error type."""
-    worst, evaluated, skipped = 0.0, 0, Counter()
-    for _ in range(n):
-        try:
-            worst = max(worst, draw())
-            evaluated += 1
-        except HeisError as e:
-            skipped[type(e).__name__] += 1
-    return worst, {"drawn": n, "evaluated": evaluated, "skipped": dict(skipped)}
-
-
-def _suite_vfields(rng, tol):
-    def potential():
-        v0 = fields.conformal_v0([rng.uniform(-1, 1) for _ in range(8)])
-        p = _rand_point(rng, 0.1, 2.0)
-        return abs(fields.conformal_residual(v0, p).z2v0)
-
-    def pushforward():
-        m = word_to_map(random_word(rng, length=2, allow_invert=True))
-        p = _rand_point(rng, 0.3, 1.5)
-        return max(abs(word_jet("ZZ", fields.pushforward_w0(m, case, p)).value)
-                   for case in (4, 5, 6, 8))
-
-    h = parse_expr("0.3*x^2 + 0.4*x - 0.2")
-
-    def flow():
-        p = _rand_point(rng, 0.1, 1.5)
-        s = rng.uniform(0.2, 1.5)
-        q1 = fields.flow_closed_form(h, s)(p)
-        q2 = fields.flow_integrate(h, p, s, steps=64)
-        return max(abs(a - b) for a, b in zip(q1, q2))
-
-    lines, payload = [], {"bounds": {}, "headroom": {}, "counts": {}}
-    for key, name, n, draw, worst_of, bound in (
-            ("v0", "conformal potentials", 10, potential, "worst |Z^2 v0|",
-             _VFIELDS_V0_BOUND),
-            ("push", "pushforward cases 4,5,6,8", 10, pushforward, "worst |Z^2 w0|", tol),
-            ("flow", "quadratic flow closed vs integrated", 5, flow, "worst",
-             _VFIELDS_FLOW_BOUND)):
-        worst, counts = _sampled(n, draw)
-        lines.append(f"{name}: evaluated {counts['evaluated']} of {n} draws, "
-                     f"skipped by error {counts['skipped']}")
-        line, headroom = _against_bound(f"{name}: {worst_of}", worst, bound)
-        lines.append(line)
-        payload[key] = worst
-        payload["bounds"][key] = bound
-        payload["headroom"][key] = headroom
-        payload["counts"][key] = counts
-    ok = all(payload[k] <= b and payload["counts"][k]["evaluated"] > 0
-             for k, b in payload["bounds"].items())
-    return ok, lines, payload
-
-
-def _suite_appendix(_rng, _tol):
-    lines = []
-    ids = exact.appendix_identities(8)
-    bad = [name for name, _, okk in ids if not okk]
-    for name, scope, okk in ids:
-        lines.append(f"[{'ok' if okk else 'FAIL'}] {name} ({scope})")
-    dims = {d: exact.vzerosol_nullspace(d)[0] for d in range(4, 11)}
-    lines.append(f"Z^2 kernel dimensions {dims}")
-    ok = not bad and all(v == 8 for v in dims.values())
-    return ok, lines, {"identities_failed": bad, "dims": {str(k): v for k, v in dims.items()}}
-
-
-def _suite_harmonic(rng, tol):
-    lines = []
-    ustar = exact.RatPoly({(0, 0, 2): 1, (4, 0, 0): exact.Fraction(-2, 3),
-                           (0, 4, 0): exact.Fraction(-2, 3)})
-    m = harmonic.gradient_harmonic(ustar)
-    worst_sys = 0.0
-    for _ in range(6):
-        p = _rand_point(rng, 0.1, 2.0)
-        worst_sys = max(worst_sys, *map(abs, harmonic.harmonic_system_residuals(m, p)))
-    kap = harmonic.determine_kappa(4)
-    worst_boch = 0.0
-    for _ in range(6):
-        p = _rand_point(rng, 0.1, 2.0)
-        worst_boch = max(worst_boch, abs(harmonic.bochner_residual(ustar, p, kappa=float(kap.re))))
-    rep = harmonic.subharmonicity_scan(ustar, ((-1, 1, 7), (-1, 1, 7), (-1, 1, 5)))
-    lines.append(f"gradient system worst residual {worst_sys:.3e}")
-    lines.append(f"fitted bochner constant {kap!r}, worst residual {worst_boch:.3e}")
-    lines.append(f"sign scan: {'clean' if rep.ok() else 'violations'} "
-                 f"({rep.singular_count} singular points)")
-    ok = worst_sys <= tol and worst_boch <= tol and rep.ok()
-    return ok, lines, {"system": worst_sys, "kappa": str(kap), "bochner": worst_boch,
-                       "scan": rep.to_dict()}
-
-
-def _suite_ledger(_rng, _tol):
-    lines, ok = [], True
-    payload = []
-    for e in ledger.ledger_run():
-        lines.append(e.line())
-        payload.append({"key": e.key, "stated": e.stated, "fitted": e.fitted,
-                        "adopted": e.adopted, "agrees": e.agrees, "holds": e.holds,
-                        "detail": e.detail})
-        if not e.holds:
-            ok = False
-            lines.append(f"  unexpected fit for {e.key}: {e.fitted} (adopted {e.adopted})")
-    return ok, lines, {"entries": payload}
-
-
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     tol = args.tol if args.tol is not None else 1e-8
-    suites = _SUITES if args.suite == "all" else (args.suite,)
-    runners = {"conformal": _suite_conformal, "cocycles": _suite_cocycles,
-               "vfields": _suite_vfields, "appendix": _suite_appendix,
-               "harmonic": _suite_harmonic, "ledger": _suite_ledger}
-    all_ok = True
-    results = {}
-    for name in suites:
-        ok, lines, payload = runners[name](rng, tol)
+    all_ok, results = True, {}
+    for name in verify.SUITES if args.suite == "all" else (args.suite,):
+        ok, lines, results[name] = verify.run(name, rng, tol)
         all_ok &= ok
         print(f"suite {name}: {'pass' if ok else 'FAIL'}")
         for line in lines:
             print("  " + line)
-        results[name] = {"ok": ok, **payload}
     if args.out:
         _emit({"results": results, "seed": args.seed, "tol": tol}, args.out)
     return 0 if all_ok else 1
@@ -428,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     _add_flags(pv)
-    pv.add_argument("--suite", default="all", choices=_SUITES + ("all",))
+    pv.add_argument("--suite", default="all", choices=(*verify.SUITES, "all"))
 
     ps = sub.add_parser("scan", help="sign scan of a harmonic potential over a grid")
     _add_flags(ps, ("config", "tol", "out"))

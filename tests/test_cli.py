@@ -1,15 +1,18 @@
 """Command line behaviour: output schema, exit codes, determinism."""
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heiscalc import exact
 from heiscalc.cli import main
-from heiscalc.errors import DomainError, SingularError
-from heiscalc.group import Point
+from heiscalc.errors import SingularError
 
 
 def run(capsys, *argv):
@@ -71,98 +74,105 @@ def test_verify_out_payload(tmp_path, capsys):
     assert doc["results"]["appendix"]["dims"] == {str(d): 8 for d in range(4, 11)}
 
 
-def test_verify_cocycles_counts_the_draws_it_evaluated(tmp_path, capsys, monkeypatch):
-    out_file = tmp_path / "verify.json"
-    code, out, _ = run(capsys, "verify", "--suite", "cocycles", "--out", str(out_file))
-    res = json.loads(out_file.read_text())["results"]["cocycles"]
-    assert code == 0 and res["ok"] is True
-    assert res["drawn"] == 25 and 0 < res["evaluated"]
-    assert res["evaluated"] + sum(res["skipped"].values()) == 25
-    assert f"evaluated {res['evaluated']} of 25 draws" in out
+# every sampled check of verify: its suite, name and draws, and a library
+# function each of its draws calls
+_CHECKS = [
+    ("conformal", "conformal words |S_CR|,|S_CL|", 40, "schwarzian.s_cl"),
+    ("cocycles", "chain rule residual", 25, "schwarzian.cr_chain_residual"),
+    ("cocycles", "right cocycle residual", 25, "schwarzian.cocycle_residual_right"),
+    ("cocycles", "left cocycle residual", 25, "schwarzian.cocycle_residual_left"),
+    ("cocycles", "pinned composite value error", 1, "schwarzian.s_cr"),
+    ("vfields", "conformal potentials |Z^2 v0|", 10, "fields.conformal_residual"),
+    ("vfields", "pushforward cases 4,5,6,8 |Z^2 w0|", 10, "fields.pushforward_w0"),
+    ("vfields", "quadratic flow closed vs integrated", 5, "fields.flow_integrate"),
+    ("harmonic", "gradient system residual", 6, "harmonic.harmonic_system_residuals"),
+    ("harmonic", "bochner residual", 6, "harmonic.bochner_residual"),
+]
+# the fixed bounds of vfields; every other check is bounded by --tol
+_FIXED_BOUNDS = {"conformal potentials |Z^2 v0|": 1e-10,
+                 "quadratic flow closed vs integrated": 1e-8}
 
-    def singular(*args):
+
+def _verify_checks(capsys, tmp_path, suite, *argv):
+    out_file = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--out", str(out_file), *argv)
+    res = json.loads(out_file.read_text())["results"][suite]
+    return code, out, res, {c["name"]: c for c in res["checks"]}
+
+
+@pytest.mark.parametrize("suite", ["conformal", "cocycles", "vfields", "harmonic"])
+def test_verify_out_carries_every_sampled_check(tmp_path, capsys, suite):
+    code, out, res, checks = _verify_checks(capsys, tmp_path, suite, "--tol", "1e-9")
+    assert code == 0 and res["ok"] is True
+    want = [(name, n) for s, name, n, _ in _CHECKS if s == suite]
+    assert list(checks) == [name for name, _ in want]
+    for name, n in want:
+        c = checks[name]
+        assert set(c) == {"name", "worst", "bound", "headroom", "drawn", "evaluated",
+                          "skipped", "ok"}
+        assert c["bound"] == _FIXED_BOUNDS.get(name, 1e-9)
+        assert (c["drawn"], c["evaluated"], c["skipped"], c["ok"]) == (n, n, {}, True)
+        assert 0 <= c["worst"] <= c["bound"]
+        room = c["bound"] / c["worst"] if c["worst"] else None
+        assert c["headroom"] == room
+        assert f"{name}: evaluated {n} of {n} draws, skipped by error {{}}" in out
+        assert (f"{name}: worst {c['worst']:.3e} (bound {c['bound']:g}, headroom "
+                f"{f'{room:.1e}x' if room else 'unbounded'})") in out
+
+
+@pytest.mark.parametrize("suite, name, n, patched", _CHECKS, ids=[c[1] for c in _CHECKS])
+def test_verify_check_fails_when_every_draw_raises(tmp_path, capsys, monkeypatch,
+                                                   suite, name, n, patched):
+    def singular(*args, **kwargs):
         raise SingularError("ZF vanishes")
 
-    # a suite that evaluates none of its draws fails, whatever its residuals
-    monkeypatch.setattr("heiscalc.schwarzian.cr_chain_residual", singular)
+    # a check that evaluates none of its draws fails its suite, whatever its
+    # worst value and the other checks
+    monkeypatch.setattr(f"heiscalc.{patched}", singular)
+    code, out, res, checks = _verify_checks(capsys, tmp_path, suite)
+    c = checks[name]
+    assert code == 1 and res["ok"] is False and f"suite {suite}: FAIL" in out
+    assert (c["drawn"], c["evaluated"], c["skipped"], c["ok"]) == \
+        (n, 0, {"SingularError": n}, False)
+    assert f"{name}: evaluated 0 of {n} draws, skipped by error {{'SingularError': {n}}}" in out
+
+
+def test_verify_skipped_draw_records_nothing(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularError("ZF vanishes")
+
+    # the chain rule is measured before the right cocycle law rejects the
+    # draw; the skipped draw must not reach the chain rule's worst value
+    monkeypatch.setattr("heiscalc.schwarzian.cr_chain_residual", lambda f, g, p: 1.0)
+    monkeypatch.setattr("heiscalc.schwarzian.cocycle_residual_right", singular)
+    out_file = tmp_path / "verify.json"
     code, out, _ = run(capsys, "verify", "--suite", "cocycles", "--out", str(out_file))
-    res = json.loads(out_file.read_text())["results"]["cocycles"]
-    assert code == 1 and res["ok"] is False
-    assert res["evaluated"] == 0 and res["skipped"] == {"SingularError": 25}
-    assert "evaluated 0 of 25 draws, skipped by error {'SingularError': 25}" in out
+    assert "evaluated 0 of 25 draws" in out and "1.000e+00" not in out
+    assert code == 1
+    chain, = (c for c in json.loads(out_file.read_text())["results"]["cocycles"]["checks"]
+              if c["name"] == "chain rule residual")
+    assert (chain["worst"], chain["evaluated"]) == (0.0, 0)
 
 
-def test_verify_conformal_counts_the_points_it_evaluated(tmp_path, capsys, monkeypatch):
-    out_file = tmp_path / "verify.json"
-    code, out, _ = run(capsys, "verify", "--suite", "conformal", "--out", str(out_file))
-    res = json.loads(out_file.read_text())["results"]["conformal"]
-    assert code == 0 and res["ok"] is True
-    assert (res["n_words"], res["drawn"]) == (40, 80) and 0 < res["evaluated"]
-    assert res["evaluated"] + sum(res["skipped"].values()) == 80
-    assert f"evaluated {res['evaluated']} of 80 points on 40 words" in out
+def test_verify_one_typed_error_skips_one_draw(capsys, monkeypatch):
+    from heiscalc import schwarzian
+    s_cl, calls = schwarzian.s_cl, itertools.count(1)
 
-    # _rand_point draws its shell with koranyi_norm too, so it gets a fixed
-    # point; image norms alternately 1 and 100 skip half the points, and
-    # image norms of 100 skip them all
-    monkeypatch.setattr("heiscalc.cli._rand_point",
-                        lambda rng, lo=0.1, hi=3.0: Point(0.5, -0.3, 0.4))
-    calls = itertools.count()
-    monkeypatch.setattr("heiscalc.cli.koranyi_norm",
-                        lambda p: 100.0 if next(calls) % 2 else 1.0)
-    code, out, _ = run(capsys, "verify", "--suite", "conformal", "--out", str(out_file))
-    res = json.loads(out_file.read_text())["results"]["conformal"]
-    far = "image Koranyi norm above 50"
-    assert code == 0 and (res["evaluated"], res["skipped"]) == (40, {far: 40})
-    monkeypatch.setattr("heiscalc.cli.koranyi_norm", lambda p: 100.0)
-    code, out, _ = run(capsys, "verify", "--suite", "conformal", "--out", str(out_file))
-    res = json.loads(out_file.read_text())["results"]["conformal"]
-    assert code == 1 and res["ok"] is False
-    assert (res["evaluated"], res["skipped"]) == (0, {far: 80})
-    assert f"evaluated 0 of 80 points on 40 words, skipped {{'{far}': 80}}" in out
+    def third_singular(f, p):
+        if next(calls) == 3:
+            raise SingularError("ZF vanishes")
+        return s_cl(f, p)
 
-
-def test_verify_vfields_reports_each_bound_and_headroom(tmp_path, capsys):
-    out_file = tmp_path / "verify.json"
-    code, out, _ = run(capsys, "verify", "--suite", "vfields", "--tol", "1e-9",
-                       "--out", str(out_file))
-    res = json.loads(out_file.read_text())["results"]["vfields"]
-    assert code == 0 and res["ok"] is True
-    # the two fixed bounds, and --tol for the pushforwards
-    assert res["bounds"] == {"v0": 1e-10, "push": 1e-9, "flow": 1e-8}
-    for key, bound in res["bounds"].items():
-        assert 0 < res[key] <= bound
-        assert res["headroom"][key] == pytest.approx(bound / res[key], rel=1e-12)
-        assert f"= {res[key]:.3e} (bound {bound:g}, headroom {bound / res[key]:.1e}x)" in out
-    # and each sampler's counts
-    for key, (name, n) in _VFIELDS_SAMPLERS.items():
-        assert res["counts"][key] == {"drawn": n, "evaluated": n, "skipped": {}}
-        assert f"{name}: evaluated {n} of {n} draws, skipped by error {{}}" in out
-
-
-_VFIELDS_SAMPLERS = {"v0": ("conformal potentials", 10),
-                     "push": ("pushforward cases 4,5,6,8", 10),
-                     "flow": ("quadratic flow closed vs integrated", 5)}
-
-
-@pytest.mark.parametrize("key, patched", [("v0", "conformal_residual"),
-                                          ("push", "pushforward_w0"),
-                                          ("flow", "flow_integrate")])
-def test_verify_vfields_fails_when_a_sampler_evaluates_none(tmp_path, capsys, monkeypatch,
-                                                            key, patched):
-    def escapes(*args, **kwargs):
-        raise DomainError("escapes")
-
-    # a sampler that evaluates none of its draws fails the suite, whatever
-    # the others measured
-    monkeypatch.setattr(f"heiscalc.fields.{patched}", escapes)
-    out_file = tmp_path / "verify.json"
-    code, out, _ = run(capsys, "verify", "--suite", "vfields", "--out", str(out_file))
-    res = json.loads(out_file.read_text())["results"]["vfields"]
-    name, n = _VFIELDS_SAMPLERS[key]
-    assert code == 1 and res["ok"] is False
-    assert res["counts"][key] == {"drawn": n, "evaluated": 0, "skipped": {"DomainError": n}}
-    assert f"{name}: evaluated 0 of {n} draws, skipped by error {{'DomainError': {n}}}" in out
-    assert all(c["evaluated"] == c["drawn"] for k, c in res["counts"].items() if k != key)
+    # the third call is the first point of the second conformal word: that
+    # word is skipped, and every suite still runs and passes
+    monkeypatch.setattr(schwarzian, "s_cl", third_singular)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7")
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("suite ")] == \
+        [f"suite {s}: pass" for s in
+         ("conformal", "cocycles", "vfields", "appendix", "harmonic", "ledger")]
+    assert ("conformal words |S_CR|,|S_CL|: evaluated 39 of 40 draws, "
+            "skipped by error {'SingularError': 1}") in out
 
 
 def test_scan_csv_deterministic(tmp_path, capsys):
@@ -319,6 +329,8 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("flow", "--h", "x*\u00b2", "--s", "1", "--point", "0,0,0"), 2),
     (("flow", "--h", "1" * 5000 + "*x", "--s", "1", "--point", "0,0,0"), 2),
     (("eval", "--map", "dil(1e-100)", "--point", "1,1,1", "--which", "s_cr"), 3),
+    (("scan", "--u", "x*y", "--grid=0:1:1000000,0:1:1000000,0:1:1000000"), 2),
+    (("scan", "--u", "x*y", "--grid=0:1:101,0:1:100,0:1:100"), 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))
@@ -358,14 +370,51 @@ def test_flow_step_cap_is_named(capsys, monkeypatch):
     assert str(cli._MAX_FLOW_STEPS) in err
 
 
+def test_scan_grid_cap_is_named(capsys, monkeypatch):
+    from heiscalc import cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran past the grid cap")
+    monkeypatch.setattr(cli.harmonic, "subharmonicity_scan", no_scan)
+    code, _, err = run(capsys, "scan", "--u", "x*y", "--grid=0:1:101,0:1:100,0:1:100")
+    assert code == 2
+    assert str(cli._MAX_GRID_POINTS) in err
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_is_a_parse_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, "eval", "--map", "inv", "--point", "1,1,0",
+                         "--out", str(path))
+    assert code == 2
+    assert out == "" and err.startswith(f"error: cannot write {path}")
+    assert list(tmp_path.iterdir()) == []   # the temp file is removed
+
+
+def test_cli_runs_as_a_process(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def heiscalc(*argv):
+        return subprocess.run([sys.executable, "-m", "heiscalc.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = heiscalc("verify", "--suite", "appendix")
+    assert done.returncode == 0 and "suite appendix: pass" in done.stdout
+    done = heiscalc("eval", "--map", "inv", "--point", "1,1,0",
+                    "--out", str(tmp_path / "missing" / "x.json"))
+    assert done.returncode == 2
+    assert "cannot write" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_config_fills_defaults_but_flags_win(tmp_path, capsys):
     cfg = tmp_path / "h.cfg"
     cfg.write_text("seed = 9\ntol = 1e-3  # loose default\n")
     _, out1, _ = run(capsys, "verify", "--suite", "conformal", "--config", str(cfg))
-    assert "tol 0.001" in out1
+    assert "bound 0.001" in out1
     _, out2, _ = run(capsys, "verify", "--suite", "conformal", "--config", str(cfg),
                      "--tol", "1e-9")
-    assert "tol 1e-09" in out2
+    assert "bound 1e-09" in out2
 
 
 def test_config_parse_error(tmp_path, capsys):
