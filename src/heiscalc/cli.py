@@ -63,8 +63,8 @@ def _parse_point(s: str) -> Point:
     return Point(*(_parse_number(v) for v in parts))
 
 
-# a scan keeps about 70 bytes a grid point, CSV output peaks at about 530
-# (measured on 41^3 grids): about 70 MB at the cap, 0.5 GB with CSV output
+# a scan keeps about 70 bytes per grid point, CSV output peaks at about 530
+# bytes (measured on 41^3 grids): 70 MB at the cap, 0.5 GB with CSV output
 _MAX_GRID_POINTS = 10 ** 6
 
 
