@@ -22,10 +22,28 @@ from .group import Point, parse_word, word_to_map
 from .horizontal import assess_contact
 
 
-def _write_atomic(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path)) or "."
+def _temp_beside(path: str) -> tuple[int, str]:
+    """An open temp file in path's directory, as (fd, name)."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".heiscalc-tmp-")
+        return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
+                                prefix=".heiscalc-tmp-")
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e}") from None
+
+
+def _check_writable(path: str):
+    """Refuse an output path that _write_atomic would refuse, before a long
+    run rather than after it; leaves no file behind."""
+    if os.path.isdir(path):
+        raise ParseError(f"cannot write {path}: it is a directory")
+    fd, tmp = _temp_beside(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
+def _write_atomic(path: str, text: str):
+    fd, tmp = _temp_beside(path)
+    try:
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
@@ -78,6 +96,8 @@ def _parse_grid(s: str):
             n = int(bits[2])
         except ValueError as e:
             raise ParseError(str(e)) from None
+        if n < 1:
+            raise ParseError(f"grid axis needs at least one sample, got {part!r}")
         axes.append((_parse_number(bits[0]), _parse_number(bits[1]), n))
     if len(axes) != 3:
         raise ParseError("grid needs three axes")
@@ -135,6 +155,8 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     tol = args.tol if args.tol is not None else 1e-8
+    if args.out:
+        _check_writable(args.out)
     all_ok, results = True, {}
     for name in verify.SUITES if args.suite == "all" else (args.suite,):
         ok, lines, results[name] = verify.run(name, rng, tol)
@@ -151,6 +173,8 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     region = _parse_grid(args.grid)
+    if args.out:
+        _check_writable(args.out)
     as_csv = bool(args.out and args.out.endswith(".csv"))
     u = args.u
     if as_csv:

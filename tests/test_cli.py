@@ -331,6 +331,8 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("eval", "--map", "dil(1e-100)", "--point", "1,1,1", "--which", "s_cr"), 3),
     (("scan", "--u", "x*y", "--grid=0:1:1000000,0:1:1000000,0:1:1000000"), 2),
     (("scan", "--u", "x*y", "--grid=0:1:101,0:1:100,0:1:100"), 2),
+    (("scan", "--u", "x*y", "--grid=0:1:0,0:1:3,0:1:3"), 2),
+    (("scan", "--u", "x*y", "--grid=0:1:-1000,0:1:-1000,0:1:3"), 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))
@@ -379,6 +381,43 @@ def test_scan_grid_cap_is_named(capsys, monkeypatch):
     code, _, err = run(capsys, "scan", "--u", "x*y", "--grid=0:1:101,0:1:100,0:1:100")
     assert code == 2
     assert str(cli._MAX_GRID_POINTS) in err
+
+
+@pytest.mark.parametrize("grid", ["0:1:0,0:1:3,0:1:3", "0:1:-1000,0:1:-1000,0:1:3"],
+                         ids=["zero", "two-negative"])
+def test_scan_grid_axis_count_must_be_positive(capsys, monkeypatch, grid):
+    # two negative counts multiply to a positive point count, so the count of
+    # each axis is checked before the cap
+    from heiscalc import cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran with a non-positive axis count")
+    monkeypatch.setattr(cli.harmonic, "subharmonicity_scan", no_scan)
+    code, _, err = run(capsys, "scan", "--u", "x*y", f"--grid={grid}")
+    assert code == 2
+    assert "at least one sample" in err and str(cli._MAX_GRID_POINTS) not in err
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "sub"], ids=["missing-dir", "a-dir"])
+def test_verify_checks_out_before_any_suite(tmp_path, capsys, target):
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / target
+    code, out, err = run(capsys, "verify", "--suite", "appendix", "--out", str(path))
+    assert code == 2 and err.startswith(f"error: cannot write {path}")
+    assert "suite" not in out
+    assert list(tmp_path.glob("**/.heiscalc-tmp-*")) == []
+
+
+def test_scan_checks_out_before_scanning(tmp_path, capsys, monkeypatch):
+    from heiscalc import cli
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran although --out cannot be written")
+    monkeypatch.setattr(cli.harmonic, "subharmonicity_scan", no_scan)
+    path = tmp_path / "missing" / "scan.json"
+    code, out, err = run(capsys, "scan", "--u", "x*y", "--grid=-1:1:3,-1:1:3,-1:1:3",
+                         "--out", str(path))
+    assert code == 2 and out == "" and err.startswith(f"error: cannot write {path}")
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "a-dir"])

@@ -1,4 +1,5 @@
 """Exact rational polynomial kernel: field ops, frame fields, nullspaces."""
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heiscalc import exact
 from heiscalc.errors import NoConsistentConstant
 from heiscalc.exact import (QQi, RatPoly, RP_ONE, RP_T, RP_X, RP_Y,
                             appendix_identities, fit_constant, frame_t,
@@ -141,6 +143,48 @@ def test_real_nullspace_small_operator():
         assert frame_x(v) == RatPoly()
 
 
+def _sympy_nullspace(op, monos):
+    """sympy's nullspace basis of the real matrix of op on the monomials (a
+    real and an imaginary row per image monomial), one coefficient list per
+    vector."""
+    sympy = pytest.importorskip("sympy")
+    images = [op(RatPoly.monomial(*m)) for m in monos]
+    rows = []
+    for m in sorted({m for img in images for m in img.num}):
+        coefs = [img.coef(m) for img in images]
+        rows += [[sympy.Rational(c.re.numerator, c.re.denominator) for c in coefs],
+                 [sympy.Rational(c.im.numerator, c.im.denominator) for c in coefs]]
+    return [list(v) for v in sympy.Matrix(rows).nullspace()], len(exact._blocks(images))
+
+
+def _z2(p):
+    return frame_z(frame_z(p))
+
+
+def _z2_plus_x_t(p):
+    return _z2(p) + RP_X * frame_t(p)
+
+
+@pytest.mark.parametrize("op,monos,blocks", [
+    # Z^2 lowers the weighted degree by 2 and kills 1, x, y and t: a block
+    # for each weighted degree from 2 to 7, and one for each of those four
+    (_z2, monomials_wdeg(7), 10),
+    # x T mixes degrees; without the x^i y^j of degree <= 2, which it sends to
+    # constants or zero, every column lies in one block
+    (_z2_plus_x_t, [m for m in monomials_wdeg(6) if m[2] or m[0] + m[1] > 2], 1),
+    (_z2, _tmax(monomials_wdeg(7), 2), 10),
+    # the degree blocks interleave: the basis still follows the free columns
+    (_z2, random.Random(5).sample(monomials_wdeg(7), 70), 10),
+], ids=["z2-many-blocks", "one-block", "tmax", "interleaved"])
+def test_real_nullspace_matches_sympy(op, monos, blocks):
+    want, got_blocks = _sympy_nullspace(op, monos)
+    assert got_blocks == blocks
+    basis = real_nullspace(op, monos)
+    got = [[p.coef(m) for m in monos] for p in basis]
+    assert got == [[QQi(Fraction(int(v.p), int(v.q))) for v in vec] for vec in want]
+    assert want   # each operator has a kernel to compare
+
+
 def test_fit_constant():
     pairs = [(RP_X * 3, RP_X), (RP_Y * RP_X * 3, RP_Y * RP_X)]
     assert fit_constant(pairs) == QQi(3)
@@ -158,6 +202,20 @@ def test_appendix_identities_all_hold():
         assert ok, name
     scopes = {scope for _, scope, _ in results}
     assert scopes == {"all polynomials", "Z^2 kernel"}
+
+
+def test_appendix_identities_fail_with_a_wrong_zbar(monkeypatch):
+    # Zb with the sign of its y d/dt term flipped: [Zb, Z] becomes iT, not 2iT.
+    # The first polynomial of each scope has zero images under every word (the
+    # constant, and the constant in the Z^2 kernel), so a table of word images
+    # carried on from it would make every identity hold.
+    monkeypatch.setitem(exact._FRAME_OPS, "Zb",
+                        lambda p: frame_zbar(p) - RP_Y * frame_t(p) * 2)
+    failed = {name for name, _, ok in appendix_identities(6) if not ok}
+    assert failed == {"commutator [Zb,Z] = 2iT",
+                      "8 T^2 = -ZZZbZb + ZZbZbZ + ZbZZZb - ZbZbZZ",
+                      "4 T^2 v = ZZbZbZ v", "4 T^2 v = ZbZZZb v",
+                      "ZbZbZ v = 2 ZbZZb v", "(ZbZ)^2 v = (ZZb)^2 v"}
 
 
 # --- the exact route against the jet route, on random polynomials ---------------
