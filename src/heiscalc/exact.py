@@ -9,9 +9,10 @@ double the denominator), and row reduction is fraction-free, so identities
 verified by this module hold exactly, coefficient by coefficient. A
 nullspace is row-reduced block by block, each block a set of columns whose
 images are joined by shared monomials; the reduced echelon form is unique,
-so the basis is the one a reduction of the whole matrix gives. The operator
-identities apply their frame words to one polynomial at a time, through a
-table of that polynomial's suffix images. Only
+so the basis is the one a reduction of the whole matrix gives. A frame
+operator is applied as a word (`word_apply`), through a table of the
+polynomial's suffix images (`_word_image`); the operator identities keep one
+such table per polynomial, for all their words. Only
 `RatPoly.eval`, which gives values at points, works in floats. QQi, a
 Gaussian rational, is the type of the exact constants `fit_constant`
 returns. The jet engine never feeds this module and vice versa; tests
@@ -362,58 +363,55 @@ def _frame(p: RatPoly, ax: tuple, ay: tuple, scale: int = 1) -> RatPoly:
     return RatPoly.from_num(out, p.den * scale)
 
 
-def frame_x(p: RatPoly) -> RatPoly:
-    return _frame(p, (1, 0), (0, 0))
+# each letter's operator on a RatPoly; Z = (X - iY)/2 and Zb = (X + iY)/2
+_FRAME_OPS = {"X": lambda p: _frame(p, (1, 0), (0, 0)),
+              "Y": lambda p: _frame(p, (0, 0), (1, 0)),
+              "T": lambda p: d_coord(p, 2),
+              "Z": lambda p: _frame(p, (1, 0), (0, -1), 2),
+              "Zb": lambda p: _frame(p, (1, 0), (0, 1), 2)}
 
 
-def frame_y(p: RatPoly) -> RatPoly:
-    return _frame(p, (0, 0), (1, 0))
-
-
-def frame_t(p: RatPoly) -> RatPoly:
-    return d_coord(p, 2)
-
-
-def frame_z(p: RatPoly) -> RatPoly:
-    """Z = (X - iY)/2."""
-    return _frame(p, (1, 0), (0, -1), 2)
-
-
-def frame_zbar(p: RatPoly) -> RatPoly:
-    """Zbar = (X + iY)/2."""
-    return _frame(p, (1, 0), (0, 1), 2)
-
-
-_FRAME_OPS = {"X": frame_x, "Y": frame_y, "T": frame_t,
-              "Z": frame_z, "Zb": frame_zbar}
+def _first_letter(word: str) -> str:
+    """The first letter of a nonempty frame word; an EvalError if it is none."""
+    first = "Zb" if word.startswith("Zb") else word[0]
+    if first not in _FRAME_OPS:
+        raise EvalError(f"bad frame letter {first!r} in {word!r}")
+    return first
 
 
 def parse_frame_word(word) -> list:
     """'ZZbX' -> ['Z','Zb','X']; sequences pass through."""
     if not isinstance(word, str):
         return list(word)
-    out, i = [], 0
-    while i < len(word):
-        if word.startswith("Zb", i):
-            out.append("Zb")
-            i += 2
-        elif word[i] in "XYZT":
-            out.append(word[i])
-            i += 1
-        else:
-            raise EvalError(f"bad frame letter {word[i]!r} in {word!r}")
+    out = []
+    while word:
+        out.append(_first_letter(word))
+        word = word[len(out[-1]):]
     return out
 
 
-def word_apply(word, p: RatPoly) -> RatPoly:
+def word_apply(word: str, p: RatPoly) -> RatPoly:
     """Apply a frame word, rightmost letter first: word_apply('XY', p) = X(Y(p))."""
-    for letter in reversed(parse_frame_word(word)):
-        p = _FRAME_OPS[letter](p)
-    return p
+    return _word_image({"": p}, word)
+
+
+def _word_image(table: dict, word: str) -> RatPoly:
+    """word_apply(word, p) for the p that table maps "" to, through the
+    images of p under suffixes already in the table: 'ZbZZ' applies Zb to
+    the image of 'ZZ', which applies Z to that of 'Z'. Adds the images it
+    makes to the table. Every letter is checked before any is applied."""
+    got = table.get(word)
+    if got is None:
+        first = _first_letter(word)
+        got = table[word] = _FRAME_OPS[first](_word_image(table, word[len(first):]))
+    return got
 
 
 def laplacian_h(p: RatPoly) -> RatPoly:
-    return frame_x(frame_x(p)) + frame_y(frame_y(p))
+    """The sublaplacian X^2 + Y^2, through the letters themselves: it is the
+    operator of every harmonic nullspace, one call per monomial."""
+    x, y = _FRAME_OPS["X"], _FRAME_OPS["Y"]
+    return x(x(p)) + y(y(p))
 
 
 # --- monomial bases and exact linear algebra ---------------------------------
@@ -560,20 +558,8 @@ def harmonic_nullspace(d: int) -> list[RatPoly]:
 
 def vzerosol_nullspace(dmax: int):
     """(dimension, basis) of real polynomial potentials killed by Z^2."""
-    basis = real_nullspace(lambda p: frame_z(frame_z(p)), monomials_wdeg(dmax))
+    basis = real_nullspace(partial(word_apply, "ZZ"), monomials_wdeg(dmax))
     return len(basis), basis
-
-
-def _word_image(table: dict, word: str) -> RatPoly:
-    """word_apply(word, p) for the p that table maps "" to, through the
-    images of p under suffixes already in the table: 'ZbZZ' applies Zb to
-    the image of 'ZZ', which applies Z to that of 'Z'. Adds the images it
-    makes to the table."""
-    got = table.get(word)
-    if got is None:
-        first = "Zb" if word.startswith("Zb") else word[0]
-        got = table[word] = _FRAME_OPS[first](_word_image(table, word[len(first):]))
-    return got
 
 
 def appendix_identities(dmax: int = 6) -> list[tuple[str, str, bool]]:

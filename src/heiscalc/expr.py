@@ -575,106 +575,112 @@ def _tokenize(s: str):
     return toks + [("end", "")]
 
 
+class _Parser:
+    """Recursive descent over the tokens of one text; the methods share the
+    cursor through the instance, so a parse leaves no reference cycle."""
+
+    def __init__(self, s: str):
+        self.s, self.toks, self.pos = s, _tokenize(s), 0
+        self.overflow = f"a constant in {s!r} is not a finite float"
+
+    def finite(self, e: Expr) -> Expr:
+        # isfinite raises OverflowError for an int beyond the float range
+        if e.op == "const" and not cmath.isfinite(e.val):
+            raise ParseError(self.overflow)
+        return e
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def take(self, kind=None, value=None):
+        k, v = self.toks[self.pos]
+        if kind is not None and k != kind or value is not None and v != value:
+            raise ParseError(f"expected {value or kind}, got {v!r} in {self.s!r}")
+        self.pos += 1
+        return v
+
+    def expression(self):
+        e = self.term()
+        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+            op = self.take("op")
+            rhs = self.term()
+            e = self.finite(add(e, rhs) if op == "+" else sub(e, rhs))
+        return e
+
+    def term(self):
+        e = self.unary()
+        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
+            op = self.take("op")
+            rhs = self.unary()
+            e = self.finite(mul(e, rhs) if op == "*" else div(e, rhs))
+        return e
+
+    def unary(self):
+        if self.peek() == ("op", "-"):
+            self.take("op")
+            return neg(self.unary())
+        if self.peek() == ("op", "+"):
+            self.take("op")
+            return self.unary()
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == ("op", "^"):
+            self.take("op")
+            sign = 1
+            while self.peek() == ("op", "-"):
+                self.take("op")
+                sign = -sign
+            k, v = self.peek()
+            if k != "num" or not isinstance(v, int):
+                raise ParseError(f"exponent must be an integer in {self.s!r}")
+            self.take("num")
+            return self.finite(pow_(base, sign * v))
+        return base
+
+    def atom(self):
+        k, v = self.peek()
+        if k == "num":
+            self.take("num")
+            return self.finite(const(v))
+        if k == "name":
+            self.take("name")
+            if v in _COORDS:
+                return coord(_COORDS.index(v))
+            if v == "pi":
+                return const(math.pi)
+            if v in _FUNCS:
+                self.take("op", "(")
+                inner = self.expression()
+                self.take("op", ")")
+                return _REBUILD[v](inner)
+            raise ParseError(f"unknown name {v!r} in {self.s!r}")
+        if (k, v) == ("op", "("):
+            self.take("op", "(")
+            inner = self.expression()
+            self.take("op", ")")
+            return inner
+        raise ParseError(f"unexpected token {v!r} in {self.s!r}")
+
+
 def parse_expr(s: str) -> Expr:
     """Parse 'x^2 + sin(t)*exp(-y)' style input into an Expr. A constant, as
     written or folded, that is not a finite float (1e400, 1e300*1e300) or
     that folds to a domain error (1/0, 0^-1) is a ParseError, and so is
     nesting deeper than the recursive descent can follow (about 200
     parentheses)."""
-    toks = _tokenize(s)
-    pos = [0]
-    overflow = f"a constant in {s!r} is not a finite float"
-
-    def finite(e: Expr) -> Expr:
-        # isfinite raises OverflowError for an int beyond the float range
-        if e.op == "const" and not cmath.isfinite(e.val):
-            raise ParseError(overflow)
-        return e
-
-    def peek():
-        return toks[pos[0]]
-
-    def take(kind=None, value=None):
-        k, v = toks[pos[0]]
-        if kind is not None and k != kind or value is not None and v != value:
-            raise ParseError(f"expected {value or kind}, got {v!r} in {s!r}")
-        pos[0] += 1
-        return v
-
-    def parse_sum():
-        e = parse_term()
-        while peek() == ("op", "+") or peek() == ("op", "-"):
-            op = take("op")
-            rhs = parse_term()
-            e = finite(add(e, rhs) if op == "+" else sub(e, rhs))
-        return e
-
-    def parse_term():
-        e = parse_unary()
-        while peek() == ("op", "*") or peek() == ("op", "/"):
-            op = take("op")
-            rhs = parse_unary()
-            e = finite(mul(e, rhs) if op == "*" else div(e, rhs))
-        return e
-
-    def parse_unary():
-        if peek() == ("op", "-"):
-            take("op")
-            return neg(parse_unary())
-        if peek() == ("op", "+"):
-            take("op")
-            return parse_unary()
-        return parse_power()
-
-    def parse_power():
-        base = parse_atom()
-        if peek() == ("op", "^"):
-            take("op")
-            sign = 1
-            while peek() == ("op", "-"):
-                take("op")
-                sign = -sign
-            k, v = peek()
-            if k != "num" or not isinstance(v, int):
-                raise ParseError(f"exponent must be an integer in {s!r}")
-            take("num")
-            return finite(pow_(base, sign * v))
-        return base
-
-    def parse_atom():
-        k, v = peek()
-        if k == "num":
-            take("num")
-            return finite(const(v))
-        if k == "name":
-            take("name")
-            if v in _COORDS:
-                return coord(_COORDS.index(v))
-            if v == "pi":
-                return const(math.pi)
-            if v in _FUNCS:
-                take("op", "(")
-                inner = parse_sum()
-                take("op", ")")
-                return _REBUILD[v](inner)
-            raise ParseError(f"unknown name {v!r} in {s!r}")
-        if (k, v) == ("op", "("):
-            take("op", "(")
-            inner = parse_sum()
-            take("op", ")")
-            return inner
-        raise ParseError(f"unexpected token {v!r} in {s!r}")
-
+    p = _Parser(s)
     try:
-        e = parse_sum()
+        e = p.expression()
     except OverflowError:
-        raise ParseError(overflow) from None
+        raise ParseError(p.overflow) from None
     except DomainError as e:   # from the smart constructors' constant folds
         raise ParseError(f"{s!r}: {e}") from None
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
-    if peek() != ("end", ""):
-        raise ParseError(f"trailing input {peek()[1]!r} in {s!r}")
+    if p.peek() != ("end", ""):
+        raise ParseError(f"trailing input {p.peek()[1]!r} in {s!r}")
     return e
 
 

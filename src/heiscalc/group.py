@@ -97,7 +97,7 @@ class Dilate:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0:
+        if not self.r > 0:   # a NaN fails too
             raise NotPositive(f"dilation factor must be positive, got {self.r}")
 
     def exprs(self):
@@ -155,7 +155,7 @@ class LinearSL2:
     d: float
 
     def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c - 1.0) > 1e-12:
+        if not abs(self.a * self.d - self.b * self.c - 1.0) <= 1e-12:   # a NaN fails too
             raise DomainError("linear letter needs determinant one")
 
     def exprs(self):
@@ -313,15 +313,13 @@ def random_word(rng, length: int = 3, allow_invert: bool = True) -> list:
 def parse_word(text: str) -> list:
     """'trans(1,0,2) o inv o dil(0.5)' -> generator list. 'id' is empty.
 
-    Separators: 'o', '*', or the ring operator; arguments are plain floats.
+    Separators: 'o', '*', or the ring operator, between any two letters;
+    arguments are plain finite floats.
     """
     text = text.strip()
     if text in ("", "id"):
         return []
-    parts = [p.strip() for p in text.replace("∘", " o ").split(" o ")]
-    # also split on '*' when used as separator between letters
-    if len(parts) == 1 and "*" in text and "(" in text:
-        parts = [p.strip() for p in text.split("*")]
+    parts = [p.strip() for p in text.replace("∘", " o ").replace("*", " o ").split(" o ")]
     word = []
     for part in parts:
         if not part:
@@ -339,6 +337,8 @@ def parse_word(text: str) -> list:
             args = [float(a) for a in argtext[:-1].split(",")]
         except ValueError as exc:
             raise ParseError(f"bad arguments in {part!r}") from exc
+        if not all(map(math.isfinite, args)):
+            raise ParseError(f"an argument in {part!r} is not a finite number")
         if head == "trans" and len(args) == 3:
             word.append(Translate(tuple(args)))
         elif head == "dil" and len(args) == 1:

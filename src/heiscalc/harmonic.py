@@ -15,14 +15,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exact
+from . import expr as ex
 from .errors import DomainError, EvalError, NotHarmonic, NotPositive
-from .exact import (RatPoly, QQi, fit_constant, frame_t, frame_x, frame_y,
-                    harmonic_nullspace, laplacian_h, potential_expr,
-                    ratpoly_from_expr)
+from .exact import (RatPoly, QQi, fit_constant, harmonic_nullspace, laplacian_h,
+                    potential_expr, ratpoly_from_expr, word_apply)
 from .expr import jet_eval
 from .group import HeisMap, koranyi_norm, radial_curve
-from .horizontal import (assess_contact, jlap, jt, jx, jy, jz, lambda_jet,
-                         sym_t, sym_x, sym_y)
+from .horizontal import (assess_contact, frame, jlap, lambda_jet, sym_x, sym_y,
+                         word_jet)
 from .jets import Jet
 from .schwarzian import preschwarzian
 
@@ -67,12 +67,12 @@ def gradient_harmonic(u) -> HeisMap:
 
 def _gradient_map(e, name: str = "grad") -> HeisMap:
     """The map (Xu, Yu, Tu) of a potential expression, unchecked."""
-    return HeisMap(sym_x(e), sym_y(e), sym_t(e), name)
+    return HeisMap(sym_x(e), sym_y(e), ex.diff(e, 2), name)
 
 
 def _geom(f1: Jet, f2: Jet, f3: Jet):
     """Xu YTu - Yu XTu from the jets f1 = Xu, f2 = Yu, f3 = Tu."""
-    return (f1.value * jy(f3).value - f2.value * jx(f3).value).real
+    return (f1.value * frame(f3, "Y").value - f2.value * frame(f3, "X").value).real
 
 
 class SystemResiduals(NamedTuple):
@@ -86,11 +86,11 @@ class SystemResiduals(NamedTuple):
 def harmonic_system_residuals(m: HeisMap, p) -> SystemResiduals:
     """Residuals of the coupled system a gradient-harmonic map satisfies."""
     j1, j2, j3 = m.jets(p, 4)   # the bi-sublaplacian
-    r1 = (jlap(j1) - SYSTEM_CONSTANT * jt(j2)).value
-    r2 = (jlap(j2) + SYSTEM_CONSTANT * jt(j1)).value
+    r1 = (jlap(j1) - SYSTEM_CONSTANT * frame(j2, "T")).value
+    r2 = (jlap(j2) + SYSTEM_CONSTANT * frame(j1, "T")).value
     r3 = jlap(j3).value
-    rb1 = (jlap(jlap(j1)) - BILAPLACE_CONSTANT * jt(jt(j1))).value
-    rb2 = (jlap(jlap(j2)) - BILAPLACE_CONSTANT * jt(jt(j2))).value
+    rb1 = (jlap(jlap(j1)) - BILAPLACE_CONSTANT * word_jet("TT", j1)).value
+    rb2 = (jlap(jlap(j2)) - BILAPLACE_CONSTANT * word_jet("TT", j2)).value
     return SystemResiduals(r1.real, r2.real, r3.real, rb1.real, rb2.real)
 
 
@@ -111,11 +111,8 @@ class HessianReport:
 def hessian_report(u, p) -> HessianReport:
     e = potential_expr(u)
     j = jet_eval(e, p, 2)   # the horizontal Hessian
-    x2u = jx(jx(j)).value.real
-    xyu = jx(jy(j)).value.real
-    yxu = jy(jx(j)).value.real
-    y2u = jy(jy(j)).value.real
-    tu = jt(j).value.real
+    x2u, xyu, yxu, y2u = (word_jet(w, j).value.real for w in ("XX", "XY", "YX", "YY"))
+    tu = frame(j, "T").value.real
     det_hess = x2u * y2u - xyu * yxu
     det_sym = x2u * y2u - 0.25 * (xyu + yxu) ** 2
     g1, g2, g3 = _gradient_map(e).jets(p, 1)   # the Jacobian of the gradient map
@@ -128,17 +125,17 @@ def hessian_report(u, p) -> HessianReport:
 def bochner_residual(u, p, kappa: float = BOCHNER_KAPPA) -> float:
     """Residual of (1/2) lap |grad u|^2 = ||Hess u||^2 + kappa (Xu YTu - Yu XTu)."""
     j = jet_eval(potential_expr(u), p, 3)   # lap |grad u|^2
-    gx, gy = jx(j), jy(j)
+    gx, gy = frame(j, "X"), frame(j, "Y")
     lhs = 0.5 * jlap(gx * gx + gy * gy).value.real
-    hess2 = (jx(gx).value.real ** 2 + jy(gx).value.real ** 2
-             + jx(gy).value.real ** 2 + jy(gy).value.real ** 2)
-    return lhs - hess2 - kappa * _geom(gx, gy, jt(j))
+    hess2 = (frame(gx, "X").value.real ** 2 + frame(gx, "Y").value.real ** 2
+             + frame(gy, "X").value.real ** 2 + frame(gy, "Y").value.real ** 2)
+    return lhs - hess2 - kappa * _geom(gx, gy, frame(j, "T"))
 
 
 def geom_term(u, p) -> float:
     """Xu YTu - Yu XTu at p; the level-set quantity gating the sign results."""
     j = jet_eval(potential_expr(u), p, 2)   # Y T u
-    return _geom(jx(j), jy(j), jt(j))
+    return _geom(frame(j, "X"), frame(j, "Y"), frame(j, "T"))
 
 
 def determine_kappa(dmax: int = 4) -> QQi:
@@ -146,11 +143,11 @@ def determine_kappa(dmax: int = 4) -> QQi:
     half = QQi(exact.Fraction(1, 2))
     pairs = []
     for u in harmonic_nullspace(dmax):
-        gx, gy = frame_x(u), frame_y(u)
+        gx, gy = word_apply("X", u), word_apply("Y", u)
         lhs = laplacian_h(gx * gx + gy * gy) * half
-        hess2 = (frame_x(gx) ** 2 + frame_y(gx) ** 2
-                 + frame_x(gy) ** 2 + frame_y(gy) ** 2)
-        geom = gx * frame_y(frame_t(u)) - gy * frame_x(frame_t(u))
+        hess2 = (word_apply("X", gx) ** 2 + word_apply("Y", gx) ** 2
+                 + word_apply("X", gy) ** 2 + word_apply("Y", gy) ** 2)
+        geom = gx * word_apply("YT", u) - gy * word_apply("XT", u)
         pairs.append((lhs - hess2, geom))
     return fit_constant(pairs)
 
@@ -297,15 +294,15 @@ def _grad_quantities_poly(u: RatPoly) -> tuple:
     Log-claims are cleared: lap log g has the sign of g lap g - |grad_H g|^2
     on {g > 0}.
     """
-    f1, f2, f3 = frame_x(u), frame_y(u), frame_t(u)
+    f1, f2, f3 = (word_apply(letter, u) for letter in "XYT")
     fc = f1 + f2 * exact.QQI_I
-    zf = exact.frame_z(fc)
+    zf = word_apply("Z", fc)
     g = (zf * zf.conj()).re_part()                     # |ZF|^2
     lap_g = laplacian_h(g)
     absf2 = (fc * fc.conj()).re_part()
     grad2 = f1 * f1 + f2 * f2                          # |grad_H u|^2
-    geom = f1 * frame_y(f3) - f2 * frame_x(f3)
-    cleared_log = g * lap_g - frame_x(g) ** 2 - frame_y(g) ** 2
+    geom = f1 * word_apply("Y", f3) - f2 * word_apply("X", f3)
+    cleared_log = g * lap_g - word_apply("X", g) ** 2 - word_apply("Y", g) ** 2
     return g, lap_g, cleared_log, laplacian_h(absf2), laplacian_h(grad2), geom
 
 
@@ -334,13 +331,14 @@ def _scan_jets(u, region, label, tol, shape) -> SignReport:
 
     def route(p):
         j = jet_eval(e, p, 4)   # lap |ZF|^2, with ZF a second derivative of u
-        f1, f2, f3 = jx(j), jy(j), jt(j)
+        f1, f2, f3 = frame(j, "X"), frame(j, "Y"), frame(j, "T")
         fc = f1 + 1j * f2
-        zf = jz(fc)
+        zf = frame(fc, "Z")
         g = (zf * zf.conj()).real()
         lap_g = jlap(g)
         geom = _geom(f1, f2, f3)
-        cleared = (g * lap_g - jx(g) * jx(g) - jy(g) * jy(g)).value.real
+        gx, gy = frame(g, "X"), frame(g, "Y")
+        cleared = (g * lap_g - gx * gx - gy * gy).value.real
         return _gradient_claims(g.value.real, lap_g.value.real, cleared,
                                 jlap((fc * fc.conj()).real()).value.real,
                                 jlap((f1 * f1 + f2 * f2).real()).value.real, geom, tol)
@@ -356,12 +354,14 @@ def contact_jacobian_scan(m: HeisMap, region, tol: float = SCAN_TOL) -> SignRepo
         j1, j2, j3 = m.jets(p, 3)   # lap J
         jac = lambda_jet(j1, j2, j3).real()
         jval = jac.value.real
-        tf1, tf2 = jt(j1), jt(j2)
+        tf1, tf2 = frame(j1, "T"), frame(j2, "T")
         # h1 gate: grad f1 . grad T f2 <= grad f2 . grad T f1
-        h1 = ((jx(j1) * jx(tf2) + jy(j1) * jy(tf2))
-              - (jx(j2) * jx(tf1) + jy(j2) * jy(tf1))).value.real
+        h1 = ((frame(j1, "X") * frame(tf2, "X") + frame(j1, "Y") * frame(tf2, "Y"))
+              - (frame(j2, "X") * frame(tf1, "X")
+                 + frame(j2, "Y") * frame(tf1, "Y"))).value.real
         lap_j = jlap(jac)
-        cleared = (jac * lap_j - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
+        xj, yj = frame(jac, "X"), frame(jac, "Y")
+        cleared = (jac * lap_j - xj * xj - yj * yj).value.real
         return jval <= tol, ((lap_j.value.real, h1 <= tol),
                              (cleared, (h1 <= tol) & (jval > tol))), {"h1": h1}
     return _sign_scan(region, tuple(n for (_, _, n) in region),
@@ -452,8 +452,8 @@ def growth_ingredients(u, p, alpha: float = 1.0, radii=None,
         horiz = abs(vt - 2.0 * q[1] * vx + 2.0 * q[0] * vy)
         a = assess_contact(grad, q)
         j = jet_eval(e, q, 2)   # T^2 u
-        t2u = jt(jt(j)).value.real
-        geom = _geom(jx(j), jy(j), jt(j))
+        t2u = word_jet("TT", j).value.real
+        geom = _geom(frame(j, "X"), frame(j, "Y"), frame(j, "T"))
         contact_ok = a.max_contact_residual() <= 1e-8 * (1.0 + abs(j.value))
         gate = contact_ok and geom >= -1e-12
         jac = a.lam.real

@@ -6,7 +6,9 @@ order. Contact assessment reports the horizontal differential, the Jacobian
 through two independent routes, the three contact residuals, the Beltrami
 quotient and the distortion.
 
-One kernel, `frame`, applies X, Y, Z and Zbar. Writing x = x0 + (x - x0)
+One kernel, `frame`, applies each letter X, Y, T, Z and Zb; a word
+(`word_jet`) is a loop over it, rightmost letter first, and the sublaplacian
+`jlap` is the sum X^2 + Y^2. Writing x = x0 + (x - x0)
 and y = y0 + (y - y0), each letter L on the coefficients c of an order-k
 jet is a fixed linear map plus one base-point term:
 
@@ -21,7 +23,7 @@ jet is a fixed linear map plus one base-point term:
 with Dvar the derivative and S_var the product by (var - var0), a shift
 by one grade. A_L(k) and Dt, stacked, are built once per (order, letter)
 by index assignment, and one matrix product gives both on a single jet
-(`(n,)`) or a batch (`(n, N)`). T stays `Jet.derive`.
+(`(n,)`) or a batch (`(n, N)`). T is `Jet.derive(2)`.
 
 The matrix product sums each output coefficient's (at most four) nonzero
 terms in BLAS's order, not in the order of the composition Dx j + 2y Dt j
@@ -69,9 +71,12 @@ def _frame_op(order: int, letter: str) -> np.ndarray:
 
 
 def frame(j: Jet, letter: str) -> Jet:
-    """L j for a letter L of X, Y, Z, Zb, on one jet or a batch: one matrix
-    product gives A_L c and Dt c for the coefficients c, and L j is
-    A_L c + kappa Dt c, kappa the sum over var of s var0 at each base point."""
+    """L j for a letter L of X, Y, T, Z, Zb, on one jet or a batch. T is
+    `j.derive(2)`; for the others one matrix product gives A_L c and Dt c
+    for the coefficients c, and L j is A_L c + kappa Dt c, kappa the sum
+    over var of s var0 at each base point."""
+    if letter == "T":
+        return j.derive(2)
     if j.order == 0:
         raise OrderError("derivative of an order-0 jet")
     (_, sx), (_, sy) = _FRAME[letter]
@@ -81,29 +86,9 @@ def frame(j: Jet, letter: str) -> Jet:
     return Jet(j.base, j.order - 1, out)
 
 
-def jx(j: Jet) -> Jet:
-    return frame(j, "X")
-
-
-def jy(j: Jet) -> Jet:
-    return frame(j, "Y")
-
-
-def jt(j: Jet) -> Jet:
-    return j.derive(2)
-
-
-def jz(j: Jet) -> Jet:
-    return frame(j, "Z")
-
-
-def jzb(j: Jet) -> Jet:
-    return frame(j, "Zb")
-
-
 def jlap(j: Jet) -> Jet:
     """The sublaplacian X^2 + Y^2; consumes two orders."""
-    return jx(jx(j)) + jy(jy(j))
+    return frame(frame(j, "X"), "X") + frame(frame(j, "Y"), "Y")
 
 
 def sym_x(e: Expr) -> Expr:
@@ -115,10 +100,6 @@ def sym_y(e: Expr) -> Expr:
     return ex.sub(ex.diff(e, 1), ex.mul(ex.mul(ex.const(2), ex.X), ex.diff(e, 2)))
 
 
-def sym_t(e: Expr) -> Expr:
-    return ex.diff(e, 2)
-
-
 def word_jet(word, j: Jet) -> Jet:
     """Apply a frame word to a jet, rightmost letter first."""
     letters = parse_frame_word(word)
@@ -126,7 +107,7 @@ def word_jet(word, j: Jet) -> Jet:
         raise OrderError(
             f"word {word!r} needs order {len(letters)}, jet has {j.order}")
     for letter in reversed(letters):
-        j = jt(j) if letter == "T" else frame(j, letter)
+        j = frame(j, letter)
     return j
 
 
@@ -136,17 +117,13 @@ def apply_word(word, e: Expr, p) -> complex:
     return word_jet(letters, jet_eval(e, p, len(letters))).value
 
 
-def sublaplacian(e: Expr, p) -> complex:
-    return jlap(jet_eval(e, p, 2)).value
-
-
 def lambda_jet(j1: Jet, j2: Jet, j3: Jet) -> Jet:
     """Horizontal Jacobian as det of the horizontal differential.
 
     No contact assumption; j3 is accepted (and ignored) so a map's three
     jets pass as they come. The vertical route is assess_contact's.
     """
-    return jx(j1) * jy(j2) - jy(j1) * jx(j2)
+    return frame(j1, "X") * frame(j2, "Y") - frame(j1, "Y") * frame(j2, "X")
 
 
 def jacobian(f: HeisMap, p, order: int, form: str = "") -> Jet:
@@ -169,7 +146,7 @@ def zf(f: HeisMap, p, order: int, conj: bool = False) -> Jet:
     r = f.reading(p, order + 1)
     j1, j2, _ = r.jets
     z = r.shared("zfbar" if conj else "zf",
-                 lambda: jz((j1 + 1j * j2).conj() if conj else j1 + 1j * j2))
+                 lambda: frame((j1 + 1j * j2).conj() if conj else j1 + 1j * j2, "Z"))
     return z.truncate(order)
 
 
@@ -217,7 +194,8 @@ def assess_contact(f: HeisMap, p) -> ContactAssessment:
 
 
 def _assess(f: HeisMap, p) -> ContactAssessment:
-    rows = [(jx(j).value, jy(j).value, jt(j).value, j.value) for j in f.jets(p, 1)]
+    rows = [(frame(j, "X").value, frame(j, "Y").value, frame(j, "T").value, j.value)
+            for j in f.jets(p, 1)]
     (xf1, yf1, tf1, f1v), (xf2, yf2, tf2, f2v), (xf3, yf3, tf3, _) = rows
 
     lam_det = (xf1 * yf2 - yf1 * xf2).real

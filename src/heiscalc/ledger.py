@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exact
 from . import fields as fl
 from . import harmonic as hm
 from . import schwarzian as sw
-from .exact import (RatPoly, fit_constant, frame_t, frame_x, frame_y, frame_z,
-                    frame_zbar, harmonic_nullspace, laplacian_h)
+from .exact import (RatPoly, fit_constant, harmonic_nullspace, laplacian_h,
+                    monomials_wdeg, word_apply)
 from .errors import NoConsistentConstant
 from .group import Invert, LinearSL2, Point, Translate, word_to_map
 
@@ -69,7 +68,8 @@ def ledger_run() -> list[LedgerEntry]:
 
     # (a) first-order system of the gradient map: lap f1 = c T f2
     c, why = _exact_fit(fit_constant,
-                        ((laplacian_h(frame_x(u)), frame_t(frame_y(u))) for u in basis))
+                        ((laplacian_h(word_apply("X", u)), word_apply("TY", u))
+                         for u in basis))
     entries.append(LedgerEntry(
         key="system-constant", stated="8", fitted=c, adopted=str(hm.SYSTEM_CONSTANT),
         detail="lap(Xu) = c T(Yu) over the harmonic basis, exact" + why))
@@ -77,7 +77,7 @@ def ledger_run() -> list[LedgerEntry]:
     # (b) decoupled fourth-order equation: lap lap f1 = c T^2 f1; T^2 Xu only
     # shows up at weighted degree 5, so the basis needs dmax >= 5
     c, why = _exact_fit(fit_constant, (
-        (laplacian_h(laplacian_h(frame_x(u))), frame_t(frame_t(frame_x(u))))
+        (laplacian_h(laplacian_h(word_apply("X", u))), word_apply("TTX", u))
         for u in harmonic_nullspace(6)))
     entries.append(LedgerEntry(
         key="bilaplace-constant", stated="-64", fitted=c,
@@ -92,9 +92,10 @@ def ledger_run() -> list[LedgerEntry]:
 
     # (d) lap log J_F = c Re(Zb Pf), cleared of denominators
     def pair_d(u):
-        j = frame_x(frame_x(u)) * frame_y(frame_y(u)) - frame_y(frame_x(u)) * frame_x(frame_y(u))
-        return (j * laplacian_h(j) - frame_x(j) ** 2 - frame_y(j) ** 2,
-                (j * frame_zbar(frame_z(j)) - frame_z(j) * frame_zbar(j)).re_part())
+        j = (word_apply("XX", u) * word_apply("YY", u)
+             - word_apply("YX", u) * word_apply("XY", u))
+        return (j * laplacian_h(j) - word_apply("X", j) ** 2 - word_apply("Y", j) ** 2,
+                (j * word_apply("ZbZ", j) - word_apply("Z", j) * word_apply("Zb", j)).re_part())
 
     c, why = _exact_fit(fit_constant, map(pair_d, basis))
     entries.append(LedgerEntry(
@@ -104,8 +105,8 @@ def ledger_run() -> list[LedgerEntry]:
 
     # (e) sublaplacian prefactor: lap = c (ZbZ + ZZb)
     c, why = _exact_fit(fit_constant, (
-        (laplacian_h(q), exact.word_apply("ZbZ", q) + exact.word_apply("ZZb", q))
-        for q in (RatPoly.monomial(*m) for m in exact.monomials_wdeg(4))))
+        (laplacian_h(q), word_apply("ZbZ", q) + word_apply("ZZb", q))
+        for q in (RatPoly.monomial(*m) for m in monomials_wdeg(4))))
     entries.append(LedgerEntry(
         key="sublaplacian-prefactor", stated="4", fitted=c, adopted="2",
         detail="lap = c (ZbZ + ZZb) on monomials; engine normalises to X^2 + Y^2" + why))
@@ -160,8 +161,8 @@ def ledger_run() -> list[LedgerEntry]:
         detail=f"residual {r1:.1e} at -1 versus {r2:.1e} at -2"))
 
     # (i) |Pf| against the horizontal gradient of log J
-    ok = all((frame_x(u) ** 2 + frame_y(u) ** 2
-              - frame_z(u) * frame_zbar(u) * 4).is_zero()
+    ok = all((word_apply("X", u) ** 2 + word_apply("Y", u) ** 2
+              - word_apply("Z", u) * word_apply("Zb", u) * 4).is_zero()
              for u in basis)
     half = "|Pf| = (1/2) |grad_H ln J|"
     entries.append(LedgerEntry(
@@ -172,10 +173,12 @@ def ledger_run() -> list[LedgerEntry]:
     # (j) vertical-route Jacobian: det route = vertical route on contact maps,
     # and the gradient-map expansion carries +2, not -2
     def det_route(c1, c2, _c3):
-        return frame_x(c1) * frame_y(c2) - frame_y(c1) * frame_x(c2)
+        return (word_apply("X", c1) * word_apply("Y", c2)
+                - word_apply("Y", c1) * word_apply("X", c2))
 
     def vert_route(c1, c2, c3):
-        return frame_t(c3) - c2 * frame_t(c1) * 2 + c1 * frame_t(c2) * 2
+        return (word_apply("T", c3) - c2 * word_apply("T", c1) * 2
+                + c1 * word_apply("T", c2) * 2)
 
     x, y, t = RatPoly.variable("x"), RatPoly.variable("y"), RatPoly.variable("t")
     trans = (x + 1, y - 2, t + 3 + (x * (-2) - y) * 2)          # left translation by (1,-2,3)
@@ -191,9 +194,10 @@ def ledger_run() -> list[LedgerEntry]:
     probe = [x * x - y * y, x * y, t, x * t, (x * x + y * y) * y,
              t * t - (x ** 4 + y ** 4) * Fraction(2, 3)]
     plus_two = all(
-        (vert_route(frame_x(u), frame_y(u), frame_t(u))
-         - frame_t(frame_t(u))
-         - (frame_x(u) * frame_t(frame_y(u)) - frame_y(u) * frame_t(frame_x(u))) * 2
+        (vert_route(*(word_apply(letter, u) for letter in "XYT"))
+         - word_apply("TT", u)
+         - (word_apply("X", u) * word_apply("TY", u)
+            - word_apply("Y", u) * word_apply("TX", u)) * 2
          ).is_zero() for u in probe)
     plus = "T^2 u + 2 (Xu TYu - Yu TXu)"
     entries.append(LedgerEntry(

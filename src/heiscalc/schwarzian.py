@@ -23,9 +23,9 @@ from . import exact
 from . import expr as ex
 from .errors import (BadPotential, DomainError, NotContact, NotPositive,
                      SingularError)
-from .exact import QQi, RatPoly, d_coord, frame_z, ratpoly_from_expr
+from .exact import QQi, RatPoly, d_coord, ratpoly_from_expr, word_apply
 from .group import HeisMap
-from .horizontal import assess_contact, jacobian, jz, jzb, word_jet, zf
+from .horizontal import assess_contact, frame, jacobian, word_jet, zf
 from .jets import Jet
 
 _TINY = 1e-13
@@ -61,8 +61,8 @@ def s_cr(f: HeisMap, p) -> complex:
     f.reading(p, 3)   # the contact gate reads order 1 of it
     _contact_gate(f, p)
     phi = _positive_jacobian(f, p, 2, "log") * 0.5   # Z^2 of log J
-    zphi = jz(phi)
-    return (jz(zphi) - 2.0 * zphi * zphi).value
+    zphi = frame(phi, "Z")
+    return (frame(zphi, "Z") - 2.0 * zphi * zphi).value
 
 
 def s_cr_reciprocal_form(f: HeisMap, p) -> complex:
@@ -79,8 +79,8 @@ def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
     (Z lambda)^2, no logs), so it is an independent check against 2 s_cr.
     """
     lam = _positive_jacobian(f, p, 2)   # Z^2 of J
-    zlam = jz(lam)
-    num = (lam * jz(zlam) - 2.0 * zlam * zlam).value
+    zlam = frame(lam, "Z")
+    num = (lam * frame(zlam, "Z") - 2.0 * zlam * zlam).value
     den = lam.value * lam.value   # zero for a Jacobian below about 1e-162
     if not den or not cmath.isfinite(num / den):
         raise DomainError(f"the cleared route overflows at {tuple(p)}: "
@@ -95,20 +95,20 @@ def s_cl(f: HeisMap, p) -> complex:
     z1 = zf(f, p, 2)   # Z^3 F
     if abs(z1.value) < _TINY:
         raise SingularError(f"ZF vanishes at {tuple(p)}")
-    z2 = jz(z1)
+    z2 = frame(z1, "Z")
     q = z2.value / z1.value
-    return jz(z2).value / z1.value - 1.5 * q * q
+    return frame(z2, "Z").value / z1.value - 1.5 * q * q
 
 
 def preschwarzian(f: HeisMap, p) -> complex:
     """Z of the log Jacobian. Needs a positive Jacobian, not contact."""
-    return jz(_positive_jacobian(f, p, 1, "log")).value   # Z of log J
+    return frame(_positive_jacobian(f, p, 1, "log"), "Z").value   # Z of log J
 
 
 def preschwarzian_identity_residual(f: HeisMap, p) -> complex:
     """Z(Pf) - Pf^2 minus the tensor coefficient; zero whenever J_F > 0."""
-    pf = jz(_positive_jacobian(f, p, 2, "log"))   # Z^2 of log J
-    lhs = (jz(pf) - pf * pf).value
+    pf = frame(_positive_jacobian(f, p, 2, "log"), "Z")   # Z^2 of log J
+    lhs = (frame(pf, "Z") - pf * pf).value
     return lhs - s_cr_tensor_coeff(f, p)
 
 
@@ -127,8 +127,8 @@ def _conformal_gate(g: HeisMap, p, order: int) -> Jet:
     horizontal derivatives Z Zbar G and Zbar Zbar G vanish there, relative
     to 1 + |ZG| + |Z^2 G|."""
     zg, zbg = zf(g, p, order - 1), zf(g, p, 1, conj=True).conj()
-    worst = max(abs(zbg.value), abs(jz(zbg).value), abs(jzb(zbg).value))
-    if worst > 1e-8 * (1.0 + abs(zg.value) + abs(jz(zg).value)):
+    worst = max(abs(zbg.value), abs(frame(zbg, "Z").value), abs(frame(zbg, "Zb").value))
+    if worst > 1e-8 * (1.0 + abs(zg.value) + abs(frame(zg, "Z").value)):
         raise NotContact(f"{g!r} is not conformal at {tuple(map(float, p))}: "
                          f"Zbar G or a first derivative of it is {worst:.3e}")
     return zg
@@ -147,18 +147,18 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
     g.reading(p, 3)   # S_CR(g); Z^2 G and Z J_G need only 2
     zg_jet, zgbar_jet = zf(g, p, 1), zf(g, p, 1, conj=True)
     zg, zgbar = zg_jet.value, zgbar_jet.value
-    z2g, z2gbar = jz(zg_jet).value, jz(zgbar_jet).value
+    z2g, z2gbar = frame(zg_jet, "Z").value, frame(zgbar_jet, "Z").value
     lam_g = jacobian(g, p, 1)
-    lg, zlam_g = lam_g.value, jz(lam_g).value
+    lg, zlam_g = lam_g.value, frame(lam_g, "Z").value
 
     scr_f = s_cr(f, q)
     lam_f = jacobian(f, q, 2)   # Zbar Z of J_F
     lf = lam_f.value
-    zlam_f, zblam_f = jz(lam_f), jzb(lam_f)
+    zlam_f, zblam_f = frame(lam_f, "Z"), frame(lam_f, "Zb")
     zlam, zblam = zlam_f.value, zblam_f.value
-    zbz_lam, zzb_lam = jzb(zlam_f).value, jz(zblam_f).value
+    zbz_lam, zzb_lam = frame(zlam_f, "Zb").value, frame(zblam_f, "Z").value
     ln_f = jacobian(f, q, 1, "log")
-    zln, zbln = jz(ln_f).value, jzb(ln_f).value
+    zln, zbln = frame(ln_f, "Z").value, frame(ln_f, "Zb").value
 
     rhs = (scr_f * zg * zg
            + scr_f.conjugate() * zgbar * zgbar
@@ -195,19 +195,19 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p,
     a_big = zg.value                           # ZG at f(p)
     if abs(a_big) < _TINY:
         raise SingularError(f"ZG vanishes at {q}")
-    z2g = jz(zg)
+    z2g = frame(zg, "Z")
     b_big = z2g.value                          # Z^2 G
-    d_big = jzb(zg).value                      # Zbar Z G
-    e_big = jzb(z2g).value                     # Zbar Z^2 G
+    d_big = frame(zg, "Zb").value              # Zbar Z G
+    e_big = frame(z2g, "Zb").value             # Zbar Z^2 G
 
     f.reading(p, 3)   # S_CL(f); Z^2 F needs only 2
     z1, z1bar = zf(f, p, 1), zf(f, p, 1, conj=True)
     a = z1.value                               # ZF
     if abs(a) < _TINY:
         raise SingularError(f"ZF vanishes at {tuple(p)}")
-    b = jz(z1).value                           # Z^2 F
+    b = frame(z1, "Z").value                   # Z^2 F
     abar = z1bar.value                         # Z Fbar
-    bbar = jz(z1bar).value                     # Z^2 Fbar
+    bbar = frame(z1bar, "Z").value             # Z^2 Fbar
 
     lhs = s_cl(g.compose(f), p)
     rhs = (s_cl(f, p)
@@ -255,7 +255,7 @@ class FirstOrderPotential:
     def z_residual_poly(self) -> RatPoly:
         """Exact Z(H) - 1; the zero polynomial when the build is correct."""
         h = self.h1_poly + self.h2_poly * exact.QQI_I
-        return frame_z(h) - exact.RP_ONE
+        return word_apply("Z", h) - exact.RP_ONE
 
 
 def zh_one_builder(q_seed, c1=0, c2=0, c3=0) -> FirstOrderPotential:

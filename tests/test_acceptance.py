@@ -18,7 +18,7 @@ from heiscalc.expr import jet_eval, parse_expr
 from heiscalc.group import (Invert, LinearSL2, Point, Translate, dilate_point,
                             koranyi_norm, make_type1, make_type2, random_word,
                             word_to_map)
-from heiscalc.horizontal import jz, word_jet
+from heiscalc.horizontal import frame, word_jet
 from heiscalc.ledger import ledger_run
 
 STRETCH = word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5)])
@@ -141,7 +141,7 @@ def test_criterion_04_chain_rule_collapse_laws_and_composite_value():
             worst_chain = max(worst_chain, abs(sw.cr_chain_residual(f, g, p)))
             worst_right = max(worst_right, abs(sw.cocycle_residual_right(f, g, p)))
             jg = g.jets(p, 4)
-            zg = jz(jg[0] + 1j * jg[1]).value
+            zg = frame(jg[0] + 1j * jg[1], "Z").value
             collapse = sw.s_cr(fg, p) - sw.s_cr(f, g(p)) * zg * zg
             worst_inner = max(worst_inner, abs(collapse))
         except HeisError:
@@ -426,7 +426,7 @@ def test_criterion_12_unit_z_derivative_potentials():
         h = pot.as_expr()
         for _ in range(100):
             p = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-            worst = max(worst, abs(jz(jet_eval(h, p, 2)).value - 1.0))
+            worst = max(worst, abs(frame(jet_eval(h, p, 2), "Z").value - 1.0))
     print(f"criterion 12: 10 random seeds of degree <= 4, 100 points each, "
           f"worst |ZH - 1| {worst:.2e} (tol 1e-10)")
     assert worst <= 1e-10

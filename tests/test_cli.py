@@ -333,6 +333,11 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("scan", "--u", "x*y", "--grid=0:1:101,0:1:100,0:1:100"), 2),
     (("scan", "--u", "x*y", "--grid=0:1:0,0:1:3,0:1:3"), 2),
     (("scan", "--u", "x*y", "--grid=0:1:-1000,0:1:-1000,0:1:3"), 2),
+    (("eval", "--map", "inv*refl", "--point", "1,1,0", "--which", "contact"), 0),
+    (("eval", "--map", "rot(nan)", "--point", "1,1,0"), 2),
+    (("eval", "--map", "dil(nan)", "--point", "1,1,0"), 2),
+    (("eval", "--map", "trans(inf,0,0)", "--point", "1,1,0"), 2),
+    (("eval", "--map", "dil(1e309)", "--point", "1,1,0"), 2),
 ])
 def test_exit_codes(capsys, argv, code):
     got = main(list(argv))

@@ -1,6 +1,7 @@
 """Exact rational polynomial kernel: field ops, frame fields, nullspaces."""
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import numpy as np
@@ -10,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 from heiscalc import exact
 from heiscalc.errors import NoConsistentConstant
 from heiscalc.exact import (QQi, RatPoly, RP_ONE, RP_T, RP_X, RP_Y,
-                            appendix_identities, fit_constant, frame_t,
-                            frame_x, frame_y, frame_z, frame_zbar,
+                            appendix_identities, fit_constant,
                             harmonic_nullspace, laplacian_h, monomials_wdeg,
                             real_nullspace, vzerosol_nullspace, word_apply)
 from heiscalc.expr import jet_eval
-from heiscalc.horizontal import jx, jy, jz, jzb
+from heiscalc.horizontal import frame
 
 RP_Z = RP_X + RP_Y * QQi(0, 1)
 RP_ZBAR = RP_X - RP_Y * QQi(0, 1)
@@ -46,7 +46,7 @@ def test_ratpoly_eval_on_point_array_matches_each_point():
     # 1029 rows: past numpy's unrolled and SIMD loops into their tails
     pts = np.random.default_rng(4).uniform(-1.7, 1.7, (1029, 3))
     u = (RP_X * Fraction(2, 3) - RP_T * QQi(0, 1)) ** 3 + RP_Y ** 4 * RP_T ** 2 - RP_ONE
-    for poly in (u, frame_z(u), RatPoly(), RP_ONE * QQi(Fraction(1, 3), 2)):
+    for poly in (u, word_apply("Z", u), RatPoly(), RP_ONE * QQi(Fraction(1, 3), 2)):
         got = poly.eval(pts)
         assert got.shape == (len(pts),) and got.dtype == complex
         want = np.array([poly.eval(tuple(p)) for p in pts])
@@ -65,14 +65,14 @@ def test_ratpoly_powers():
 
 def test_frame_field_basics():
     # Z z = 1, Zbar z = 0, Z t = i zbar, Zbar t = -i z
-    assert frame_z(RP_Z) == RP_ONE
-    assert frame_zbar(RP_Z) == RatPoly()
-    assert frame_z(RP_T) == RP_ZBAR * QQi(0, 1)
-    assert frame_zbar(RP_T) == RP_Z * QQi(0, -1)
+    assert word_apply("Z", RP_Z) == RP_ONE
+    assert word_apply("Zb", RP_Z) == RatPoly()
+    assert word_apply("Z", RP_T) == RP_ZBAR * QQi(0, 1)
+    assert word_apply("Zb", RP_T) == RP_Z * QQi(0, -1)
     # X t = 2y, Y t = -2x, T t = 1
-    assert frame_x(RP_T) == RP_Y * 2
-    assert frame_y(RP_T) == RP_X * (-2)
-    assert frame_t(RP_T) == RP_ONE
+    assert word_apply("X", RP_T) == RP_Y * 2
+    assert word_apply("Y", RP_T) == RP_X * (-2)
+    assert word_apply("T", RP_T) == RP_ONE
 
 
 def test_sublaplacian_of_t_squared():
@@ -83,16 +83,16 @@ def test_sublaplacian_of_t_squared():
 def test_commutators_on_probe():
     # [X, Y] = -4T and [Zbar, Z] = 2iT on a probe that sees the vertical
     probe = RP_T * RP_X + RP_Y * RP_T * RP_T
-    assert (frame_x(frame_y(probe)) - frame_y(frame_x(probe))
-            == frame_t(probe) * (-4))
-    assert (frame_zbar(frame_z(probe)) - frame_z(frame_zbar(probe))
-            == frame_t(probe) * QQi(0, 2))
+    assert (word_apply("XY", probe) - word_apply("YX", probe)
+            == word_apply("T", probe) * (-4))
+    assert (word_apply("ZbZ", probe) - word_apply("ZZb", probe)
+            == word_apply("T", probe) * QQi(0, 2))
 
 
 def test_word_apply_matches_nested_application():
     probe = RP_T * RP_T + RP_X * RP_X * RP_Y
-    assert word_apply("ZZb", probe) == frame_z(frame_zbar(probe))
-    assert word_apply("XY", probe) == frame_x(frame_y(probe))
+    assert word_apply("ZZb", probe) == word_apply("Z", word_apply("Zb", probe))
+    assert word_apply("XY", probe) == word_apply("X", word_apply("Y", probe))
 
 
 def _tmax(monos, tmax):
@@ -128,19 +128,19 @@ def test_vzerosol_dims():
         dim, basis = vzerosol_nullspace(d)
         assert dim == 8
         for v in basis:
-            assert frame_z(frame_z(v)) == RatPoly()
+            assert word_apply("ZZ", v) == RatPoly()
     # restricting the vertical degree (here dropping the t^3 layer) does not
     # lose solutions
-    assert len(real_nullspace(lambda p: frame_z(frame_z(p)), _tmax(monomials_wdeg(7), 2))) == 8
+    assert len(real_nullspace(_z2, _tmax(monomials_wdeg(7), 2))) == 8
 
 
 def test_real_nullspace_small_operator():
     # kernel of X on monomials of weighted degree <= 2 is spanned by 1, y
     # (t has Xt = 2y, x-bearing monomials survive)
-    basis = real_nullspace(frame_x, _tmax(monomials_wdeg(2), 0))
+    basis = real_nullspace(partial(word_apply, "X"), _tmax(monomials_wdeg(2), 0))
     assert len(basis) == 3  # 1, y, y^2
     for v in basis:
-        assert frame_x(v) == RatPoly()
+        assert word_apply("X", v) == RatPoly()
 
 
 def _sympy_nullspace(op, monos):
@@ -158,11 +158,11 @@ def _sympy_nullspace(op, monos):
 
 
 def _z2(p):
-    return frame_z(frame_z(p))
+    return word_apply("ZZ", p)
 
 
 def _z2_plus_x_t(p):
-    return _z2(p) + RP_X * frame_t(p)
+    return _z2(p) + RP_X * word_apply("T", p)
 
 
 @pytest.mark.parametrize("op,monos,blocks", [
@@ -209,8 +209,8 @@ def test_appendix_identities_fail_with_a_wrong_zbar(monkeypatch):
     # The first polynomial of each scope has zero images under every word (the
     # constant, and the constant in the Z^2 kernel), so a table of word images
     # carried on from it would make every identity hold.
-    monkeypatch.setitem(exact._FRAME_OPS, "Zb",
-                        lambda p: frame_zbar(p) - RP_Y * frame_t(p) * 2)
+    zbar, t = exact._FRAME_OPS["Zb"], exact._FRAME_OPS["T"]
+    monkeypatch.setitem(exact._FRAME_OPS, "Zb", lambda p: zbar(p) - RP_Y * t(p) * 2)
     failed = {name for name, _, ok in appendix_identities(6) if not ok}
     assert failed == {"commutator [Zb,Z] = 2iT",
                       "8 T^2 = -ZZZbZb + ZZbZbZ + ZbZZZb - ZbZbZZ",
@@ -236,9 +236,10 @@ def _assert_reduced(p: RatPoly):
 @given(_polys, _polys, _points)
 def test_frame_operators_match_the_jet_route(p, q, point):
     j = jet_eval(p.to_expr(), point, 2)
-    for op, jop in ((frame_x, jx), (frame_y, jy), (frame_z, jz), (frame_zbar, jzb)):
-        exact_value, jet_value = op(p).eval(point), jop(j).value
+    for letter in ("X", "Y", "Z", "Zb"):
+        exact_value, jet_value = word_apply(letter, p).eval(point), frame(j, letter).value
         assert abs(exact_value - jet_value) <= 1e-12 * max(1.0, abs(jet_value))
-        _assert_reduced(op(p))
-    for r in (p, p + q, p - q, p * q, p.conj(), p.re_part(), p.im_part(), frame_t(p)):
+        _assert_reduced(word_apply(letter, p))
+    for r in (p, p + q, p - q, p * q, p.conj(), p.re_part(), p.im_part(),
+              word_apply("T", p)):
         _assert_reduced(r)

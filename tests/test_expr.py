@@ -1,4 +1,5 @@
 """Expression trees: parsing, evaluation, differentiation, jet lowering."""
+import gc
 import math
 
 import numpy as np
@@ -24,6 +25,20 @@ def test_parse_eval(text, fn):
     e = ex.parse_expr(text)
     assert ex.eval_at(e, P).real == pytest.approx(fn(*P), rel=1e-14)
     assert ex.eval_at(e, P).imag == 0.0
+
+
+def test_a_parse_leaves_no_reference_cycle():
+    # only the cyclic collector would free a cycle, so with it off the
+    # parse's garbage must all go by reference counting
+    text = "x^2 + sin(t)*exp(-y)"
+    ex.parse_expr(text)
+    gc.collect()
+    gc.disable()
+    try:
+        ex.parse_expr(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("bad", [

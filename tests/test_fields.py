@@ -8,17 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 from heiscalc import fields
 from heiscalc import schwarzian as sw
 from heiscalc.errors import BadPotential, DomainError
-from heiscalc.exact import RatPoly, frame_z, ratpoly_from_expr
+from heiscalc.exact import RatPoly, word_apply
 from heiscalc.expr import eval_at, jet_eval, parse_expr, tape
 from heiscalc.group import Point, Rotate, koranyi_norm, random_word, word_to_map
-from heiscalc.horizontal import word_jet
+from heiscalc.horizontal import jacobian, word_jet
 
 
 def test_basis_potentials_are_conformal_exactly():
     for v in fields.V0_BASIS:
-        assert frame_z(frame_z(v)) == RatPoly()
+        assert word_apply("ZZ", v) == RatPoly()
     combo = fields.conformal_v0_poly([1, -2, 0.5, 3, 0, 1, -1, 2])
-    assert frame_z(frame_z(combo)) == RatPoly()
+    assert word_apply("ZZ", combo) == RatPoly()
 
 
 def test_conformal_v0_length_check():
@@ -150,6 +150,22 @@ def test_pushforward_conformal_invariance_all_cases():
         for case in range(1, 9):
             w = fields.pushforward_w0(m, case, p)
             assert abs(word_jet("ZZ", w).value) < 1e-8, (m.name, case)
+
+
+def test_pushforward_cases_are_the_basis_potentials():
+    # case k is V0_BASIS[k - 1] at m(p), over the Jacobian of m at p
+    rng = random.Random(43)
+    for _ in range(4):
+        m = word_to_map(random_word(rng, length=2))
+        for _try in range(50):
+            p = Point(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+            if 0.3 <= koranyi_norm(p) and koranyi_norm(m(p)) < 20:
+                break
+        lam = jacobian(m, p, 0).value
+        for case in range(1, 9):
+            want = fields.V0_BASIS[case - 1].eval(m(p)) / lam
+            got = fields.pushforward_w0(m, case, p).value
+            assert got == pytest.approx(want, rel=1e-12), (m.name, case)
 
 
 def test_pushforward_detects_nonconformal_map():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from heiscalc.errors import ParseError
+from heiscalc.errors import HeisError, ParseError
 from heiscalc.group import (Dilate, HeisMap, Invert, LinearSL2, Point, Reflect, Rotate,
                             Translate, dilate_point, group_inv, group_mul,
                             is_conformal_word, koranyi_dist, koranyi_norm,
@@ -138,14 +138,26 @@ def test_parse_word_round_trip():
     assert max(abs(a - b) for a, b in zip(m1(p), m2(p))) < 1e-14
     assert parse_word("id") == []
     assert len(parse_word("rot(0.5) o sl2(2,0,0,0.5) o refl")) == 3
+    # '*' separates any two letters, with or without arguments
+    assert parse_word("inv*refl") == parse_word("inv o refl") == [Invert(), Reflect()]
+    assert parse_word("dil(2) * inv") == [Dilate(2.0), Invert()]
 
 
 @pytest.mark.parametrize("bad", [
     "trans(1,2)", "foo(1)", "dil()", "inv(3)", "trans(a,b,c)", "o o",
+    "inv*", "rot(nan)", "dil(nan)", "trans(inf,0,0)", "dil(1e309)", "sl2(nan,0,0,1)",
 ])
 def test_parse_word_rejects(bad):
     with pytest.raises(ParseError):
         parse_word(bad)
+
+
+def test_generator_checks_refuse_nan():
+    # nan <= 0 and abs(nan - 1) > 1e-12 are both False
+    with pytest.raises(HeisError):
+        Dilate(float("nan"))
+    with pytest.raises(HeisError):
+        LinearSL2(float("nan"), 0.0, 0.0, 1.0)
 
 
 def test_random_word_deterministic():

@@ -11,7 +11,7 @@ from heiscalc.errors import DomainError, NotHarmonic
 from heiscalc.exact import QQi, RatPoly
 from heiscalc.expr import jet_eval, parse_expr
 from heiscalc.group import HeisMap, Point, make_type1, word_to_map
-from heiscalc.horizontal import jlap, jt, jx, jy, jz, lambda_jet
+from heiscalc.horizontal import frame, jlap, lambda_jet
 
 USTAR = "t^2 - 2/3*(x^4 + y^4)"
 FIVE = ("x", "x*y", "x^2 - y^2", "t", USTAR)
@@ -55,9 +55,9 @@ def test_system_residuals_catch_wrong_map():
     # the first residual picks up X(lap u), nonzero for the non-harmonic x^3
     from heiscalc import expr as ex
     from heiscalc.group import HeisMap
-    from heiscalc.horizontal import sym_x, sym_y, sym_t
+    from heiscalc.horizontal import sym_x, sym_y
     e = ex.parse_expr("x^3")
-    m = HeisMap(sym_x(e), sym_y(e), sym_t(e), "grad-x3")
+    m = HeisMap(sym_x(e), sym_y(e), ex.diff(e, 2), "grad-x3")
     res = hm.harmonic_system_residuals(m, (0.5, 0.3, 0.2))
     assert max(map(abs, res)) > 1e-6
 
@@ -171,13 +171,14 @@ def _assert_same(rep, stats, columns):
 def _gradient_quantities(e, tol):
     def at(p):
         j = jet_eval(e, p, 5)
-        f1, f2, f3 = jx(j), jy(j), jt(j)
+        f1, f2, f3 = frame(j, "X"), frame(j, "Y"), frame(j, "T")
         fc = f1 + 1j * f2
-        zf = jz(fc)
+        zf = frame(fc, "Z")
         g = (zf * zf.conj()).real()
         gval = g.value.real
-        geomv = (f1.value * jy(f3).value - f2.value * jx(f3).value).real
-        cleared = (g * jlap(g) - jx(g) * jx(g) - jy(g) * jy(g)).value.real
+        geomv = (f1.value * frame(f3, "Y").value - f2.value * frame(f3, "X").value).real
+        cleared = (g * jlap(g) - frame(g, "X") * frame(g, "X")
+                   - frame(g, "Y") * frame(g, "Y")).value.real
         return gval <= tol, (
             (jlap(g).value.real, True),
             (cleared, gval > tol),
@@ -191,10 +192,12 @@ def _jacobian_quantities(m, tol):
         j1, j2, j3 = m.jets(p, 5)
         jac = lambda_jet(j1, j2, j3).real()
         jval = jac.value.real
-        tf1, tf2 = jt(j1), jt(j2)
-        h1 = ((jx(j1) * jx(tf2) + jy(j1) * jy(tf2))
-              - (jx(j2) * jx(tf1) + jy(j2) * jy(tf1))).value.real
-        cleared = (jac * jlap(jac) - jx(jac) * jx(jac) - jy(jac) * jy(jac)).value.real
+        tf1, tf2 = frame(j1, "T"), frame(j2, "T")
+        h1 = ((frame(j1, "X") * frame(tf2, "X") + frame(j1, "Y") * frame(tf2, "Y"))
+              - (frame(j2, "X") * frame(tf1, "X")
+                 + frame(j2, "Y") * frame(tf1, "Y"))).value.real
+        cleared = (jac * jlap(jac) - frame(jac, "X") * frame(jac, "X")
+                   - frame(jac, "Y") * frame(jac, "Y")).value.real
         return jval <= tol, ((jlap(jac).value.real, h1 <= tol),
                              (cleared, h1 <= tol and jval > tol)), {"h1": h1}
     return at

@@ -1,5 +1,6 @@
 """Frame differentiation through jets, cross-checked against the exact kernel
 and finite differences."""
+import itertools
 import math
 import random
 
@@ -9,9 +10,8 @@ from heiscalc import expr as ex
 from heiscalc.exact import ratpoly_from_expr, word_apply
 from heiscalc.expr import fd_oracle, jet_eval, parse_expr
 from heiscalc.group import Invert, LinearSL2, Point, Reflect, Rotate, word_to_map
-from heiscalc.horizontal import (assess_contact, apply_word, jt, jx, jy, jz,
-                                 jzb, sublaplacian, sym_x, sym_y, sym_t,
-                                 word_jet)
+from heiscalc.horizontal import (assess_contact, apply_word, frame, jlap, sym_x,
+                                 sym_y, word_jet)
 
 P = (0.7, -0.4, 0.3)
 
@@ -23,35 +23,40 @@ def _jet(text, order=6, p=P):
 def test_frame_on_coordinates():
     # Z z = 1, Zbar z = 0, Z t = i zbar, Z exp(x) = exp(x)/2
     zj = _jet("x", 3) + 1j * _jet("y", 3)
-    assert jz(zj).value == pytest.approx(1.0)
-    assert jzb(zj).value == pytest.approx(0.0, abs=1e-15)
+    assert frame(zj, "Z").value == pytest.approx(1.0)
+    assert frame(zj, "Zb").value == pytest.approx(0.0, abs=1e-15)
     tj = _jet("t", 3)
-    assert jz(tj).value == pytest.approx(complex(P[1], P[0]))  # i zbar = y + ix
-    assert jz(_jet("exp(x)", 3)).value == pytest.approx(0.5 * math.exp(P[0]))
+    assert frame(tj, "Z").value == pytest.approx(complex(P[1], P[0]))  # i zbar = y + ix
+    assert frame(_jet("exp(x)", 3), "Z").value == pytest.approx(0.5 * math.exp(P[0]))
 
 
 def test_sublaplacian_pinned():
     # lap t^2 = 8(x^2 + y^2)
-    got = sublaplacian(parse_expr("t^2"), P)
+    got = jlap(_jet("t^2", 2)).value
     assert got == pytest.approx(8.0 * (P[0] ** 2 + P[1] ** 2), rel=1e-12)
     # harmonic: lap(xy) = 0
-    assert sublaplacian(parse_expr("x*y"), P) == pytest.approx(0.0, abs=1e-12)
+    assert jlap(_jet("x*y", 2)).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_commutator_via_jets():
     j = _jet("t*x + y*t^2")
-    lhs = jzb(jz(j)) - jz(jzb(j))
-    rhs = 2j * jt(j)
+    lhs = word_jet("ZbZ", j) - word_jet("ZZb", j)
+    rhs = 2j * frame(j, "T")
     assert lhs.value == pytest.approx(rhs.value, rel=1e-12)
-    lhs2 = jx(jy(j)) - jy(jx(j))
-    assert lhs2.value == pytest.approx(-4.0 * jt(j).value, rel=1e-12)
+    lhs2 = word_jet("XY", j) - word_jet("YX", j)
+    assert lhs2.value == pytest.approx(-4.0 * frame(j, "T").value, rel=1e-12)
 
 
 def test_word_jet_matches_exact_kernel():
+    # all 155 words of one to three letters over X, Y, T, Z and Zb
     text = "t^2 + x^2*y - x*t"
     poly = ratpoly_from_expr(parse_expr(text))
-    for word in ("ZZ", "ZbZ", "XYT", "ZZbZ"):
-        got = word_jet(word, _jet(text)).value
+    j = _jet(text)
+    words = ["".join(w) for n in (1, 2, 3)
+             for w in itertools.product(("X", "Y", "T", "Z", "Zb"), repeat=n)]
+    assert len(words) == 155
+    for word in words:
+        got = word_jet(word, j).value
         want = complex(word_apply(word, poly).eval(P))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-13), word
 
@@ -65,9 +70,9 @@ def test_apply_word_shortcut():
 
 def test_sym_fields_match_jet_route():
     e = parse_expr("exp(x)*sin(y) + t^2*x")
-    for sym, jop in ((sym_x, jx), (sym_y, jy), (sym_t, jt)):
+    for sym, letter in ((sym_x, "X"), (sym_y, "Y"), (lambda e: ex.diff(e, 2), "T")):
         got = ex.eval_at(sym(e), P)
-        want = jop(jet_eval(e, P, 2)).value
+        want = frame(jet_eval(e, P, 2), letter).value
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -163,8 +168,8 @@ def test_random_words_contact_residuals_vanish():
         assert a.max_contact_residual() < 1e-9
 
 
-@pytest.mark.parametrize("op", [jx, jy, jz, jzb])
-def test_frame_derivative_of_an_order_zero_jet_raises_order_error(op):
+@pytest.mark.parametrize("letter", ["X", "Y", "T", "Z", "Zb"])
+def test_frame_derivative_of_an_order_zero_jet_raises_order_error(letter):
     from heiscalc.errors import OrderError
     with pytest.raises(OrderError):
-        op(_jet("x*y + t", 0))
+        frame(_jet("x*y + t", 0), letter)

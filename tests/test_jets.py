@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heiscalc.errors import DomainError, OrderError
-from heiscalc.horizontal import jx
+from heiscalc.horizontal import frame
 from heiscalc.jets import Jet, indices, jet_seed, ncoef
 
 P = (0.3, -0.2, 0.7)
@@ -50,9 +50,9 @@ def test_partials_match_closed_form():
 
 def test_derive_shifts_partials():
     j = _sample_jet()
-    jx = j.derive("x")
-    assert jx.order == j.order - 1
-    assert jx.partial((1, 1, 0)) == pytest.approx(j.partial((2, 1, 0)), rel=1e-12)
+    dx = j.derive("x")
+    assert dx.order == j.order - 1
+    assert dx.partial((1, 1, 0)) == pytest.approx(j.partial((2, 1, 0)), rel=1e-12)
 
 
 def test_reciprocal_log_sqrt_roundtrips():
@@ -139,7 +139,7 @@ def test_jets_of_one_seed_share_its_base():
     base = x.base
     assert base == (1.0, -2.0, 0.5) and all(type(c) is float for c in base)
     derived = (y, t, x * y, 2.0 * t - 1.0, x / 3.0, -y, x ** 2, (x - t).exp(),
-               (y + 3.0).reciprocal(), jx(x * t), (x * t).derive(2), (x * y).truncate(1))
+               (y + 3.0).reciprocal(), frame(x * t, "X"), (x * t).derive(2), (x * y).truncate(1))
     assert all(j.base is base for j in derived)
 
 

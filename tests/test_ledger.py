@@ -55,8 +55,9 @@ def _shift_middle_coeff(monkeypatch):
 
 
 def _double_zbar(monkeypatch):
-    frame_zbar = ledger.frame_zbar
-    monkeypatch.setattr(ledger, "frame_zbar", lambda u: frame_zbar(u) * 2)
+    word_apply = ledger.word_apply
+    monkeypatch.setattr(ledger, "word_apply",
+                        lambda w, u: word_apply(w, u) * (2 if w == "Zb" else 1))
 
 
 # key -> a perturbation of that entry's evidence or of its owner constant
@@ -86,7 +87,8 @@ def test_an_exact_route_that_fits_no_constant_is_a_verdict(monkeypatch, capsys):
     # lap(Xu) + T(Xu) is no constant multiple of T(Yu): the fit of entry (a)
     # finds none, which fails that entry and leaves the other nine
     laplacian_h = ledger.laplacian_h
-    monkeypatch.setattr(ledger, "laplacian_h", lambda u: laplacian_h(u) + ledger.frame_t(u))
+    monkeypatch.setattr(ledger, "laplacian_h",
+                        lambda u: laplacian_h(u) + ledger.word_apply("T", u))
     entries = {e.key: e for e in ledger_run()}
     assert set(entries) == set(EXPECTED)
     e = entries["system-constant"]

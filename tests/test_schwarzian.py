@@ -13,7 +13,7 @@ from heiscalc.expr import jet_eval, parse_expr
 from heiscalc.group import (HeisMap, Invert, LinearSL2, Point, Reflect,
                             Translate, make_type1, make_type2, random_word,
                             word_to_map)
-from heiscalc.horizontal import jx, jy, jz, jzb, lambda_jet, word_jet
+from heiscalc.horizontal import frame, lambda_jet, word_jet
 
 # contact, non-conformal, with a genuinely non-constant conformal factor
 STRETCH = word_to_map([Invert(), LinearSL2(2.0, 0.0, 0.0, 0.5)])
@@ -104,7 +104,7 @@ def test_conformal_inner_collapses_chain():
         if koranyi_norm(q) > 3 or koranyi_norm(f(q)) > 40:
             continue
         jg = g.jets(p, 4)
-        zg = jz(jg[0] + 1j * jg[1]).value
+        zg = frame(jg[0] + 1j * jg[1], "Z").value
         lhs = sw.s_cr(f.compose(g), p)
         assert lhs == pytest.approx(sw.s_cr(f, q) * zg * zg, rel=1e-7, abs=1e-9)
 
@@ -196,7 +196,7 @@ def test_preschwarzian_composition_conformal_inner():
         if koranyi_norm(q) > 3 or koranyi_norm(f(q)) > 40:
             continue
         jg = g.jets(p, 3)
-        zg = jz(jg[0] + 1j * jg[1]).value
+        zg = frame(jg[0] + 1j * jg[1], "Z").value
         lhs = sw.preschwarzian(f.compose(g), p)
         rhs = sw.preschwarzian(f, q) * zg + sw.preschwarzian(g, p)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
@@ -229,13 +229,13 @@ def test_preschwarzian_norm_and_trace_identities():
     p = Point(0.9, 0.6, 0.4)
     jac = lambda_jet(*m.jets(p, 4))
     lj = jac.log()
-    pf_jet = jz(lj)
+    pf_jet = frame(lj, "Z")
     pf = pf_jet.value
-    gx = jx(lj).value.real
-    gy = jy(lj).value.real
+    gx = frame(lj, "X").value.real
+    gy = frame(lj, "Y").value.real
     assert abs(pf) == pytest.approx(0.5 * math.hypot(gx, gy), rel=1e-10)
-    lap = (jx(jx(lj)) + jy(jy(lj))).value.real
-    assert lap == pytest.approx(4.0 * jzb(pf_jet).value.real, rel=1e-10)
+    lap = (word_jet("XX", lj) + word_jet("YY", lj)).value.real
+    assert lap == pytest.approx(4.0 * frame(pf_jet, "Zb").value.real, rel=1e-10)
 
 
 def test_half_log_factor_pluriharmonic_on_conformal_maps():
@@ -317,7 +317,7 @@ def test_zh_builder_jet_crosscheck():
     pot = sw.zh_one_builder("3*x^2*y - y^3", c1=1)
     h = pot.as_expr()
     for p in [(0.7, -0.4, 0.3), (1.5, 0.8, -2.0), (-0.3, 0.2, 0.9)]:
-        zh = jz(jet_eval(h, p, 2)).value
+        zh = frame(jet_eval(h, p, 2), "Z").value
         assert zh == pytest.approx(1.0, rel=1e-12)
 
 

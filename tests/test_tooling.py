@@ -1,7 +1,10 @@
-"""Guards for the tools around the package: the benchmark's traced run wraps
-heiscalc functions by name, and its exact workload checks the ledger against
-a recorded table, so a rename or a changed verdict must fail here first; the
-pair runner records whether its runs write bytecode."""
+"""Guards for the tools around the package: the benchmark's workloads call
+heiscalc by module attribute, its traced run wraps heiscalc functions by
+name, and its exact workload checks the ledger against a recorded table, so
+a rename or a changed verdict must fail here first; the pair runner records
+whether its runs write bytecode."""
+import ast
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -19,6 +22,21 @@ def test_bench_span_targets_resolve():
     spec.loader.exec_module(spans)
     for name, owner, attr in spans.TARGETS:
         assert callable(getattr(owner, attr, None)), (name, attr)
+
+
+def test_bench_library_references_resolve():
+    # a workload that names a deleted attribute fails every one of its cases
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name: importlib.import_module(f"heiscalc.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "heiscalc"
+               for alias in node.names}
+    refs = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {"group", "horizontal", "exact"} <= modules.keys() and len(refs) > 10
+    for name, attr in sorted(refs):
+        assert hasattr(modules[name], attr), f"{name}.{attr}"
 
 
 def test_ledger_matches_the_benchmark_reference():
