@@ -391,8 +391,10 @@ def parse_frame_word(word) -> list:
 
 
 def word_apply(word: str, p: RatPoly) -> RatPoly:
-    """Apply a frame word, rightmost letter first: word_apply('XY', p) = X(Y(p))."""
-    return _word_image({"": p}, word)
+    """Apply a frame word, rightmost letter first: word_apply('XY', p) = X(Y(p)).
+    A single letter is its operator, with no suffix table."""
+    op = _FRAME_OPS.get(word)
+    return op(p) if op is not None else _word_image({"": p}, word)
 
 
 def _word_image(table: dict, word: str) -> RatPoly:

@@ -15,11 +15,14 @@ tuples of roots. One entry point, `evaluate`, takes one root or a tuple of
 roots that share a DAG and runs their tape over complex scalars or over Jet
 values (`eval_at` and `jet_eval` only make the seeds); scalars and jets run
 the same step format, and on jets a division multiplies by its divisor's
-reciprocal, made once per divisor. An RK4 flow fetches its field's tape
-once and runs its scalar steps inside each stage, on a slot list of the
-flow's own (`fields._stage`): the one other loop over a tape's steps, kept
-because the flows spend nearly all their time there and a run of the tape
-per stage took 1.45 to 1.7 times as long.
+reciprocal, made once per divisor. The jet steps also reuse slots: each
+writes into the slot of a value whose last reader has run, so a batched run
+holds only the jets it will still read, and a reciprocal is found by its
+divisor node, not by a slot that may hold another value later. An RK4 flow
+fetches its field's tape once and runs its scalar steps inside each stage,
+on a slot list of the flow's own (`fields._stage`): the one other loop over
+a tape's steps, kept because the flows spend nearly all their time there
+and a run of the tape per stage took 1.45 to 1.7 times as long.
 
 Constants keep their exact type (int / Fraction) on the tree, which is what
 lets the exact polynomial kernel read coefficients off parsed input without
@@ -314,73 +317,122 @@ def _reciprocal(b, _):
     return b.reciprocal()
 
 
-def _schedule(roots, nodes, leaves, expo, nconst, jets) -> tuple:
-    """The steps `(fn, i, j, k)` of the nodes and the roots' slots, for a
-    run whose slots `jets` hold jets (the seeds; none for scalars): there a
-    'div' by a jet multiplies by the reciprocal of its divisor's slot, made
-    once."""
-    slot, jets, recip, steps = dict(leaves), set(jets), {}, []
-    for node in nodes:
-        fn = _STEPS[node.op]
-        i = slot[node.args[0]]
-        j = expo[node] if node.op == "pow" else slot[node.args[-1]]
+def _jet_schedule(steps, last, size, outs) -> tuple:
+    """The steps and the roots' slots of a run on jets, made from the
+    scalar `steps`, and the length of the slot list they need.
+
+    A scalar slot holds one node's value, so it names the node: `last[s]`
+    is the index of the last step that reads slot s (-1 for a seed, a
+    constant, an exponent or a root, which are never freed), and `at[s]`
+    is where the jet run keeps that value. A 'div' by a jet multiplies by
+    the reciprocal of its divisor, made once and found by the divisor's
+    scalar slot, that is by the divisor node: a jet slot may hold another
+    value later. A step writes into a slot freed by a value whose last
+    reader has run (that step included: it reads its operands before it
+    writes), and a freed value's reciprocal is freed with it (a seed's or
+    a root's stays to the end); the scalar steps' slots, empty in a jet
+    run, are free at the start, and slots from `size` on are past the
+    template."""
+    at = list(range(size))
+    free = [k for *_, k in reversed(steps)]
+    jets, recip, out, top = {0, 1, 2}, {}, [], size   # jets: scalar slots
+    for n, (fn, i, j, k) in enumerate(steps):
+        a, b = at[i], at[j]
         if fn is _div and j in jets:
-            if j not in recip:
-                recip[j] = 3 + nconst + len(steps)
-                steps.append((_reciprocal, j, j, recip[j]))
-            fn, j = operator.mul, recip[j]
-        k = slot[node] = 3 + nconst + len(steps)
+            r = recip.get(j)
+            if r is None:
+                if free:
+                    r = free.pop()
+                else:
+                    r, top = top, top + 1
+                recip[j] = r
+                out.append((_reciprocal, b, b, r))
+            fn, b = operator.mul, r
+        if last[i] == n:
+            free.append(a)
+            if i in recip:
+                free.append(recip.pop(i))
+        if last[j] == n and j != i:   # a node that is both operands is freed once
+            free.append(at[j])
+            if j in recip:
+                free.append(recip.pop(j))
+        if free:
+            at[k] = free.pop()
+        else:
+            at[k], top = top, top + 1
         if i in jets or j in jets:
             jets.add(k)
-        steps.append((fn, i, j, k))
-    return tuple(steps), tuple(slot[r] for r in roots)
+        out.append((fn, a, b, at[k]))
+    return tuple(out), tuple(at[s] for s in outs), top
 
 
 class Tape:
     """A tuple of roots compiled into numbered slots and steps.
 
-    Slots 0-2 hold the seeds x, y, t; then come the constants, lowered to
-    complex here (a 'pow' exponent stays an int); then one slot per step.
-    A step `(fn, i, j, k)` stores fn(slot i, slot j) in slot k, one per
-    remaining node in `postorder` order. Each step is the operation the
-    node names on the values of its arguments, so a run gives the values a
-    walk over the nodes gives, bit for bit. `template` is the slot list
-    before a run: the constants in place, the other slots empty; a run
-    fills a copy of it.
+    Slots 0-2 hold the seeds x, y, t; then each constant, each 'pow'
+    exponent and each other node has a slot, in `postorder` order. The
+    constants are lowered to complex here (an exponent stays an int). A
+    step `(fn, i, j, k)` stores fn(slot i, slot j) in slot k, one per node
+    that is no seed or constant, in that same order. Each step is the
+    operation the node names on the values of its arguments, so a run
+    gives the values a walk over the nodes gives, bit for bit. `template`
+    is the slot list before a run: the constants and exponents in place,
+    the other slots empty; a run fills a copy of it.
 
-    Jets run a schedule of their own, `jet_steps`: a 'div' by a jet
-    multiplies by the divisor's reciprocal, one 'reciprocal' step per
-    divisor slot, just before its first use, so the inversion's three
+    Scalars run `steps`, which write each node's own slot. Jets run a
+    schedule of their own, `jet_steps`, which differs in two ways. A 'div'
+    by a jet multiplies by the divisor's reciprocal, one 'reciprocal' step
+    per divisor node, just before its first use, so the inversion's three
     components divide by one shared denominator with one Horner series.
-    That is what `a / b` computes on jets, so the bits are the same.
-    Scalars keep `a / b`: complex `a * (1 / b)` may round otherwise.
+    That is what `a / b` computes on jets, so the bits are the same;
+    scalars keep `a / b`, as complex `a * (1 / b)` may round otherwise.
+    And a jet step writes into a slot freed by a value whose last reader
+    (recorded in the one loop over `postorder` that makes the scalar
+    steps) has run, never a root's, a seed's or a constant's: the scan
+    potential's 10 steps write 3 slots, the inversion's 18 write 5, so a
+    batched run holds a few jets at a time.
     """
     __slots__ = ("template", "steps", "outs", "jet_steps", "jet_outs")
 
     def __init__(self, roots: tuple):
-        slot, expo, consts, nodes = {}, {}, [], []
+        # last[s]: the index of the last step that reads slot s; fixed: the
+        # slots no step writes (the seeds, constants and exponents)
+        slot, template, steps, last, fixed = {}, [None] * 3, [], [-1] * 3, [0, 1, 2]
         try:
             for node in postorder(roots):
                 op = node.op
                 if op == "coord":
                     slot[node] = node.val
                 elif op == "const":
-                    slot[node] = 3 + len(consts)
-                    consts.append(complex(node.val))
+                    slot[node] = len(template)
+                    fixed.append(len(template))
+                    template.append(complex(node.val))
+                    last.append(-1)
                 elif op in _STEPS:
+                    args = node.args
+                    i = slot[args[0]]
                     if op == "pow":
-                        expo[node] = 3 + len(consts)
-                        consts.append(node.val)
-                    nodes.append(node)
+                        j = len(template)
+                        fixed.append(j)
+                        template.append(node.val)
+                        last.append(-1)
+                    else:
+                        j = slot[args[-1]]
+                    k = slot[node] = len(template)
+                    template.append(None)
+                    last.append(-1)
+                    last[i] = last[j] = len(steps)   # the steps run in this order
+                    steps.append((_STEPS[op], i, j, k))
                 else:
                     raise EvalError(f"unknown node '{op}'")
         except OverflowError as e:
             raise DomainError(f"evaluation overflowed: {e}") from None
-        self.steps, self.outs = _schedule(roots, nodes, slot, expo, len(consts), ())
-        self.jet_steps, self.jet_outs = _schedule(roots, nodes, slot, expo, len(consts),
-                                                  (0, 1, 2))
-        # the jet schedule has the more steps: its reciprocals
-        self.template = (None,) * 3 + tuple(consts) + (None,) * len(self.jet_steps)
+        self.steps, self.outs = tuple(steps), tuple(slot[r] for r in roots)
+        for s in (*fixed, *self.outs):
+            last[s] = -1
+        self.jet_steps, self.jet_outs, top = _jet_schedule(steps, last, len(template),
+                                                           self.outs)
+        self.template = tuple(template) + (None,) * (top - len(template))
 
     def __call__(self, vx, vy, vt) -> tuple:
         """The roots' values at the seeds, complex scalars or Jets.

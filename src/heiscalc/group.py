@@ -79,9 +79,19 @@ def radial_curve(r: float, p) -> Point:
 
 # --- generators ---------------------------------------------------------------
 
+def _require_finite(gen, values):
+    """A DomainError when a generator's parameter is NaN or infinite, so the
+    map is refused when built and not at its first evaluation."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{type(gen).__name__} parameters must be finite, got {values}")
+
+
 @dataclass(frozen=True)
 class Translate:
     p: tuple
+
+    def __post_init__(self):
+        _require_finite(self, self.p)
 
     def exprs(self):
         px, py, pt = (float(c) for c in self.p)
@@ -97,7 +107,8 @@ class Dilate:
     r: float
 
     def __post_init__(self):
-        if not self.r > 0:   # a NaN fails too
+        _require_finite(self, (self.r,))
+        if not self.r > 0:
             raise NotPositive(f"dilation factor must be positive, got {self.r}")
 
     def exprs(self):
@@ -111,6 +122,9 @@ class Dilate:
 @dataclass(frozen=True)
 class Rotate:
     phi: float
+
+    def __post_init__(self):
+        _require_finite(self, (self.phi,))
 
     def exprs(self):
         c, s = math.cos(self.phi), math.sin(self.phi)

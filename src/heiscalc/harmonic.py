@@ -235,11 +235,21 @@ def _grid_array(region) -> np.ndarray:
 # spreads each numpy call over more points but holds every intermediate of
 # the chunk at once.
 #
-# The jet routes carry 35 complex coefficients per point at order 4: on a
-# 10^3 jet-path scan of exp(x)cos(y) + u* (2-vCPU host), 64 points raise a
-# fresh process's peak memory by about 0.4 MiB and 128 points by about
-# 1 MiB, for a quarter to a third less time.
-_JET_CHUNK = 64
+# The jet routes carry 35 complex coefficients per point at order 4, and a
+# batched tape run holds only the jets it will still read (`expr.Tape`).
+# The benchmark's scan_jet workload (10^3 scans of exp(x)cos(y) + u*,
+# 2-vCPU host, no bytecode, 8 s runs, 7 per row on seeds 1, 2 and 90001):
+#
+#   tape            points   block_s median (range)     peak_rss_mib
+#   one slot/node       64   0.0178 (0.0168-0.0183)     33.27-33.41
+#   one slot/node      256   0.0114 (0.0107-0.0124)     35.12-35.32
+#   slots reused       128   0.0110 (0.0105-0.0116)     33.52-33.68
+#   slots reused       256   0.0091 (0.0088-0.0096)     34.35-34.48
+#   slots reused       512   0.0090 (0.0087-0.0096)     35.48-35.63
+#
+# 256 takes about half the time of 64 for 1 MiB more; 512 costs 1.2 MiB more
+# again for no time resolved.
+_JET_CHUNK = 256
 # The polynomial route holds about one number per point for each power and
 # quantity, so at 64 points its scan is almost all numpy call overhead. On
 # a 21^3 scan of u* (2-vCPU host, best of 100), 1024 points take 2.6-4.8 ms

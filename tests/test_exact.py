@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heiscalc import exact
-from heiscalc.errors import NoConsistentConstant
+from heiscalc.errors import EvalError, NoConsistentConstant
 from heiscalc.exact import (QQi, RatPoly, RP_ONE, RP_T, RP_X, RP_Y,
                             appendix_identities, fit_constant,
                             harmonic_nullspace, laplacian_h, monomials_wdeg,
@@ -93,6 +93,14 @@ def test_word_apply_matches_nested_application():
     probe = RP_T * RP_T + RP_X * RP_X * RP_Y
     assert word_apply("ZZb", probe) == word_apply("Z", word_apply("Zb", probe))
     assert word_apply("XY", probe) == word_apply("X", word_apply("Y", probe))
+    assert word_apply("", probe) == probe
+
+
+@pytest.mark.parametrize("word", ["Q", "z", "XQ", "Zc"])
+def test_word_apply_refuses_a_bad_letter(word):
+    # a one-letter word calls its operator directly; a bad one is still refused
+    with pytest.raises(EvalError, match="bad frame letter"):
+        word_apply(word, RP_T)
 
 
 def _tmax(monos, tmax):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from heiscalc.errors import HeisError, ParseError
+from heiscalc.errors import DomainError, HeisError, ParseError
 from heiscalc.group import (Dilate, HeisMap, Invert, LinearSL2, Point, Reflect, Rotate,
                             Translate, dilate_point, group_inv, group_mul,
                             is_conformal_word, koranyi_dist, koranyi_norm,
@@ -158,6 +158,20 @@ def test_generator_checks_refuse_nan():
         Dilate(float("nan"))
     with pytest.raises(HeisError):
         LinearSL2(float("nan"), 0.0, 0.0, 1.0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cls, args", [
+    (Rotate, (_NAN,)), (Rotate, (_INF,)), (Translate, ((_INF, 0.0, 0.0),)),
+    (Translate, ((0.0, 0.0, _NAN),)), (Dilate, (_INF,)), (Dilate, (_NAN,)),
+    (LinearSL2, (_INF, 0.0, 0.0, 1.0)),
+], ids=["rot-nan", "rot-inf", "trans-inf", "trans-nan", "dil-inf", "dil-nan", "sl2-inf"])
+def test_generators_refuse_non_finite_parameters_at_construction(cls, args):
+    # refused when built, not at the map's first evaluation
+    with pytest.raises(DomainError):
+        cls(*args)
 
 
 def test_random_word_deterministic():

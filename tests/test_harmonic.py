@@ -287,6 +287,39 @@ def test_polynomial_scan_is_bitwise_a_per_point_loop(u, clean):
     assert rep.ok() == clean
 
 
+def _assert_batch_size_free(monkeypatch, name, sizes, scan):
+    """The scan's columns, as bytes, and its checks at each batch size are
+    those at the first."""
+    first = None
+    for size in sizes:
+        monkeypatch.setattr(hm, name, size)
+        rep = scan()
+        if first is None:
+            first = rep
+            continue
+        assert sorted(rep.columns) == sorted(first.columns), size
+        for col, want in first.columns.items():
+            got = rep.columns[col]
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), (size, col)
+        assert rep.checks == first.checks, size
+
+
+# CROSSING has 360 points and crosses t = 0; every size but the whole grid
+# ends in a partial batch
+@pytest.mark.parametrize("scan", [
+    lambda: hm.subharmonicity_scan(JET_U, CROSSING),
+    lambda: hm.contact_jacobian_scan(hm.gradient_harmonic(JET_U), CROSSING),
+], ids=["subharmonicity", "contact-jacobian"])
+def test_jet_scan_columns_do_not_depend_on_the_batch_size(monkeypatch, scan):
+    _assert_batch_size_free(monkeypatch, "_JET_CHUNK", (1, 7, 64, 256, 360), scan)
+
+
+def test_polynomial_scan_columns_do_not_depend_on_the_batch_size(monkeypatch):
+    # WIDE has 1287 points and crosses t = 0
+    _assert_batch_size_free(monkeypatch, "_POLY_CHUNK", (1, 7, 64, 1024, 1287),
+                            lambda: hm.subharmonicity_scan(USTAR, WIDE))
+
+
 def test_contact_jacobian_scan_on_isometry():
     m = word_to_map(make_type1((0.2, -0.1, 0.3), 0.6, 1.2, (0.0, 0.1, 0.0)))
     rep = hm.contact_jacobian_scan(m, ((-0.8, 0.8, 4), (-0.8, 0.8, 4), (-0.8, 0.8, 3)))

@@ -3,6 +3,7 @@ agree with finite differences, non-finite jets as domain errors, and one
 tape per flow."""
 import cmath
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from heiscalc import expr as ex
 from heiscalc import fields, schwarzian as sw
 from heiscalc.errors import DomainError, EvalError
-from heiscalc.group import HeisMap, Invert
+from heiscalc.group import HeisMap, Invert, Translate, parse_word, word_to_map
 from heiscalc.jets import Jet, jet_seed
 
 from test_walks import _POINTS, _TEXTS, _parsed
@@ -143,11 +144,103 @@ def test_jets_multiply_by_one_reciprocal_per_divisor_bit_for_bit(t1, t2, p):
             == _jet_outcome(_walk, roots, p))
 
 
+# --- DAGs with shared subtrees, built through the smart constructors -----------
+
+_LEAVES = (ex.X, ex.Y, ex.T, ex.const(2), ex.const(Fraction(1, 3)), ex.const(0.5 - 1j))
+_BINARY = {"add": ex.add, "sub": ex.sub, "mul": ex.mul, "div": ex.div}
+_UNARY = {"neg": ex.neg, "exp": ex.exp_, "log": ex.log_, "sin": ex.sin_, "cos": ex.cos_,
+          "sqrt": ex.sqrt_, "conj": ex.conj_, "re": ex.re_, "im": ex.im_,
+          "cube": lambda a: ex.pow_(a, 3), "inv2": lambda a: ex.pow_(a, -2)}
+
+
+@st.composite
+def _shared_dags(draw):
+    """A tuple of roots over a pool of nodes that later nodes draw their
+    operands from, so subtrees are shared: 'square' reads one node as both
+    operands, 'divs' divides two nodes by one divisor, and roots may read
+    one another or a node in common."""
+    pool = list(_LEAVES)
+
+    def node():   # one of the last three nodes half the time, so chains form
+        back = st.integers(0, 2) | st.integers(0, len(pool) - 1)
+        return pool[-1 - draw(back)]
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from((*_BINARY, *_UNARY)) | st.sampled_from(("square", "divs")))
+        a, b = node(), node()
+        try:
+            if kind in _BINARY:
+                pool.append(_BINARY[kind](a, b))
+            elif kind in _UNARY:
+                pool.append(_UNARY[kind](a))
+            elif kind == "square":
+                pool.append(ex.mul(a, a))
+            else:
+                pool += [ex.div(a, b), ex.div(node(), b)]
+        except DomainError:   # a constant fold to a division by zero
+            pass
+    recent = st.integers(0, min(6, len(pool) - 1))
+    return tuple(pool[-1 - draw(recent)] for _ in range(draw(st.integers(1, 3))))
+
+
+def _assert_tape_is_the_walk(roots, p):
+    seeds = tuple(map(complex, p))
+    assert _outcome(ex.tape(roots), *seeds) == _outcome(_walk, roots, *seeds)
+    assert (_jet_outcome(lambda r, *s: ex.tape(r)(*s), roots, p)
+            == _jet_outcome(_walk, roots, p))
+
+
+_S = ex.add(ex.X, ex.Y)
+_SQUARE = ex.mul(_S, _S)   # s*s with s = x + y one node
+_DEN = ex.add(ex.mul(ex.T, ex.T), ex.const(1))
+_COMPOSITE = HeisMap(*Invert().exprs()).compose(HeisMap(*Translate((0.5, -0.25, 1.0)).exprs()))
+_WORD = word_to_map(parse_word("inv o rot(0.5) o trans(1,0.5,-0.25) o inv"))
+_SHARED_CASES = {
+    # freed once: a second free would hand s's slot to exp(x) while s*s is live
+    "both operands": (ex.add(_SQUARE, ex.exp_(ex.X)),),
+    "both operands, read again": (ex.mul(ex.sub(_SQUARE, ex.sin_(ex.Y)), _SQUARE),),
+    "two roots": (ex.mul(_S, ex.T), ex.exp_(_S), _S),
+    "a root read by a root": (_SQUARE, ex.add(_SQUARE, ex.cos_(ex.X))),
+    "one divisor": (ex.div(ex.X, _DEN), ex.div(ex.exp_(ex.Y), _DEN),
+                    ex.add(ex.div(ex.T, _DEN), ex.exp_(_DEN))),
+    # t*t + 1 dies first at the outer sum, and exp(y) + 2 then takes its slot:
+    # a reciprocal looked up by slot would divide by the wrong denominator
+    "a divisor's slot reused": (ex.add(ex.add(_DEN, ex.div(ex.X, _DEN)),
+                                       ex.div(ex.X, ex.add(ex.exp_(ex.Y), ex.const(2)))),),
+    "inversion": Invert().exprs(),
+    "composite": (_COMPOSITE.e1, _COMPOSITE.e2, _COMPOSITE.e3),
+    "word": (_WORD.e1, _WORD.e2, _WORD.e3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_CASES))
+@pytest.mark.parametrize("p", [(0.5, -0.25, 0.75), (-1.5, 0.5, 0.0), (0.0, 0.0, 0.0)])
+def test_shared_subtrees_give_the_walks_values_bit_for_bit(case, p):
+    _assert_tape_is_the_walk(_SHARED_CASES[case], p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_dags(), _POINTS)
+def test_random_shared_dags_give_the_walks_values_bit_for_bit(roots, p):
+    _assert_tape_is_the_walk(roots, p)
+
+
 def test_the_inversion_takes_one_reciprocal_for_three_divisions():
     t = ex.Tape(Invert().exprs())
     ops = [fn.__name__ for fn, *_ in t.jet_steps]
     assert ops.count("_reciprocal") == 1 and ops.count("_div") == 0
     assert [fn.__name__ for fn, *_ in t.steps].count("_div") == 3
+
+
+@pytest.mark.parametrize("roots, most", [
+    ((ex.parse_expr("exp(x)*cos(y) + t^2 - 2/3*(x^4+y^4)"),), 3),   # 10 steps
+    (Invert().exprs(), 5),                                           # 18 steps
+])
+def test_the_jet_schedule_writes_only_a_few_slots(roots, most):
+    # a jet step writes into the slot of a value no later step reads;
+    # the scalar schedule keeps one slot per node
+    t = ex.Tape(roots)
+    assert len({k for *_, k in t.jet_steps}) <= most < len(t.jet_steps)
+    assert len({k for *_, k in t.steps}) == len(t.steps)
 
 
 _ORDER1 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
