@@ -19,7 +19,7 @@ from .group import HeisMap, Point
 from .horizontal import apply_word, jacobian, sym_x, sym_y
 from .jets import Jet
 
-# Exact potential family spanning the conformal fields; entry k matches
+# Exact potential family spanning the conformal fields; entry k is
 # pushforward case k+1.
 V0_BASIS = (
     RatPoly({(4, 0, 0): 1, (2, 2, 0): 2, (0, 4, 0): 1, (0, 0, 2): 1}),
@@ -176,32 +176,20 @@ def scl_flow_derivative(v0, p) -> complex:
     return -2j * apply_word("ZZZZb", potential_expr(v0), p)
 
 
+# The basis potentials' tapes, held here and not in expr.tape's small cache,
+# where they would evict the map tapes that a run of diagnostics reuses.
+_V0_TAPES = tuple(ex.Tape((b.to_expr(),)) for b in V0_BASIS)
+
+
 def pushforward_w0(f: HeisMap, case: int, p) -> Jet:
-    """Jacobian-weighted pullback of basis potential `case` (1..8) along f,
-    as an order-2 jet at the single point p, enough for Z^2; .value gives
-    the scalar. The reciprocal Jacobian comes from f's reading at p."""
+    """Jacobian-weighted pullback (V0_BASIS[case - 1] o f) / J_f of basis
+    potential `case` (1..8) along f, as an order-2 jet at the single point
+    p, enough for Z^2; .value gives the scalar. The potential's tape runs on
+    f's jets, and the reciprocal Jacobian comes from f's reading at p."""
     if not 1 <= case <= 8:
         raise DomainError(f"case must be 1..8, got {case}")
     inv = jacobian(f, p, 2, "reciprocal")   # shared by the eight cases
-    j1, j2, j3 = f.jets(p, 2)
-    if case <= 4:
-        rho = j1 * j1 + j2 * j2
-    if case == 1:
-        num = j3 * j3 + rho * rho
-    elif case == 2:
-        num = j3 * j2 - j1 * rho
-    elif case == 3:
-        num = j3 * j1 + j2 * rho
-    elif case == 4:
-        num = rho
-    elif case == 5:
-        num = j1
-    elif case == 6:
-        num = j2
-    elif case == 7:
-        num = j3
-    else:
-        num = Jet.constant(1.0, j1.base, j1.order)
+    (num,) = _V0_TAPES[case - 1](*f.jets(p, 2))
     return num * inv
 
 

@@ -9,12 +9,13 @@ becomes a single DAG. Its values and jets come from one run of the three
 roots' tape.
 
 A map keeps one reading: its jets at the last single point asked for, to
-the highest order asked there so far. Every diagnostic of the map at that
-point takes the truncation to the order its formula consumes, so the
-CR and classical Schwarzians, the preschwarzian, the contact gates and the
-pushforwards of one (map, point) share one evaluation. The reading also
-holds what they derive alike: the Jacobian jet and its reciprocal and log
-(`horizontal.jacobian`), Z F and Z conj(F) (`horizontal.zf`), and the
+the highest order asked there so far and to order 3 at least, the order
+both Schwarzians read. Every diagnostic of the map at that point takes the
+truncation to the order its formula consumes, so the CR and classical
+Schwarzians, the preschwarzian, the contact gates and the pushforwards of
+one (map, point) share one evaluation, whichever comes first. The reading
+also holds what they derive alike: the Jacobian jet and its reciprocal and
+log (`horizontal.jacobian`), Z F and Z conj(F) (`horizontal.zf`), and the
 contact assessment. An `(N, 3)` batch of points bypasses it.
 """
 from __future__ import annotations
@@ -229,12 +230,15 @@ class HeisMap:
 
     def reading(self, p, order: int) -> Reading:
         """The map's reading at the single point p, evaluated again only
-        for a new point or a higher order. Points are told apart by their
-        bits, so -0.0 and 0.0 are two points."""
+        for a new point or a higher order, and to order 3 at least, the
+        order both Schwarzians read, so a gate that reads a lower order
+        first does not cost a second evaluation. Points are told apart by
+        their bits, so -0.0 and 0.0 are two points."""
         key = struct.pack("3d", *p)
         r = self._reading
         if r is None or r.key != key or r.jets[0].order < order:
-            r = self._reading = Reading(key, jet_eval((self.e1, self.e2, self.e3), p, order))
+            r = self._reading = Reading(key, jet_eval((self.e1, self.e2, self.e3), p,
+                                                      max(order, 3)))
         return r
 
     def jets(self, p, order: int):

@@ -5,7 +5,9 @@ growth-estimate ingredients along radial curves.
 Polynomial potentials are scanned through the exact kernel: the scanned
 quantities are exact RatPolys, but RatPoly.eval evaluates them in floats, so
 a sign within rounding of zero is still decided by rounding (ROADMAP item 5).
-Everything else falls back to jets; both routes share one grid walk.
+Everything else falls back to jets. Both routes share one grid walk, which
+fills one column per quantity; each check is then counted from its column
+and its gate, a mask over the columns.
 """
 from __future__ import annotations
 
@@ -155,31 +157,16 @@ def determine_kappa(dmax: int = 4) -> QQi:
 # --- grid sign scans -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckStat:
+    """One claim's count over a scan, made from its column and its gate."""
     name: str
     expect: str                       # "nonneg" or "nonpos"
-    n_points: int = 0
-    n_gated: int = 0                  # points where the gate held and the claim applies
-    n_violations: int = 0
-    worst: float = 0.0                # most violating signed value
-    examples: list = field(default_factory=list)
-
-    def record(self, points, values, gate_ok, tol: float):
-        """Account a batch of points, in order: values are the claimed
-        quantity at each point, gate_ok is a per-point mask or a bool for
-        all of them."""
-        values = np.asarray(values, dtype=float)
-        gated = np.broadcast_to(gate_ok, values.shape)
-        margins = values if self.expect == "nonneg" else -values
-        bad = gated & (margins < -tol)
-        self.n_points += len(values)
-        self.n_gated += int(np.count_nonzero(gated))
-        self.n_violations += int(np.count_nonzero(bad))
-        if bad.any():
-            self.worst = min(self.worst, float(margins[bad].min()))
-            for i in np.flatnonzero(bad)[:5 - len(self.examples)]:
-                self.examples.append((tuple(map(float, points[i])), float(values[i])))
+    n_points: int
+    n_gated: int                      # points where the gate held and the claim applies
+    n_violations: int
+    worst: float                      # most violating signed value, 0.0 if none
+    examples: tuple                   # (point, value) of the first five violations
 
     def ok(self) -> bool:
         return self.n_violations == 0
@@ -263,43 +250,61 @@ _POLY_CHUNK = 1024
 SCAN_TOL = 1e-10
 
 
-def _sign_scan(region, shape, label, tol, claims, route, chunk) -> SignReport:
-    """The one grid walk of every sign scan. claims is a (name, expect) pair
-    per check; route(p), on an (m, 3) chunk of at most chunk grid points,
-    gives a singular mask, a (values, gate) pair per claim and a dict of
-    further columns."""
+def _sign_scan(region, label, tol, claims, route, chunk) -> SignReport:
+    """The one grid walk of every sign scan. route(p), on an (m, 3) chunk of
+    at most chunk grid points, gives the per-point columns: "singular" and
+    one per claim, among others. claims is a (name, expect, gate) triple per
+    check, gate(columns, tol) the mask of points where the claim applies;
+    each check is counted once, after the walk, from its column and gate.
+    A value that is not finite is a DomainError at the lowest-index such
+    point."""
     points = _grid_array(region)
-    checks = [CheckStat(name=n, expect=e) for n, e in claims]
     columns = {}
-    for lo in range(0, len(points), chunk):
-        p = points[lo:lo + chunk]
-        singular, pairs, extra = route(p)
-        for stat, (val, gate_ok) in zip(checks, pairs):
-            stat.record(p, val, gate_ok, tol)
-        values = {"singular": singular,
-                  **{c.name: val for c, (val, _) in zip(checks, pairs)}, **extra}
-        for k, val in values.items():
-            if k not in columns:
-                columns[k] = np.empty(len(points), np.asarray(val).dtype)
-            columns[k][lo:lo + len(p)] = val
-    return SignReport(label=label, grid_shape=shape, checks=checks,
+    # an overflow shows as the DomainError below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(points), chunk):
+            for k, val in route(points[lo:lo + chunk]).items():
+                if k not in columns:
+                    columns[k] = np.empty(len(points), np.asarray(val).dtype)
+                columns[k][lo:lo + chunk] = val
+    bad = ~np.logical_and.reduce([np.isfinite(c) for c in columns.values() if c.dtype != bool])
+    if bad.any():
+        raise DomainError(f"the scan gave a value that is not finite at "
+                          f"{tuple(points[bad.argmax()].tolist())}")
+    checks = [_check_stat(name, expect, gate(columns, tol), columns[name], points, tol)
+              for name, expect, gate in claims]
+    return SignReport(label=label, grid_shape=tuple(n for _, _, n in region),
+                      checks=checks,
                       singular_count=int(np.count_nonzero(columns["singular"])),
                       points=points, columns=columns)
 
 
-_GRADIENT_CLAIMS = (("lap_abs_zf2", "nonneg"), ("cleared_log_abs_zf2", "nonpos"),
-                    ("lap_abs_f2", "nonneg"), ("lap_grad_u2", "nonneg"))
+def _check_stat(name, expect, gate, values, points, tol) -> CheckStat:
+    """A claim's count from its column and its gate, a per-point mask or a
+    bool for every point."""
+    gated = np.broadcast_to(gate, values.shape)
+    margins = values if expect == "nonneg" else -values
+    bad = np.flatnonzero(gated & (margins < -tol))
+    return CheckStat(name=name, expect=expect, n_points=len(values),
+                     n_gated=int(np.count_nonzero(gated)), n_violations=len(bad),
+                     worst=float(margins[bad].min()) if len(bad) else 0.0,
+                     examples=tuple((tuple(map(float, points[i])), float(values[i]))
+                                    for i in bad[:5]))
 
 
-def _gradient_claims(g, lap_g, cleared, lap_f2, lap_grad2, geom, tol):
-    """A gradient route's answer from its per-point values: g = |ZF|^2, the
-    claimed quantities and the level-set term geom."""
-    return g <= tol, ((lap_g, True), (cleared, g > tol), (lap_f2, geom >= -tol),
-                      (lap_grad2, geom >= -tol)), {"geom": geom}
+# the gates: where ZF vanishes the log claim is void; the others hold where
+# the level-set term is nonnegative, or everywhere
+_GRADIENT_CLAIMS = (
+    ("lap_abs_zf2", "nonneg", lambda c, tol: True),
+    ("cleared_log_abs_zf2", "nonpos", lambda c, tol: ~c["singular"]),
+    ("lap_abs_f2", "nonneg", lambda c, tol: c["geom"] >= -tol),
+    ("lap_grad_u2", "nonneg", lambda c, tol: c["geom"] >= -tol),
+)
 
 
 def _grad_quantities_poly(u: RatPoly) -> tuple:
-    """Exact _gradient_claims quantities for a polynomial potential.
+    """The exact arguments of _gradient_columns for a polynomial potential:
+    |ZF|^2, the claimed quantities and the level-set term.
 
     Log-claims are cleared: lap log g has the sign of g lap g - |grad_H g|^2
     on {g > 0}.
@@ -316,6 +321,12 @@ def _grad_quantities_poly(u: RatPoly) -> tuple:
     return g, lap_g, cleared_log, laplacian_h(absf2), laplacian_h(grad2), geom
 
 
+def _gradient_columns(g, lap_g, cleared, lap_f2, lap_grad2, geom, tol) -> dict:
+    """A gradient route's columns from its per-point values, g = |ZF|^2."""
+    return {"singular": g <= tol, "lap_abs_zf2": lap_g, "cleared_log_abs_zf2": cleared,
+            "lap_abs_f2": lap_f2, "lap_grad_u2": lap_grad2, "geom": geom}
+
+
 def subharmonicity_scan(u, region, label: str | None = None,
                         tol: float = SCAN_TOL) -> SignReport:
     """Scan the gradient-map sign claims for a harmonic potential over a grid.
@@ -325,18 +336,17 @@ def subharmonicity_scan(u, region, label: str | None = None,
     """
     poly = _try_poly(u)
     _check_harmonic(u, poly)
-    shape = tuple(n for (_, _, n) in region)
     if poly is None:
-        return _scan_jets(u, region, label, tol, shape)
+        return _scan_jets(u, region, label, tol)
     quantities = _grad_quantities_poly(poly)
 
     def route(p):
-        return _gradient_claims(*(q.eval(p).real for q in quantities), tol)
-    return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS,
-                      route, _POLY_CHUNK)
+        return _gradient_columns(*(q.eval(p).real for q in quantities), tol)
+    return _sign_scan(region, label or "gradient-scan", tol, _GRADIENT_CLAIMS, route,
+                      _POLY_CHUNK)
 
 
-def _scan_jets(u, region, label, tol, shape) -> SignReport:
+def _scan_jets(u, region, label, tol) -> SignReport:
     e = potential_expr(u)
 
     def route(p):
@@ -346,14 +356,22 @@ def _scan_jets(u, region, label, tol, shape) -> SignReport:
         zf = frame(fc, "Z")
         g = (zf * zf.conj()).real()
         lap_g = jlap(g)
-        geom = _geom(f1, f2, f3)
         gx, gy = frame(g, "X"), frame(g, "Y")
         cleared = (g * lap_g - gx * gx - gy * gy).value.real
-        return _gradient_claims(g.value.real, lap_g.value.real, cleared,
-                                jlap((fc * fc.conj()).real()).value.real,
-                                jlap((f1 * f1 + f2 * f2).real()).value.real, geom, tol)
-    return _sign_scan(region, shape, label or "gradient-scan", tol, _GRADIENT_CLAIMS,
-                      route, _JET_CHUNK)
+        return _gradient_columns(g.value.real, lap_g.value.real, cleared,
+                                 jlap((fc * fc.conj()).real()).value.real,
+                                 jlap((f1 * f1 + f2 * f2).real()).value.real,
+                                 _geom(f1, f2, f3), tol)
+    return _sign_scan(region, label or "gradient-scan", tol, _GRADIENT_CLAIMS, route,
+                      _JET_CHUNK)
+
+
+# h1 is the mixed-gradient gate of superharmonicity; the log claim is void
+# where the Jacobian vanishes too
+_JACOBIAN_CLAIMS = (
+    ("lap_jf", "nonpos", lambda c, tol: c["h1"] <= tol),
+    ("cleared_log_jf", "nonpos", lambda c, tol: (c["h1"] <= tol) & ~c["singular"]),
+)
 
 
 def contact_jacobian_scan(m: HeisMap, region, tol: float = SCAN_TOL) -> SignReport:
@@ -363,7 +381,6 @@ def contact_jacobian_scan(m: HeisMap, region, tol: float = SCAN_TOL) -> SignRepo
     def route(p):
         j1, j2, j3 = m.jets(p, 3)   # lap J
         jac = lambda_jet(j1, j2, j3).real()
-        jval = jac.value.real
         tf1, tf2 = frame(j1, "T"), frame(j2, "T")
         # h1 gate: grad f1 . grad T f2 <= grad f2 . grad T f1
         h1 = ((frame(j1, "X") * frame(tf2, "X") + frame(j1, "Y") * frame(tf2, "Y"))
@@ -372,11 +389,9 @@ def contact_jacobian_scan(m: HeisMap, region, tol: float = SCAN_TOL) -> SignRepo
         lap_j = jlap(jac)
         xj, yj = frame(jac, "X"), frame(jac, "Y")
         cleared = (jac * lap_j - xj * xj - yj * yj).value.real
-        return jval <= tol, ((lap_j.value.real, h1 <= tol),
-                             (cleared, (h1 <= tol) & (jval > tol))), {"h1": h1}
-    return _sign_scan(region, tuple(n for (_, _, n) in region),
-                      "contact-jacobian-scan", tol,
-                      (("lap_jf", "nonpos"), ("cleared_log_jf", "nonpos")), route,
+        return {"singular": jac.value.real <= tol, "lap_jf": lap_j.value.real,
+                "cleared_log_jf": cleared, "h1": h1}
+    return _sign_scan(region, "contact-jacobian-scan", tol, _JACOBIAN_CLAIMS, route,
                       _JET_CHUNK)
 
 

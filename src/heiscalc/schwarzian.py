@@ -6,9 +6,7 @@ Each diagnostic takes from the map's reading at the base point (see
 derivative uses one order, the Jacobian one more); a higher order changes
 no value, only the work. The diagnostics of one (map, point) share one
 evaluation, one Jacobian jet with its log and reciprocal, one Z F and
-Z conj(F), and one contact assessment. A diagnostic whose gate reads a
-lower order before its formula reads the full one first asks the reading
-for the full order, so the gate does not evaluate the map on its own.
+Z conj(F), and one contact assessment.
 The scalar fields (Jacobian, conformal factor, quotients) are
 jet-level compositions, so no symbolic differentiation of the map
 expressions happens here.
@@ -43,12 +41,13 @@ def _contact_gate(f: HeisMap, p):
 
 def _positive_jacobian(f: HeisMap, p, order: int, form: str = "") -> Jet:
     """horizontal.jacobian(f, p, order, form), after checking that the
-    Jacobian is positive at p; raises NotPositive otherwise."""
-    f.reading(p, order + 1)   # one evaluation for the check and the jet
-    lam = jacobian(f, p, 0).value.real
-    if lam <= 0:
-        raise NotPositive(f"Jacobian {lam:.3e} is not positive at {tuple(p)}")
-    return jacobian(f, p, order, form)
+    Jacobian is positive at p; raises NotPositive otherwise. The check reads
+    the Jacobian jet to `order`, so the map is evaluated once, to the order
+    the jet needs, and the form is made at the checked jet's order."""
+    lam = jacobian(f, p, order)
+    if lam.value.real <= 0:
+        raise NotPositive(f"Jacobian {lam.value.real:.3e} is not positive at {tuple(p)}")
+    return jacobian(f, p, lam.order, form) if form else lam
 
 
 def s_cr(f: HeisMap, p) -> complex:
@@ -58,7 +57,6 @@ def s_cr(f: HeisMap, p) -> complex:
     is 2 s_cr and the chain rule below holds; the reciprocal-form variant is
     its negative, see s_cr_reciprocal_form.
     """
-    f.reading(p, 3)   # the contact gate reads order 1 of it
     _contact_gate(f, p)
     phi = _positive_jacobian(f, p, 2, "log") * 0.5   # Z^2 of log J
     zphi = frame(phi, "Z")
@@ -90,7 +88,6 @@ def s_cr_tensor_coeff(f: HeisMap, p) -> complex:
 
 def s_cl(f: HeisMap, p) -> complex:
     """Classical-type Schwarzian Z^3F/ZF - (3/2)(Z^2F/ZF)^2."""
-    f.reading(p, 3)   # the contact gate reads order 1 of it
     _contact_gate(f, p)
     z1 = zf(f, p, 2)   # Z^3 F
     if abs(z1.value) < _TINY:
@@ -144,7 +141,6 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
     q = g(p)
     lhs = s_cr(f.compose(g), p)
 
-    g.reading(p, 3)   # S_CR(g); Z^2 G and Z J_G need only 2
     zg_jet, zgbar_jet = zf(g, p, 1), zf(g, p, 1, conj=True)
     zg, zgbar = zg_jet.value, zgbar_jet.value
     z2g, z2gbar = frame(zg_jet, "Z").value, frame(zgbar_jet, "Z").value
@@ -171,7 +167,6 @@ def cr_chain_residual(f: HeisMap, g: HeisMap, p) -> complex:
 
 def cocycle_residual_right(f: HeisMap, g: HeisMap, p) -> complex:
     """Residual of S_CL(f o g) = S_CL(f) o g (ZG)^2 + S_CL(g), conformal g."""
-    g.reading(p, 3)   # S_CL(g); the conformal gate reads order 2
     zg = _conformal_gate(g, p, 2).value
     q = g(p)
     lhs = s_cl(f.compose(g), p)
@@ -200,7 +195,6 @@ def cocycle_residual_left(g: HeisMap, f: HeisMap, p,
     d_big = frame(zg, "Zb").value              # Zbar Z G
     e_big = frame(z2g, "Zb").value             # Zbar Z^2 G
 
-    f.reading(p, 3)   # S_CL(f); Z^2 F needs only 2
     z1, z1bar = zf(f, p, 1), zf(f, p, 1, conj=True)
     a = z1.value                               # ZF
     if abs(a) < _TINY:

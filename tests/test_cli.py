@@ -329,6 +329,8 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("flow", "--h", "x*\u00b2", "--s", "1", "--point", "0,0,0"), 2),
     (("flow", "--h", "1" * 5000 + "*x", "--s", "1", "--point", "0,0,0"), 2),
     (("eval", "--map", "dil(1e-100)", "--point", "1,1,1", "--which", "s_cr"), 3),
+    (("scan", "--u", "t^2 - 2/3*(x^4 + y^4)",
+      "--grid=1e80:1e80:1,1e80:1e80:1,1e160:1e160:1"), 3),
     (("scan", "--u", "x*y", "--grid=0:1:1000000,0:1:1000000,0:1:1000000"), 2),
     (("scan", "--u", "x*y", "--grid=0:1:101,0:1:100,0:1:100"), 2),
     (("scan", "--u", "x*y", "--grid=0:1:0,0:1:3,0:1:3"), 2),

@@ -12,6 +12,7 @@ from heiscalc.exact import RatPoly, word_apply
 from heiscalc.expr import eval_at, jet_eval, parse_expr, tape
 from heiscalc.group import Point, Rotate, koranyi_norm, random_word, word_to_map
 from heiscalc.horizontal import jacobian, word_jet
+from heiscalc.jets import Jet
 
 
 def test_basis_potentials_are_conformal_exactly():
@@ -166,6 +167,34 @@ def test_pushforward_cases_are_the_basis_potentials():
             want = fields.V0_BASIS[case - 1].eval(m(p)) / lam
             got = fields.pushforward_w0(m, case, p).value
             assert got == pytest.approx(want, rel=1e-12), (m.name, case)
+
+
+def _pushforward_by_hand(m, case, p):
+    """The pullback of basis potential `case` as jet formulas, each
+    polynomial written out and factored through rho = x^2 + y^2."""
+    j1, j2, j3 = m.jets(p, 2)
+    rho = j1 * j1 + j2 * j2
+    num = {1: lambda: j3 * j3 + rho * rho, 2: lambda: j3 * j2 - j1 * rho,
+           3: lambda: j3 * j1 + j2 * rho, 4: lambda: rho, 5: lambda: j1, 6: lambda: j2,
+           7: lambda: j3, 8: lambda: Jet.constant(1.0, j1.base, j1.order)}[case]()
+    return num * jacobian(m, p, 2, "reciprocal")
+
+
+def test_pushforward_runs_the_basis_potentials_tapes():
+    # the monomials of V0_BASIS, summed in their tape's order, give the
+    # formulas' bits where nothing is factored (cases 4-8), and agree to
+    # rounding where the formulas factor through rho (cases 1-3)
+    rng = random.Random(47)
+    for k in range(300):
+        m = word_to_map(random_word(rng, length=1 + k % 4))
+        p = Point(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for case in range(1, 9):
+            got = fields.pushforward_w0(m, case, p).coef
+            want = _pushforward_by_hand(m, case, p).coef
+            if case >= 4:
+                assert got.tobytes() == want.tobytes(), (m.name, p, case)
+            else:
+                assert abs(got - want).max() <= 1e-12 * abs(want).max(), (m.name, p, case)
 
 
 def test_pushforward_detects_nonconformal_map():

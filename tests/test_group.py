@@ -229,7 +229,9 @@ def test_a_reading_serves_lower_orders_and_reevaluates_higher():
     for k in range(4):   # a truncation has the bits of a direct evaluation
         assert _bits(m.jets(p, k)) == _bits(group.jet_eval((m.e1, m.e2, m.e3), p, k))
     assert m.reading(p, 4) is not r3 and m.reading(p, 4).jets[0].order == 4
-    assert m.reading((0.3, -0.5, 0.8), 1).jets[0].order == 1
+    # a new point is read to the order both Schwarzians read, at least
+    assert m.reading((0.3, -0.5, 0.8), 1).jets[0].order == 3
+    assert m.reading((0.3, -0.5, 0.9), 5).jets[0].order == 5
 
 
 def test_signed_zero_points_are_two_readings():

@@ -1,10 +1,13 @@
 """Gradient maps of harmonic potentials: system identities, Hessian
 determinants, Bochner constant, sign scans, growth ingredients."""
 import random
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heiscalc import harmonic as hm
 from heiscalc.errors import DomainError, NotHarmonic
@@ -109,6 +112,16 @@ def test_scan_singular_accounting():
     assert rep2.singular_count == 27
 
 
+def test_polynomial_scan_refuses_values_that_are_not_finite():
+    # x^4 overflows at x = 1e80: the first grid point is finite, the second
+    # is not, and RatPoly.eval's overflow to inf and nan warns nothing
+    region = ((1.0, 1e80, 2), (1.0, 1.0, 1), (1.0, 1.0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"not finite at \(1e\+80, 1\.0, 1\.0\)"):
+            hm.subharmonicity_scan(USTAR, region)
+
+
 def test_scan_transcendental_falls_back_to_jets():
     # exp(x) cos(y) is harmonic but not polynomial
     rep = hm.subharmonicity_scan("exp(x)*cos(y)", ((-0.5, 0.5, 3), (-0.5, 0.5, 3),
@@ -210,7 +223,7 @@ def test_jet_scan_matches_per_point_loop(u):
     names = (("lap_abs_zf2", "nonneg"), ("cleared_log_abs_zf2", "nonpos"),
              ("lap_abs_f2", "nonneg"), ("lap_grad_u2", "nonneg"))
     tol = 1e-10
-    rep = hm._scan_jets(u, CROSSING, None, tol, None)
+    rep = hm._scan_jets(u, CROSSING, None, tol)
     stats, columns = _per_point_stats(
         names, CROSSING, _gradient_quantities(parse_expr(u), tol), tol)
     _assert_same(rep, stats, columns)
@@ -231,11 +244,22 @@ def test_contact_jacobian_scan_matches_per_point_loop(m):
     assert rep.singular_count > 0
 
 
-def test_polynomial_and_jet_routes_agree():
-    # the exact-kernel route and the jet route, each on its own, over one grid
-    poly = hm.subharmonicity_scan(USTAR, CROSSING)
-    jets = hm._scan_jets(USTAR, CROSSING, None, 1e-10, None)
-    assert poly.singular_count == jets.singular_count > 0
+# dyadic axes: every grid point is exact, t = 0 among them about half the time
+_AXIS = st.builds(lambda h, k, n: (h * k, h * (k + n - 1), n),
+                  st.sampled_from((0.125, 0.25, 0.5)), st.integers(-6, 3), st.integers(1, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(region=st.tuples(_AXIS, _AXIS, _AXIS), poly_chunk=st.integers(1, 400),
+       jet_chunk=st.integers(1, 400))
+def test_polynomial_and_jet_routes_agree(region, poly_chunk, jet_chunk):
+    # the exact-kernel route and the jet route, each on its own and each in
+    # batches that need not divide the grid
+    with mock.patch.object(hm, "_POLY_CHUNK", poly_chunk), \
+            mock.patch.object(hm, "_JET_CHUNK", jet_chunk):
+        poly = hm.subharmonicity_scan(USTAR, region)
+        jets = hm._scan_jets(USTAR, region, None, 1e-10)
+    assert poly.singular_count == jets.singular_count
     for a, b in zip(poly.checks, jets.checks):
         assert (a.name, a.n_points, a.n_gated, a.n_violations) == (
             b.name, b.n_points, b.n_gated, b.n_violations)
@@ -265,25 +289,25 @@ def test_polynomial_scan_is_bitwise_a_per_point_loop(u, clean):
     tol = 1e-10
     rep = hm.subharmonicity_scan(u, WIDE, tol=tol)
     quantities = hm._grad_quantities_poly(hm._try_poly(u))
-    points = hm._grid_array(WIDE)
-    assert len(points) == 1287
-    checks = [hm.CheckStat(name=n, expect=e) for n, e in hm._GRADIENT_CLAIMS]
-    columns = {"singular": [], **{c.name: [] for c in checks}, "geom": []}
-    for p in points:
-        singular, pairs, extra = hm._gradient_claims(
-            *(q.eval(tuple(p)).real for q in quantities), tol)
-        for stat, (val, gate_ok) in zip(checks, pairs):
-            stat.record(p[None], [val], gate_ok, tol)
-        columns["singular"].append(singular)
-        for stat, (val, _) in zip(checks, pairs):
-            columns[stat.name].append(val)
-        columns["geom"].append(extra["geom"])
+
+    def at(p):
+        g, lap_g, cleared, lap_f2, lap_grad2, geom = (q.eval(p).real for q in quantities)
+        return g <= tol, ((lap_g, True), (cleared, g > tol), (lap_f2, geom >= -tol),
+                          (lap_grad2, geom >= -tol)), {"geom": geom}
+    names = tuple((c.name, c.expect) for c in rep.checks)
+    stats, columns = _per_point_stats(names, WIDE, at, tol)
+    assert len(rep.points) == 1287
     assert sorted(rep.columns) == sorted(columns)
     for name, col in columns.items():
         assert rep.columns[name].tobytes() == np.array(col).tobytes(), name
     assert rep.singular_count == sum(columns["singular"]) > 0
-    # dataclass equality compares every field exactly, worst and examples included
-    assert rep.checks == checks
+    # every field exactly, worst and the examples included
+    assert [c.name for c in rep.checks] == list(stats)
+    for c in rep.checks:
+        want = stats[c.name]
+        assert (c.n_points, c.n_gated, c.n_violations, c.worst) == (
+            want["n_points"], want["n_gated"], want["n_violations"], want["worst"]), c.name
+        assert c.examples == tuple(want["examples"]), c.name
     assert rep.ok() == clean
 
 

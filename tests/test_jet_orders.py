@@ -16,6 +16,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heiscalc import expr, fields, group, harmonic, horizontal, schwarzian as sw
@@ -185,3 +186,29 @@ def test_a_words_block_assesses_contact_once_per_reading(monkeypatch):
     monkeypatch.setattr(horizontal, "_assess", lambda f, p: builds.append(p) or assess(f, p))
     assert check()
     assert len(builds) == 16 + 4 * (3 + 0 + 2) + 1 == 37
+
+
+def _count_evaluations_by_map_and_point(monkeypatch) -> list:
+    """Patch expr.evaluate to record, for each run on jets, its roots (by
+    identity) and its base points (by bits)."""
+    runs, alive = [], []
+    evaluate = expr.evaluate
+
+    def counted(roots, vx, vy, vt):
+        if isinstance(vx, Jet):
+            alive.append(roots)   # so that no id is reused while counting
+            ids = tuple(map(id, roots)) if isinstance(roots, tuple) else id(roots)
+            runs.append((ids, np.asarray(vx.base, dtype=float).tobytes()))
+        return evaluate(roots, vx, vy, vt)
+    monkeypatch.setattr(expr, "evaluate", counted)
+    return runs
+
+
+@pytest.mark.parametrize("name", [n for n in DIAGNOSTICS if not n.endswith("scan")])
+def test_each_map_and_point_is_evaluated_once(monkeypatch, name):
+    # a gate that reads a lower order before the formula reads its own must
+    # not cost a second evaluation, as the pluriharmonic residual's positive
+    # Jacobian check would at order 3 before its jet at order 4
+    runs = _count_evaluations_by_map_and_point(monkeypatch)
+    DIAGNOSTICS[name]()
+    assert runs and len(set(runs)) == len(runs)
