@@ -347,9 +347,13 @@ class Jet:
 
     # --- analytic functions of the jet --------------------------------------
 
-    def _series(self, derivs) -> "Jet":
-        """Horner sum of derivs[k] * (self - value)^k. For a coordinate,
-        self - value is a coordinate of value 0, so each step is a shift."""
+    def _series(self, derivs, u0=None) -> "Jet":
+        """Horner sum of derivs[k] * w^k with w = self - value, or with the
+        value u0 given, the relative w = (self - value) / u0. Each product
+        by self - value is scaled by 1/u0 after it is made, so no power of
+        u0 is formed (which underflows for |u0| below about 1e-154), and for
+        a coordinate, self - value is a coordinate of value 0, so each
+        product is a shift."""
         nil = self.copy()
         nil.coef[0] = 0.0
         if isinstance(self, _Coordinate):
@@ -359,14 +363,17 @@ class Jet:
             # a product holds no -0.0, so adding to its constant term in
             # place gives the bits of adding a constant jet, without one
             acc = acc * nil
+            if u0 is not None:
+                acc.coef /= u0
             acc.coef[0] += derivs[k]
         return acc
 
     def reciprocal(self) -> "Jet":
+        """1/u = (1/u0) / (1 + w), the series in the relative w."""
         u0 = self.value
         self._raise_if(u0 == 0, u0, "reciprocal of a jet with zero value")
-        d = [(-1.0) ** k / u0 ** (k + 1) for k in range(self.order + 1)]
-        return self._series(d)
+        r0 = 1.0 / u0
+        return self._series([r0 if k % 2 == 0 else -r0 for k in range(self.order + 1)], u0)
 
     def exp(self) -> "Jet":
         e0 = self._fn().exp(self.value)
@@ -374,11 +381,11 @@ class Jet:
         return self._series(d)
 
     def log(self) -> "Jet":
+        """log u = log u0 + log(1 + w), the series in the relative w."""
         u0 = self.value
         self._raise_if(_nonpositive(u0), u0, "log of nonpositive value {}")
-        d = [self._fn().log(u0)]
-        d += [(-1.0) ** (k - 1) / (k * u0 ** k) for k in range(1, self.order + 1)]
-        return self._series(d)
+        d = [self._fn().log(u0)] + [(-1.0) ** (k - 1) / k for k in range(1, self.order + 1)]
+        return self._series(d, u0)
 
     def sqrt(self) -> "Jet":
         u0 = self.value

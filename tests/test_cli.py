@@ -328,7 +328,7 @@ def test_flow_general_potential_has_no_closed_form(capsys):
     (("flow", "--h", "1e-", "--s", "1", "--point", "0,0,0"), 2),
     (("flow", "--h", "x*\u00b2", "--s", "1", "--point", "0,0,0"), 2),
     (("flow", "--h", "1" * 5000 + "*x", "--s", "1", "--point", "0,0,0"), 2),
-    (("eval", "--map", "dil(1e-100)", "--point", "1,1,1", "--which", "s_cr"), 3),
+    (("eval", "--map", "dil(1e-100)", "--point", "1,1,1", "--which", "s_cr"), 0),
     (("scan", "--u", "t^2 - 2/3*(x^4 + y^4)",
       "--grid=1e80:1e80:1,1e80:1e80:1,1e160:1e160:1"), 3),
     (("scan", "--u", "x*y", "--grid=0:1:1000000,0:1:1000000,0:1:1000000"), 2),
@@ -345,6 +345,15 @@ def test_exit_codes(capsys, argv, code):
     got = main(list(argv))
     capsys.readouterr()
     assert got == code
+
+
+def test_a_tiny_constant_jacobian_has_a_zero_schwarzian(capsys):
+    # dil(1e-100) has the constant Jacobian 1e-200, whose log the series in
+    # the relative increment takes without forming a power of 1e-200
+    code, out, _ = run(capsys, "eval", "--map", "dil(1e-100)", "--point", "1,1,1",
+                       "--which", "s_cr")
+    assert code == 0
+    assert json.loads(out)["value"] == {"re": 0.0, "im": 0.0}
 
 
 def test_eval_of_a_jet_that_overflows_is_a_domain_error(capsys):

@@ -1,4 +1,5 @@
 """Jet arithmetic against closed-form partial derivatives."""
+import cmath
 import math
 
 import numpy as np
@@ -64,6 +65,21 @@ def test_reciprocal_log_sqrt_roundtrips():
     assert np.max(np.abs(back.coef - j.coef)) < 1e-12
     sq = j.sqrt()
     assert np.max(np.abs((sq * sq).coef - j.coef)) < 1e-12
+
+
+@pytest.mark.parametrize("u0", [1e-200, -1e-200j, 3e-300, 1e200])
+def test_reciprocal_and_log_of_a_tiny_or_huge_value(u0):
+    # u = u0 (1 + x + y t) at the origin: 1/u = (1/u0) / (1 + w) and
+    # log u = log u0 + log(1 + w) with w = x + y t, whose coefficients are
+    # those at u0 = 1, scaled; no power of u0 is formed, so none underflows
+    x, y, t = jet_seed((0.0, 0.0, 0.0), 4)
+    w = x + y * t
+    u = (w + 1.0) * u0
+    unit_recip, unit_log = (w + 1.0).reciprocal(), (w + 1.0).log()
+    np.testing.assert_allclose(u.reciprocal().coef, unit_recip.coef / u0, rtol=1e-15, atol=0)
+    got = u.log().coef
+    assert got[0] == pytest.approx(cmath.log(u0), rel=1e-15)
+    np.testing.assert_allclose(got[1:], unit_log.coef[1:], rtol=1e-15, atol=0)
 
 
 def test_truncate_and_order_errors():
