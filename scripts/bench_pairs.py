@@ -7,8 +7,9 @@ For each workload, pair i runs `bench/run.py --workload W --seed S
 --seconds 15 --trace 0` once in each checkout, with S the i-th of SEEDS
 (cycled) and the parent first on even i, the change first on odd i, so a
 drift of the host's speed falls on both sides alike. The output records how
-it was made (the command, each side's `git describe --always --dirty`, the
-host, and whether each side's runs write bytecode), then gives, for each
+it was made (the command, each side's name from `describe`: its commit and
+a dirty flag, or the sha256 of its src/ tree when it is not a git checkout;
+the host, and whether each side's runs write bytecode), then gives, for each
 workload and end-to-end metric, the median and interquartile range of each
 side, the ratio of the medians (change / parent), the pairs in which the
 change is lower, the verdicts of `verdicts` under the metric's bound and
@@ -19,6 +20,7 @@ and self-time fraction of every span that was called.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -104,10 +106,22 @@ def bytecode_mode(root: Path) -> dict:
             "dont_write_bytecode": bool(int(flag))}
 
 
-def describe(root: Path) -> str:
-    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else "not a git checkout"
+def describe(root: Path) -> dict:
+    """The name of the code a side runs: the commit of a git checkout
+    (`git rev-parse HEAD`) and whether its tracked files differ from it, or,
+    for a directory that is not the top of a git checkout, the sha256 of its
+    src/ tree (the path and the bytes of each .py file, in path order)."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+    top = git("rev-parse", "--show-toplevel", "HEAD")
+    if top.returncode == 0 and Path(top.stdout.split()[0]).resolve() == root.resolve():
+        return {"commit": top.stdout.split()[1],
+                "dirty": bool(git("status", "--porcelain", "--untracked-files=no").stdout)}
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return {"src_sha256": digest.hexdigest()}
 
 
 def main(argv=None) -> int:

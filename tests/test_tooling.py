@@ -2,11 +2,12 @@
 heiscalc by module attribute, its traced run wraps heiscalc functions by
 name, and its exact workload checks the ledger against a recorded table, so
 a rename or a changed verdict must fail here first; the pair runner records
-whether its runs write bytecode."""
+whether its runs write bytecode, and names the code each side runs."""
 import ast
 import importlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 from heiscalc.ledger import ledger_run
@@ -103,3 +104,36 @@ def test_bench_pairs_reads_the_bounds_of_the_benchmark():
     assert bounds == {m["name"]: (m["bound"], m["better"]) for m in json.loads(
         (BENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]}
     assert set(_pairs_module().METRICS) <= set(bounds)
+
+
+def _src_tree(root, text):
+    (root / "src" / "heiscalc").mkdir(parents=True)
+    (root / "src" / "heiscalc" / "a.py").write_text(text)
+    return root
+
+
+def test_bench_pairs_names_each_side_by_its_code(tmp_path):
+    describe = _pairs_module().describe
+    a = _src_tree(tmp_path / "a", "x = 1\n")
+    b = _src_tree(tmp_path / "b", "x = 1\n")
+    c = _src_tree(tmp_path / "c", "x = 2\n")
+    assert describe(a) == describe(b) != describe(c)
+    assert set(describe(a)) == {"src_sha256"}
+    # bytecode beside the sources does not change the name
+    (a / "src" / "heiscalc" / "__pycache__").mkdir()
+    (a / "src" / "heiscalc" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+    assert describe(a) == describe(b)
+    # a git checkout is named by its commit, and an edit of a tracked file
+    # marks it dirty
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], cwd=c, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=c, check=True)
+    subprocess.run(git + ["commit", "-qm", "c"], cwd=c, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=c, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert describe(c) == {"commit": head, "dirty": False}
+    (c / "src" / "heiscalc" / "a.py").write_text("x = 3\n")
+    assert describe(c) == {"commit": head, "dirty": True}
+    # a plain directory inside a checkout is named by its own tree
+    inner = _src_tree(c / "inner", "x = 1\n")
+    assert describe(inner) == describe(a)
