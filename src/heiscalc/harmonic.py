@@ -191,17 +191,9 @@ class SignReport:
             "grid_shape": list(self.grid_shape),
             "singular_count": self.singular_count,
             "ok": self.ok(),
-            "checks": [
-                {
-                    "name": c.name,
-                    "expect": c.expect,
-                    "n_points": c.n_points,
-                    "n_gated": c.n_gated,
-                    "n_violations": c.n_violations,
-                    "worst": c.worst,
-                }
-                for c in self.checks
-            ],
+            # each check's fields but its examples, in field order
+            "checks": [{k: v for k, v in vars(c).items() if k != "examples"}
+                       for c in self.checks],
         }
 
 
@@ -252,12 +244,10 @@ SCAN_TOL = 1e-10
 
 def _sign_scan(region, label, tol, claims, route, chunk) -> SignReport:
     """The one grid walk of every sign scan. route(p), on an (m, 3) chunk of
-    at most chunk grid points, gives the per-point columns: "singular" and
-    one per claim, among others. claims is a (name, expect, gate) triple per
-    check, gate(columns, tol) the mask of points where the claim applies;
-    each check is counted once, after the walk, from its column and gate.
-    A value that is not finite is a DomainError at the lowest-index such
-    point."""
+    at most chunk grid points, gives the per-point columns, "singular" and
+    one per claim among them. claims is a (name, expect, gate) triple per
+    check, gate(columns, tol) the mask where it applies. A value that is not
+    finite is a DomainError at the lowest-index such point."""
     points = _grid_array(region)
     columns = {}
     # an overflow shows as the DomainError below, not as numpy warnings

@@ -348,20 +348,18 @@ class Jet:
     # --- analytic functions of the jet --------------------------------------
 
     def _series(self, derivs, u0=None) -> "Jet":
-        """Horner sum of derivs[k] * w^k with w = self - value, or with the
-        value u0 given, the relative w = (self - value) / u0. Each product
-        by self - value is scaled by 1/u0 after it is made, so no power of
-        u0 is formed (which underflows for |u0| below about 1e-154), and for
-        a coordinate, self - value is a coordinate of value 0, so each
-        product is a shift."""
+        """Horner sum of derivs[k] * w^k, w = self - value, or with u0 the
+        relative w = (self - value) / u0: each product is divided by u0, so
+        no power of u0 (which underflows) is formed. For a coordinate,
+        self - value is a coordinate of value 0, so each product is a shift."""
         nil = self.copy()
         nil.coef[0] = 0.0
         if isinstance(self, _Coordinate):
             nil = _Coordinate(self.var, nil.base, nil.order, nil.coef)
         acc = Jet.constant(derivs[-1], self.base, self.order)
         for k in range(len(derivs) - 2, -1, -1):
-            # a product holds no -0.0, so adding to its constant term in
-            # place gives the bits of adding a constant jet, without one
+            # adding to the constant term in place gives the bits of adding
+            # a constant jet, save that a -0.0 (a 0.0 divided by u0) stays
             acc = acc * nil
             if u0 is not None:
                 acc.coef /= u0
@@ -369,7 +367,7 @@ class Jet:
         return acc
 
     def reciprocal(self) -> "Jet":
-        """1/u = (1/u0) / (1 + w), the series in the relative w."""
+        # 1/u = (1/u0) / (1 + w) = (1/u0) (1 - w + w^2 - ...)
         u0 = self.value
         self._raise_if(u0 == 0, u0, "reciprocal of a jet with zero value")
         r0 = 1.0 / u0
@@ -381,9 +379,9 @@ class Jet:
         return self._series(d)
 
     def log(self) -> "Jet":
-        """log u = log u0 + log(1 + w), the series in the relative w."""
         u0 = self.value
         self._raise_if(_nonpositive(u0), u0, "log of nonpositive value {}")
+        # log u = log u0 + log(1 + w) = log u0 + w - w^2/2 + ...
         d = [self._fn().log(u0)] + [(-1.0) ** (k - 1) / k for k in range(1, self.order + 1)]
         return self._series(d, u0)
 

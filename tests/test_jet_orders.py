@@ -122,16 +122,20 @@ def test_one_order_less_at_any_evaluation_raises(monkeypatch, name):
 
 
 def _count_jet_evaluations(monkeypatch) -> list:
-    """Patch expr.evaluate to record the order of each run on jets."""
-    orders = []
+    """Patch expr.evaluate to record each run on jets as (order, roots by
+    identity, base points by bits); the roots are kept, so no id is reused
+    while counting."""
+    runs, alive = [], []
     evaluate = expr.evaluate
 
     def counted(roots, vx, vy, vt):
         if isinstance(vx, Jet):
-            orders.append(vx.order)
+            alive.append(roots)
+            ids = tuple(map(id, roots)) if isinstance(roots, tuple) else id(roots)
+            runs.append((vx.order, ids, np.asarray(vx.base, dtype=float).tobytes()))
         return evaluate(roots, vx, vy, vt)
     monkeypatch.setattr(expr, "evaluate", counted)
-    return orders
+    return runs
 
 
 # Each residual evaluates each map it reads, at each point, once: the
@@ -143,9 +147,9 @@ JETS_CALLS = {"cr_chain_residual": 3, "cocycle_residual_right": 3,
 
 @pytest.mark.parametrize("name", JETS_CALLS)
 def test_composition_residuals_evaluate_shared_jets_once(monkeypatch, name):
-    orders = _count_jet_evaluations(monkeypatch)
+    runs = _count_jet_evaluations(monkeypatch)
     DIAGNOSTICS[name]()
-    assert orders == [3] * JETS_CALLS[name]
+    assert [order for order, *_ in runs] == [3] * JETS_CALLS[name]
 
 
 def _words_block_0(monkeypatch):
@@ -168,9 +172,9 @@ def test_a_words_block_evaluates_each_map_and_point_once(monkeypatch):
     # kept by f.compose, and f and g where the chain rule did); the pinned
     # map, 1. Building the composite afresh for each law made 45.
     check = _words_block_0(monkeypatch)
-    orders = _count_jet_evaluations(monkeypatch)
+    runs = _count_jet_evaluations(monkeypatch)
     assert check()
-    assert len(orders) == 16 + 4 * 6 + 1 == 41
+    assert len(runs) == 16 + 4 * 6 + 1 == 41
 
 
 def test_a_words_block_assesses_contact_once_per_reading(monkeypatch):
@@ -188,27 +192,12 @@ def test_a_words_block_assesses_contact_once_per_reading(monkeypatch):
     assert len(builds) == 16 + 4 * (3 + 0 + 2) + 1 == 37
 
 
-def _count_evaluations_by_map_and_point(monkeypatch) -> list:
-    """Patch expr.evaluate to record, for each run on jets, its roots (by
-    identity) and its base points (by bits)."""
-    runs, alive = [], []
-    evaluate = expr.evaluate
-
-    def counted(roots, vx, vy, vt):
-        if isinstance(vx, Jet):
-            alive.append(roots)   # so that no id is reused while counting
-            ids = tuple(map(id, roots)) if isinstance(roots, tuple) else id(roots)
-            runs.append((ids, np.asarray(vx.base, dtype=float).tobytes()))
-        return evaluate(roots, vx, vy, vt)
-    monkeypatch.setattr(expr, "evaluate", counted)
-    return runs
-
-
 @pytest.mark.parametrize("name", [n for n in DIAGNOSTICS if not n.endswith("scan")])
 def test_each_map_and_point_is_evaluated_once(monkeypatch, name):
     # a gate that reads a lower order before the formula reads its own must
     # not cost a second evaluation, as the pluriharmonic residual's positive
     # Jacobian check would at order 3 before its jet at order 4
-    runs = _count_evaluations_by_map_and_point(monkeypatch)
+    runs = _count_jet_evaluations(monkeypatch)
     DIAGNOSTICS[name]()
-    assert runs and len(set(runs)) == len(runs)
+    maps_and_points = [(ids, base) for _, ids, base in runs]
+    assert runs and len(set(maps_and_points)) == len(runs)
