@@ -1,7 +1,7 @@
 """Expression DAGs over the coordinates (x, y, t).
 
-Maps and scalar fields are built as small expression trees with shared
-subtrees. Every walker over a DAG (`subs`, `diff`, `to_str`, the exact
+Scalar fields, and the maps given by coordinate expressions, are built as
+small expression trees with shared subtrees. Every walker over a DAG (`subs`, `diff`, `to_str`, the exact
 kernel's conversion and the tape compiler) visits the nodes in the one order
 `postorder` gives, iteratively, so a deep DAG does not exhaust the
 interpreter's stack; each keeps only its per-op rules and a memo local to
@@ -10,15 +10,16 @@ the call, so a shared subtree is visited once per call.
 Evaluation runs a `Tape`: a tuple of roots compiled once into numbered
 slots and one step `(fn, i, j, k)` per node, in that same order, which
 stores fn(slot i, slot j) in slot k; a run fills a copy of the tape's slot
-template, its constants in place. `tape` keeps the tapes of the last 8
-tuples of roots. One entry point, `evaluate`, takes one root or a tuple of
-roots that share a DAG and runs their tape over complex scalars or over Jet
-values (`eval_at` and `jet_eval` only make the seeds); scalars and jets run
-the same step format, and on jets a division multiplies by its divisor's
-reciprocal, made once per divisor. The jet steps also reuse slots: each
-writes into the slot of a value whose last reader has run, so a batched run
-holds only the jets it will still read, and a reciprocal is found by its
-divisor node, not by a slot that may hold another value later. An RK4 flow
+template, its constants in place. Scalars and jets run the same
+operations; the jet steps also reuse slots: each writes into the slot of a
+value whose last reader has run, so a batched run holds only the jets it
+will still read. A division by a jet multiplies by the divisor's
+reciprocal, which the jet makes once and keeps (`Jet.reciprocal`). Every
+run takes the one guard of an evaluation, `guarded`, which a map's
+evaluation takes too (`group.HeisMap`, whose maps hold their own tapes or
+run without one). `evaluate` takes one root or a tuple of roots that share
+a DAG and runs their tape from `tape`, which keeps the tapes of the last 8
+tuples of roots (`eval_at` and `jet_eval` only make the seeds). An RK4 flow
 fetches its field's tape once and runs its scalar steps inside each stage,
 on a slot list of the flow's own (`fields._stage`): the one other loop over
 a tape's steps, kept because the flows spend nearly all their time there
@@ -313,57 +314,29 @@ def _not_finite_at(jets):
     return base if bad.ndim == 0 else tuple(base[bad.argmax()].tolist())
 
 
-def _reciprocal(b, _):
-    return b.reciprocal()
-
-
 def _jet_schedule(steps, last, size, outs) -> tuple:
     """The steps and the roots' slots of a run on jets, made from the
-    scalar `steps`, and the length of the slot list they need.
+    scalar `steps`.
 
     A scalar slot holds one node's value, so it names the node: `last[s]`
     is the index of the last step that reads slot s (-1 for a seed, a
     constant, an exponent or a root, which are never freed), and `at[s]`
-    is where the jet run keeps that value. A 'div' by a jet multiplies by
-    the reciprocal of its divisor, made once and found by the divisor's
-    scalar slot, that is by the divisor node: a jet slot may hold another
-    value later. A step writes into a slot freed by a value whose last
-    reader has run (that step included: it reads its operands before it
-    writes), and a freed value's reciprocal is freed with it (a seed's or
-    a root's stays to the end); the scalar steps' slots, empty in a jet
-    run, are free at the start, and slots from `size` on are past the
-    template."""
+    is where the jet run keeps that value. A step writes into a slot freed
+    by a value whose last reader has run (that step included: it reads its
+    operands before it writes); the scalar steps' slots, empty in a jet
+    run, are free at the start, so there is always one."""
     at = list(range(size))
     free = [k for *_, k in reversed(steps)]
-    jets, recip, out, top = {0, 1, 2}, {}, [], size   # jets: scalar slots
+    out = []
     for n, (fn, i, j, k) in enumerate(steps):
         a, b = at[i], at[j]
-        if fn is _div and j in jets:
-            r = recip.get(j)
-            if r is None:
-                if free:
-                    r = free.pop()
-                else:
-                    r, top = top, top + 1
-                recip[j] = r
-                out.append((_reciprocal, b, b, r))
-            fn, b = operator.mul, r
         if last[i] == n:
             free.append(a)
-            if i in recip:
-                free.append(recip.pop(i))
         if last[j] == n and j != i:   # a node that is both operands is freed once
-            free.append(at[j])
-            if j in recip:
-                free.append(recip.pop(j))
-        if free:
-            at[k] = free.pop()
-        else:
-            at[k], top = top, top + 1
-        if i in jets or j in jets:
-            jets.add(k)
+            free.append(b)
+        at[k] = free.pop()
         out.append((fn, a, b, at[k]))
-    return tuple(out), tuple(at[s] for s in outs), top
+    return tuple(out), tuple(at[s] for s in outs)
 
 
 class Tape:
@@ -379,18 +352,16 @@ class Tape:
     is the slot list before a run: the constants and exponents in place,
     the other slots empty; a run fills a copy of it.
 
-    Scalars run `steps`, which write each node's own slot. Jets run a
-    schedule of their own, `jet_steps`, which differs in two ways. A 'div'
-    by a jet multiplies by the divisor's reciprocal, one 'reciprocal' step
-    per divisor node, just before its first use, so the inversion's three
-    components divide by one shared denominator with one Horner series.
-    That is what `a / b` computes on jets, so the bits are the same;
-    scalars keep `a / b`, as complex `a * (1 / b)` may round otherwise.
-    And a jet step writes into a slot freed by a value whose last reader
-    (recorded in the one loop over `postorder` that makes the scalar
-    steps) has run, never a root's, a seed's or a constant's: the scan
-    potential's 10 steps write 3 slots, the inversion's 18 write 5, so a
-    batched run holds a few jets at a time.
+    Scalars run `steps`, which write each node's own slot. Jets run the
+    same operations on a schedule of their own, `jet_steps`: a jet step
+    writes into a slot freed by a value whose last reader (recorded in the
+    one loop over `postorder` that makes the scalar steps) has run, never
+    a root's, a seed's or a constant's. The scan potential's 10 steps write
+    3 slots, the inversion's 17 write 4, so a batched run holds a few jets
+    at a time. A division by a jet multiplies by the divisor's reciprocal,
+    which the jet makes once and keeps (`Jet.reciprocal`), so the
+    inversion's three components divide by one shared denominator with one
+    Horner series.
     """
     __slots__ = ("template", "steps", "outs", "jet_steps", "jet_outs")
 
@@ -430,37 +401,24 @@ class Tape:
         self.steps, self.outs = tuple(steps), tuple(slot[r] for r in roots)
         for s in (*fixed, *self.outs):
             last[s] = -1
-        self.jet_steps, self.jet_outs, top = _jet_schedule(steps, last, len(template),
-                                                           self.outs)
-        self.template = tuple(template) + (None,) * (top - len(template))
+        self.jet_steps, self.jet_outs = _jet_schedule(steps, last, len(template), self.outs)
+        self.template = tuple(template)
 
-    def __call__(self, vx, vy, vt) -> tuple:
-        """The roots' values at the seeds, complex scalars or Jets.
-
-        In jet mode a root that comes out as a scalar becomes a constant
-        jet, and a coefficient of a root jet that is not finite is a
-        DomainError (at the lowest-index such point of a batch); in scalar
-        mode a root that is not finite is a DomainError. Python's complex
-        arithmetic raises OverflowError or ZeroDivisionError where floats
-        would give inf (x^-2 at tiny x), and cmath raises ValueError where
-        numpy would give nan (sin of an infinite value); each becomes a
-        DomainError.
-        """
+    def run(self, vx, vy, vt) -> tuple:
+        """The roots' values at the seeds, complex scalars or Jets, with no
+        guard: the scalar steps, or on jets the jet steps."""
         s = list(self.template)
         s[0], s[1], s[2] = vx, vy, vt
-        if not isinstance(vx, Jet):
-            out = _run(s, self.steps, self.outs)
-            if not all(map(cmath.isfinite, out)):
-                raise DomainError(f"evaluation gave a value that is not finite: {out}")
-            return out
-        # numpy's overflow warnings would only repeat the DomainError below
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = tuple(r if isinstance(r, Jet) else Jet.constant(r, vx.base, vx.order)
-                        for r in _run(s, self.jet_steps, self.jet_outs))
-            at = _not_finite_at(out)
-        if at is not None:
-            raise DomainError(f"evaluation gave a jet that is not finite at {at}")
-        return out
+        steps, outs = (self.jet_steps, self.jet_outs) if isinstance(vx, Jet) else \
+            (self.steps, self.outs)
+        for fn, i, j, k in steps:
+            s[k] = fn(s[i], s[j])
+        return tuple([s[k] for k in outs])
+
+    def __call__(self, vx, vy, vt) -> tuple:
+        """The roots' values at the seeds, complex scalars or Jets, under
+        the guard of an evaluation (`guarded`)."""
+        return guarded(self.run, vx, vy, vt)
 
 
 # what Python's complex arithmetic and cmath raise where floats and numpy
@@ -475,19 +433,45 @@ def step_error(e: Exception) -> DomainError:
     return DomainError(f"evaluation overflowed: {e}")
 
 
-def _run(s: list, steps: tuple, outs: tuple) -> tuple:
-    """The roots' slots after the steps have run on the slot list s, in place."""
-    try:
-        for fn, i, j, k in steps:
-            s[k] = fn(s[i], s[j])
-    except STEP_ERRORS as e:
-        raise step_error(e) from None
-    return tuple([s[k] for k in outs])
+def guarded(run, vx, vy, vt) -> tuple:
+    """The values run(vx, vy, vt) gives, complex scalars or Jets, under the
+    one guard of an evaluation: of a tape, and of a map (`group.HeisMap`).
+
+    Python's complex arithmetic raises OverflowError or ZeroDivisionError
+    where floats would give inf (x^-2 at tiny x), and cmath raises
+    ValueError where numpy would give nan (sin of an infinite value); each
+    becomes a DomainError. In scalar mode a value that is not finite is a
+    DomainError. In jet mode a value that comes out as a scalar becomes a
+    constant jet, and a coefficient that is not finite is a DomainError (at
+    the lowest-index such point of a batch), checked once over all values.
+    """
+    if not isinstance(vx, Jet):
+        try:
+            out = run(vx, vy, vt)
+        except STEP_ERRORS as e:
+            raise step_error(e) from None
+        if not all(map(cmath.isfinite, out)):
+            raise DomainError(f"evaluation gave a value that is not finite: {out}")
+        return out
+    # numpy's overflow warnings would only repeat the DomainError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = run(vx, vy, vt)
+        except STEP_ERRORS as e:
+            raise step_error(e) from None
+        out = tuple([r if isinstance(r, Jet) else Jet.constant(r, vx.base, vx.order)
+                     for r in out])
+        at = _not_finite_at(out)
+    if at is not None:
+        raise DomainError(f"evaluation gave a jet that is not finite at {at}")
+    return out
 
 
-# A map's values and its jets run the same roots, and the five trajectories
-# of flow_contact_residuals share one field; the cache keeps their DAGs
-# alive and shares each tape, read only.
+# The expressions evaluated again and again fetch their tapes here: a
+# potential at each point a diagnostic reads, and the field that the five
+# trajectories of flow_contact_residuals share. The cache keeps their DAGs
+# alive and shares each tape, read only. A map compiles and holds a tape of
+# its own (`group.HeisMap`), so no map's tape evicts theirs.
 tape = functools.lru_cache(maxsize=8)(Tape)
 
 

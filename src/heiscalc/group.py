@@ -1,12 +1,18 @@
 """Heisenberg group structure: points, the gauge norm, the conformal
-generators, and words of generators compiled to coordinate maps.
+generators, and maps of the group, words of generators among them.
 
-A map is held as three expression trees (e1, e2, e3) in the source
-coordinates. Composition is one substitution over the three components
-together, so subtrees they share (the common denominator of the inversion,
-for one) stay shared, and a word of generators, folded through `compose`,
-becomes a single DAG. Its values and jets come from one run of the three
-roots' tape.
+A map is held as its evaluation function, a function of (x, y, t) that
+runs on complex scalars, on jets (single or batched) and on expressions: an
+expression map's tape, a generator's `apply` (written once with the
+arithmetic operators), or a composite's chain. Composition is the chain
+rule on jets: f.compose(g) runs f's function on g's values, and at a single
+point on g's reading there, which every other diagnostic of g at that point
+shares. A word of generators is a fold through `compose`, so its jets run
+the letters' `apply` from the seeds: no expression is built and no tape is
+compiled for it. Each map evaluation takes the one guard of
+`expr.guarded`. The three coordinate expressions of a map held as a
+function are built only when asked for (`HeisMap.exprs`), as the
+substituted-DAG route the tests check the chain against.
 
 A map keeps one reading: its jets at the last single point asked for, to
 the highest order asked there so far and to order 3 at least, the order
@@ -29,8 +35,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import DomainError, NotPositive, ParseError
-from .expr import Expr, eval_at, jet_eval
-from .jets import Jet
+from .expr import Expr
+from .jets import Jet, jet_seed
 
 
 class Point(NamedTuple):
@@ -87,24 +93,33 @@ def _require_finite(gen, values):
         raise DomainError(f"{type(gen).__name__} parameters must be finite, got {values}")
 
 
+class _Generator:
+    """A generator's `apply(x, y, t)` is written once with the arithmetic
+    operators, so it runs on complex scalars, on jets (single or batched)
+    and on expressions alike; its expressions are its run on the
+    coordinates."""
+
+    def exprs(self):
+        return self.apply(ex.X, ex.Y, ex.T)
+
+
 @dataclass(frozen=True)
-class Translate:
+class Translate(_Generator):
     p: tuple
 
     def __post_init__(self):
         _require_finite(self, self.p)
 
-    def exprs(self):
+    def apply(self, x, y, t):
         px, py, pt = (float(c) for c in self.p)
-        e3 = ex.const(pt) + ex.T + 2 * (py * ex.X - px * ex.Y)
-        return ex.const(px) + ex.X, ex.const(py) + ex.Y, e3
+        return px + x, py + y, pt + t + 2 * (py * x - px * y)
 
     def label(self):
         return f"trans({self.p[0]},{self.p[1]},{self.p[2]})"
 
 
 @dataclass(frozen=True)
-class Dilate:
+class Dilate(_Generator):
     r: float
 
     def __post_init__(self):
@@ -112,54 +127,52 @@ class Dilate:
         if not self.r > 0:
             raise NotPositive(f"dilation factor must be positive, got {self.r}")
 
-    def exprs(self):
+    def apply(self, x, y, t):
         r = float(self.r)
-        return r * ex.X, r * ex.Y, (r * r) * ex.T
+        return r * x, r * y, (r * r) * t
 
     def label(self):
         return f"dil({self.r})"
 
 
 @dataclass(frozen=True)
-class Rotate:
+class Rotate(_Generator):
     phi: float
 
     def __post_init__(self):
         _require_finite(self, (self.phi,))
 
-    def exprs(self):
+    def apply(self, x, y, t):
         c, s = math.cos(self.phi), math.sin(self.phi)
-        return c * ex.X - s * ex.Y, s * ex.X + c * ex.Y, ex.T
+        return c * x - s * y, s * x + c * y, t
 
     def label(self):
         return f"rot({self.phi})"
 
 
 @dataclass(frozen=True)
-class Invert:
-    def exprs(self):
-        rho = ex.X * ex.X + ex.Y * ex.Y
-        den = ex.T * ex.T + rho * rho
-        e1 = (ex.Y * ex.T - ex.X * rho) / den
-        e2 = -(ex.X * ex.T + ex.Y * rho) / den
-        e3 = -ex.T / den
-        return e1, e2, e3
+class Invert(_Generator):
+    def apply(self, x, y, t):
+        # on jets the three divisions multiply by den's one reciprocal
+        rho = x * x + y * y
+        den = t * t + rho * rho
+        return (y * t - x * rho) / den, -(x * t + y * rho) / den, -t / den
 
     def label(self):
         return "inv"
 
 
 @dataclass(frozen=True)
-class Reflect:
-    def exprs(self):
-        return ex.X, -ex.Y, -ex.T
+class Reflect(_Generator):
+    def apply(self, x, y, t):
+        return x, -y, -t
 
     def label(self):
         return "refl"
 
 
 @dataclass(frozen=True)
-class LinearSL2:
+class LinearSL2(_Generator):
     """(z, t) -> (a x + b y + i(c x + d y), t) with a d - b c = 1.
 
     Contact with unit Jacobian but conformal only for rotations; kept as a
@@ -173,10 +186,8 @@ class LinearSL2:
         if not abs(self.a * self.d - self.b * self.c - 1.0) <= 1e-12:   # a NaN fails too
             raise DomainError("linear letter needs determinant one")
 
-    def exprs(self):
-        return (self.a * ex.X + self.b * ex.Y,
-                self.c * ex.X + self.d * ex.Y,
-                ex.T)
+    def apply(self, x, y, t):
+        return self.a * x + self.b * y, self.c * x + self.d * y, t
 
     def label(self):
         return f"sl2({self.a},{self.b},{self.c},{self.d})"
@@ -216,17 +227,91 @@ class Reading:
         return v
 
 
+class _Exprs:
+    """An expression map's evaluation function: on values, a run of its
+    tape, compiled on the first run and held here; on expressions, the
+    substitution (`expr.subs`), so an expression map composed after
+    another has expressions too."""
+    __slots__ = ("roots", "tape")
+
+    def __init__(self, roots: tuple):
+        self.roots, self.tape = roots, None
+
+    def __call__(self, x, y, t):
+        if isinstance(x, Expr):
+            return ex.subs(self.roots, x, y, t)
+        if self.tape is None:
+            self.tape = ex.Tape(self.roots)
+        return self.tape.run(x, y, t)
+
+
+def _chain(outer, inner):
+    """The evaluation function of outer after inner."""
+    def chained(x, y, t):
+        return outer(*inner(x, y, t))
+    return chained
+
+
 class HeisMap:
-    """A map of the group held as three coordinate expressions."""
+    """A map of the group, held as its evaluation function: a function of
+    (x, y, t) that runs unguarded on complex scalars, on jets and on
+    expressions. An expression map's is its tape; a generator's, its
+    `apply`; a composite's, the chain of its outer map's function after
+    its inner map's. Every evaluation takes the one guard of
+    `expr.guarded`. The three coordinate expressions of a map held as a
+    function are built on first use (`exprs`), and only for the
+    substituted-DAG reference route; no evaluation reads them."""
 
     def __init__(self, e1: Expr, e2: Expr, e3: Expr, name: str = ""):
-        self.e1, self.e2, self.e3 = e1, e2, e3
-        self.name = name
-        self._reading = None
+        self._setup(_Exprs((e1, e2, e3)), name)
+        self._exprs = (e1, e2, e3)
+
+    @classmethod
+    def of(cls, fn, name: str = "", outer=None, inner: "HeisMap | None" = None) -> "HeisMap":
+        """The map whose evaluation function is fn, such as a generator's
+        `apply`; a composite also names its outer map's function and its
+        inner map, whose reading it reads."""
+        m = cls.__new__(cls)
+        m._setup(fn, name, outer, inner)
+        return m
+
+    def _setup(self, fn, name, outer=None, inner=None):
+        self._fn, self._outer, self._inner, self.name = fn, outer, inner, name
+        self._exprs = self._reading = None
         self._composed = None   # (inner, self after inner), the last composite
 
+    @property
+    def exprs(self) -> tuple:
+        """The three coordinate expressions: an expression map's own; a
+        composite's, its outer map's function run on its inner map's
+        expressions (a generator's `apply` builds on them, an expression
+        map substitutes them); any other map's, its function run on the
+        coordinates."""
+        if self._exprs is None:
+            inner = self._inner
+            self._exprs = (self._outer(*inner.exprs) if inner is not None
+                           else self._fn(ex.X, ex.Y, ex.T))
+        return self._exprs
+
+    e1 = property(lambda self: self.exprs[0])
+    e2 = property(lambda self: self.exprs[1])
+    e3 = property(lambda self: self.exprs[2])
+
     def __call__(self, p) -> Point:
-        return Point(*(v.real for v in eval_at((self.e1, self.e2, self.e3), p)))
+        out = ex.guarded(self._fn, complex(p[0]), complex(p[1]), complex(p[2]))
+        return Point(*(v.real for v in out))
+
+    def _evaluate(self, p, order: int) -> tuple:
+        """The three jets to `order` at p, a single point or an (N, 3)
+        batch: the one place a map's jets are made. A composite at a single
+        point runs its outer map's function on its inner map's reading
+        there, so the inner map is evaluated once for both; every other
+        evaluation runs the map's function on the seeds."""
+        inner = self._inner
+        if inner is not None and np.ndim(p) != 2:
+            return ex.guarded(self._outer,
+                              *(j.truncate(order) for j in inner.reading(p, order).jets))
+        return ex.guarded(self._fn, *jet_seed(p, order))
 
     def reading(self, p, order: int) -> Reading:
         """The map's reading at the single point p, evaluated again only
@@ -237,27 +322,28 @@ class HeisMap:
         key = struct.pack("3d", *p)
         r = self._reading
         if r is None or r.key != key or r.jets[0].order < order:
-            r = self._reading = Reading(key, jet_eval((self.e1, self.e2, self.e3), p,
-                                                      max(order, 3)))
+            r = self._reading = Reading(key, self._evaluate(p, max(order, 3)))
         return r
 
     def jets(self, p, order: int):
         """The three component jets to `order` at p, from the reading; at
         an (N, 3) array of points, batched jets, evaluated afresh."""
         if np.ndim(p) == 2:
-            return jet_eval((self.e1, self.e2, self.e3), p, order)
+            return self._evaluate(p, order)
         return tuple(j.truncate(order) for j in self.reading(p, order).jets)
 
     def compose(self, inner: "HeisMap") -> "HeisMap":
         """self after inner: (self.compose(g))(p) = self(g(p)).
 
-        The last composite is kept, keyed by the inner map object, so the
-        laws that read one pair's composite share it and its reading."""
+        The composite holds this map's function, not this map, so this map
+        can keep it without a reference cycle. The last composite is kept,
+        keyed by the inner map object, so the laws that read one pair's
+        composite share it and its reading."""
         c = self._composed
         if c is None or c[0] is not inner:
-            c = self._composed = (inner, HeisMap(
-                *ex.subs((self.e1, self.e2, self.e3), inner.e1, inner.e2, inner.e3),
-                name=f"{self.name or '?'}∘{inner.name or '?'}"))
+            c = self._composed = (inner, HeisMap.of(
+                _chain(self._fn, inner._fn), f"{self.name or '?'}∘{inner.name or '?'}",
+                outer=self._fn, inner=inner))
         return c[1]
 
     def __repr__(self):
@@ -268,13 +354,18 @@ IDENTITY = HeisMap(ex.X, ex.Y, ex.T, name="id")
 
 
 def word_to_map(word) -> HeisMap:
-    """Compose a generator word, rightmost generator applied first."""
+    """Compose a generator word, rightmost generator applied first: a fold
+    through `compose` of the letters' maps, each held as its `apply`. The
+    word's map is a map of its own that holds the fold's function, so its
+    name goes on no composite that a map keeps, and it reads no letter's
+    reading: its jets run the letters from the seeds, under one guard."""
     word = list(word)
-    m = HeisMap(ex.X, ex.Y, ex.T)
-    for gen in reversed(word):
-        m = HeisMap(*gen.exprs()).compose(m)
-    # a map of its own, so the name goes on no composite that a map keeps
-    return HeisMap(m.e1, m.e2, m.e3, "∘".join(gen.label() for gen in word) or "id")
+    if not word:
+        return HeisMap(ex.X, ex.Y, ex.T, "id")
+    m = HeisMap.of(word[-1].apply)
+    for gen in reversed(word[:-1]):
+        m = HeisMap.of(gen.apply).compose(m)
+    return HeisMap.of(m._fn, "∘".join(gen.label() for gen in word))
 
 
 def word_orientation(word) -> int:

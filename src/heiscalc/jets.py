@@ -157,12 +157,13 @@ class Jet:
     """Truncated Taylor expansion at a fixed base point, or at each point of
     a batch (see the module docstring)."""
 
-    __slots__ = ("base", "order", "coef")
+    __slots__ = ("base", "order", "coef", "_recip")
 
     def __init__(self, base, order: int, coef: np.ndarray):
         self.base = base
         self.order = int(order)
         self.coef = coef
+        self._recip = None   # the reciprocal, made on the first division by this jet
 
     # --- constructors -----------------------------------------------------
 
@@ -367,11 +368,18 @@ class Jet:
         return acc
 
     def reciprocal(self) -> "Jet":
-        # 1/u = (1/u0) / (1 + w) = (1/u0) (1 - w + w^2 - ...)
-        u0 = self.value
-        self._raise_if(u0 == 0, u0, "reciprocal of a jet with zero value")
-        r0 = 1.0 / u0
-        return self._series([r0 if k % 2 == 0 else -r0 for k in range(self.order + 1)], u0)
+        """1/self, made once and shared: every division by this jet
+        multiplies by the one series, as the inversion's three components
+        divide by one denominator."""
+        r = self._recip
+        if r is None:
+            # 1/u = (1/u0) / (1 + w) = (1/u0) (1 - w + w^2 - ...)
+            u0 = self.value
+            self._raise_if(u0 == 0, u0, "reciprocal of a jet with zero value")
+            r0 = 1.0 / u0
+            r = self._recip = self._series(
+                [r0 if k % 2 == 0 else -r0 for k in range(self.order + 1)], u0)
+        return r
 
     def exp(self) -> "Jet":
         e0 = self._fn().exp(self.value)
@@ -388,12 +396,14 @@ class Jet:
     def sqrt(self) -> "Jet":
         u0 = self.value
         self._raise_if(_nonpositive(u0), u0, "sqrt of nonpositive value {}")
-        r0 = self._fn().sqrt(u0)
+        # sqrt u = sqrt(u0) sqrt(1 + w) = sqrt(u0) (1 + w/2 - w^2/8 + ...),
+        # scaled after the sum, whose terms are of size 1 where those of
+        # sqrt(u0) w^k would underflow with u0^1.5 (|u0| below about 1e-205)
         d, binom = [], 1.0
         for k in range(self.order + 1):
-            d.append(binom * r0 / u0 ** k)
+            d.append(binom)
             binom *= (0.5 - k) / (k + 1)
-        return self._series(d)
+        return self._series(d, u0) * self._fn().sqrt(u0)
 
     def sin(self) -> "Jet":
         fn = self._fn()

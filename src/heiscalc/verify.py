@@ -7,6 +7,7 @@ appendix, the ledger and the sign scan keep their own verdicts and reports.
 """
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import asdict
 from typing import NamedTuple
@@ -181,8 +182,11 @@ SUITES = {"conformal": _suite_conformal, "cocycles": _suite_cocycles,
 
 
 def run(name, rng, tol):
-    """Run one suite: whether it passed, its report lines and its payload."""
+    """Run one suite: whether it passed, its report lines and its payload,
+    which carries the suite's wall time in `seconds`."""
+    start = time.perf_counter()
     checks, ok, lines, payload = SUITES[name](rng, tol)
+    seconds = time.perf_counter() - start
     ok = ok and all(c.ok for c in checks)
     return ok, [ln for c in checks for ln in c.lines()] + lines, \
-        {"ok": ok, "checks": [c.to_dict() for c in checks], **payload}
+        {"ok": ok, "seconds": seconds, "checks": [c.to_dict() for c in checks], **payload}

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heiscalc import exact
+from heiscalc import exact, verify
 from heiscalc.cli import main
 from heiscalc.errors import SingularError
 
@@ -72,6 +72,16 @@ def test_verify_out_payload(tmp_path, capsys):
     assert doc["schema"] == 1
     assert doc["results"]["appendix"]["ok"] is True
     assert doc["results"]["appendix"]["dims"] == {str(d): 8 for d in range(4, 11)}
+
+
+def test_verify_out_carries_each_suites_wall_time(tmp_path, capsys):
+    out_file = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--out", str(out_file))
+    results = json.loads(out_file.read_text())["results"]
+    assert code == 0 and sorted(results) == sorted(verify.SUITES)
+    for res in results.values():
+        assert isinstance(res["seconds"], float) and res["seconds"] > 0
+    assert "seconds" not in out   # the report lines stay as they were
 
 
 # every sampled check of verify: its suite, name and draws, and a library

@@ -5,12 +5,13 @@ A map's jets come from its reading (HeisMap.reading), which evaluates at
 the highest order asked so far and hands each consumer a truncation. So the
 test intercepts two things: the order each consumer asks for (HeisMap.jets,
 horizontal.jacobian, horizontal.zf, and each module's jet_eval, which
-evaluates at once),
-and the order of each evaluation inside a reading (group.jet_eval). One
-order more, at every consumer and every evaluation, must leave the result
-equal, so the chosen orders lose nothing; one order less, at any single
-consumer, must raise OrderError, so each chosen order is the minimum. Every
-run builds its maps afresh, so no reading carries over from an earlier run.
+evaluates at once), and the order of each map evaluation
+(HeisMap._evaluate, the one place a map's jets are made: seeded, or for a
+composite read from its inner map's reading). One order more, at every
+consumer and every evaluation, must leave the result equal, so the chosen
+orders lose nothing; one order less, at any single consumer, must raise
+OrderError, so each chosen order is the minimum. Every run builds its maps
+afresh, so no reading carries over from an earlier run.
 """
 import importlib.util
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heiscalc import expr, fields, group, harmonic, horizontal, schwarzian as sw
+from heiscalc import expr, fields, harmonic, horizontal, schwarzian as sw
 from heiscalc.errors import OrderError
 from heiscalc.group import (HeisMap, Invert, LinearSL2, Rotate, Translate,
                             word_to_map)
@@ -85,9 +86,10 @@ class _Shift:
 
 def _run(monkeypatch, name, shift, evals=None):
     """The diagnostic's result with each consumer's order passed through
-    shift and each evaluation's inside a reading through evals."""
+    shift and each map evaluation's through evals."""
     evals = evals or _Shift(0)
     jets, jacobian, zf = HeisMap.jets, horizontal.jacobian, horizontal.zf
+    evaluate = HeisMap._evaluate
     with monkeypatch.context() as mp:
         mp.setattr(HeisMap, "jets", lambda self, p, order: jets(self, p, shift(order)))
         for mod in (horizontal, sw, fields):
@@ -97,8 +99,7 @@ def _run(monkeypatch, name, shift, evals=None):
         for mod in (horizontal, harmonic):
             mp.setattr(mod, "jet_eval",
                        lambda roots, p, order, f=mod.jet_eval: f(roots, p, shift(order)))
-        mp.setattr(group, "jet_eval",
-                   lambda roots, p, order, f=group.jet_eval: f(roots, p, evals(order)))
+        mp.setattr(HeisMap, "_evaluate", lambda self, p, order: evaluate(self, p, evals(order)))
         out = DIAGNOSTICS[name]()
     if isinstance(out, harmonic.SignReport):
         return out, {k: v.tolist() for k, v in out.columns.items()}
@@ -122,25 +123,35 @@ def test_one_order_less_at_any_evaluation_raises(monkeypatch, name):
 
 
 def _count_jet_evaluations(monkeypatch) -> list:
-    """Patch expr.evaluate to record each run on jets as (order, roots by
-    identity, base points by bits); the roots are kept, so no id is reused
-    while counting."""
+    """Record each evaluation on jets as (order, what by identity, base
+    points by bits): each map's (HeisMap._evaluate) and each expression's
+    (expr.evaluate, which no map calls); what was evaluated is kept, so no
+    id is reused while counting."""
     runs, alive = [], []
-    evaluate = expr.evaluate
+    evaluate, evaluate_map = expr.evaluate, HeisMap._evaluate
+
+    def record(what, order, p):
+        alive.append(what)
+        ids = tuple(map(id, what)) if isinstance(what, tuple) else id(what)
+        runs.append((order, ids, np.asarray(p, dtype=float).tobytes()))
 
     def counted(roots, vx, vy, vt):
         if isinstance(vx, Jet):
-            alive.append(roots)
-            ids = tuple(map(id, roots)) if isinstance(roots, tuple) else id(roots)
-            runs.append((vx.order, ids, np.asarray(vx.base, dtype=float).tobytes()))
+            record(roots, vx.order, vx.base)
         return evaluate(roots, vx, vy, vt)
+
+    def counted_map(m, p, order):
+        record(m, order, p)
+        return evaluate_map(m, p, order)
     monkeypatch.setattr(expr, "evaluate", counted)
+    monkeypatch.setattr(HeisMap, "_evaluate", counted_map)
     return runs
 
 
 # Each residual evaluates each map it reads, at each point, once: the
-# composite at p and the two maps at p and at their image (3, 4 and 4 before
-# the readings, when the right cocycle's gate evaluated g at p again).
+# composite at p (from the inner map's reading there) and the two maps at p
+# and at their image (3, 4 and 4 before the readings, when the right
+# cocycle's gate evaluated g at p again).
 JETS_CALLS = {"cr_chain_residual": 3, "cocycle_residual_right": 3,
               "cocycle_residual_left": 3}
 
@@ -167,14 +178,20 @@ def _words_block_0(monkeypatch):
 
 def test_a_words_block_evaluates_each_map_and_point_once(monkeypatch):
     # 16 single maps, one evaluation each for s_cr, s_cl, the preschwarzian,
-    # the contact assessment and four pushforwards; 4 pairs, 3 + 0 + 3 for
-    # the three residuals (the right law reads the chain rule's composite,
-    # kept by f.compose, and f and g where the chain rule did); the pinned
-    # map, 1. Building the composite afresh for each law made 45.
+    # the contact assessment and four pushforwards; 4 pairs, 4 + 0 + 4 for
+    # the three residuals: the chain rule's f o g at p, g at p, and f at
+    # g(p), whose reading reads that of f's own inner word there, the
+    # stretch's w1; the right law reads the chain rule's composite, kept by
+    # f.compose, and f and g where the chain rule did; the left law g at
+    # f(p), f and w1 at p, and g o f at p. The pinned map, 1. Each is a
+    # distinct (map, point). Building the composite afresh for each law made
+    # 45 evaluations; a composite evaluated from the seeds, with no reading
+    # of w1, 41.
     check = _words_block_0(monkeypatch)
     runs = _count_jet_evaluations(monkeypatch)
     assert check()
-    assert len(runs) == 16 + 4 * 6 + 1 == 41
+    assert len(runs) == 16 + 4 * 8 + 1 == 49
+    assert len({(ids, base) for _, ids, base in runs}) == len(runs)
 
 
 def test_a_words_block_assesses_contact_once_per_reading(monkeypatch):

@@ -82,6 +82,28 @@ def test_reciprocal_and_log_of_a_tiny_or_huge_value(u0):
     np.testing.assert_allclose(got[1:], unit_log.coef[1:], rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("u0", [1e-200, -1e-200j, 3e-300, 1e200])
+def test_sqrt_of_a_tiny_or_huge_value(u0):
+    # sqrt u = sqrt(u0) sqrt(1 + w), w = x + y t: the coefficients at u0 = 1
+    # scaled by sqrt(u0), with no power of u0 formed
+    x, y, t = jet_seed((0.0, 0.0, 0.0), 4)
+    w = x + y * t
+    unit = (w + 1.0).sqrt()
+    np.testing.assert_allclose(((w + 1.0) * u0).sqrt().coef, unit.coef * cmath.sqrt(u0),
+                               rtol=1e-15, atol=0)
+
+
+def test_sqrt_of_a_tiny_value_at_a_point():
+    from heiscalc.expr import jet_eval, parse_expr
+    x = jet_seed((0.0, 0.0, 0.0), 2)[0]
+    got = ((x + 1.0) * 1e-200).sqrt()
+    assert got.value == pytest.approx(1e-100, rel=1e-15)
+    assert got.partial((1, 0, 0)) == pytest.approx(0.5e-100, rel=1e-15)
+    j = jet_eval(parse_expr("sqrt(1e-200*(x+2))"), (0, 0, 0), 2)
+    assert j.value == pytest.approx(math.sqrt(2.0) * 1e-100, rel=1e-15)
+    assert j.partial((2, 0, 0)) == pytest.approx(-0.25 * 2.0 ** -1.5 * 1e-100, rel=1e-14)
+
+
 def test_truncate_and_order_errors():
     j = _sample_jet(3)
     assert j.truncate(2).order == 2
