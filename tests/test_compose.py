@@ -7,16 +7,17 @@ its inner map's reading. The reference route builds the substituted
 expressions (`HeisMap.exprs`) and evaluates them with `expr.eval_at` and
 `expr.jet_eval`. Both routes run the same operations on the same values,
 so every value and every jet coefficient agrees bit for bit, and where one
-route raises, the other raises the same error type. Since each
-generator's expressions are its `apply` run on the coordinates, the two
-routes share each letter's formula, so each letter is also checked against
-a closed form of its own (`group_mul` for a translation, complex
-arithmetic for the rotation and the inversion). The one exception is
+route raises, the other raises the same error type. The one exception is
 the sign of a zero: the smart constructors fold a product by the constant
 1 or 0 and a sum with 0 (`Dilate(1.0)`, a translation by 0, the zero
 entries of `sl2(2,0,0,0.5)`), which the arithmetic on values runs, and
 complex (a + bi)(1 + 0i) rounds -0.0 + 0i to 0.0. So the bits are compared
 after adding 0.0, which only turns -0.0 into 0.0.
+
+Since each generator's expressions are its `apply` run on the coordinates,
+the two routes share each letter's formula, so each letter is also checked
+against a closed form of its own (`group_mul` for a translation, complex
+arithmetic for the rotation and the inversion).
 """
 import cmath
 import gc
