@@ -3,13 +3,17 @@
 This is the second, independent oracle route. A RatPoly keeps each
 coefficient as a Gaussian-integer numerator (re, im), a pair of Python ints,
 over one positive denominator shared by the whole polynomial, always in
-lowest terms. Sums, products, conjugates, derivatives and the frame
-operators work on those integers in one pass over the terms (Z and Zbar only
-double the denominator), and row reduction is fraction-free, so identities
-verified by this module hold exactly, coefficient by coefficient. A
-nullspace is row-reduced block by block, each block a set of columns whose
-images are joined by shared monomials; the reduced echelon form is unique,
-so the basis is the one a reduction of the whole matrix gives. A frame
+lowest terms. Sums, products, scalings by a constant, conjugates,
+derivatives and the frame operators work on those integers in one pass over
+the terms (Z and Zbar only double the denominator; a frame letter visits
+only its nonzero weights, one for X and Y, two for Z and Zb), and row
+reduction is fraction-free, so identities verified by this module hold
+exactly, coefficient by coefficient. A nullspace is row-reduced block by
+block, each block a set of columns whose images are joined by shared
+monomials; the reduced echelon form is unique, so the basis is the one a
+reduction of the whole matrix gives. Each basis vector is built from
+integer numerators over the lcm of its pivots' denominators, so a nullspace
+makes no Fraction. A frame
 operator is applied as a word (`word_apply`), through a table of the
 polynomial's suffix images (`_word_image`); the operator identities keep one
 such table per polynomial, for all their words. Only
@@ -21,7 +25,7 @@ compare the two from the outside.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
@@ -167,7 +171,8 @@ class RatPoly:
         """self + sign * o in one pass over the terms of each."""
         den = lcm(self.den, o.den)
         fa, fb = den // self.den, (den // o.den) * sign
-        out = {m: (fa * re, fa * im) for m, (re, im) in self.num.items()}
+        out = (dict(self.num) if fa == 1 else
+               {m: (fa * re, fa * im) for m, (re, im) in self.num.items()})
         get = out.get
         for m, (re, im) in o.num.items():
             r0, i0 = get(m, (0, 0))
@@ -189,7 +194,8 @@ class RatPoly:
         return RatPoly.from_num({m: (-re, -im) for m, (re, im) in self.num.items()}, self.den)
 
     def __mul__(self, o):
-        o = _rp(o)
+        if not isinstance(o, RatPoly):
+            return self._scale(o)
         out = {}
         get = out.get
         for (i1, j1, k1), (r1, m1) in self.num.items():
@@ -200,6 +206,18 @@ class RatPoly:
         return RatPoly.from_num(out, self.den * o.den)
 
     __rmul__ = __mul__
+
+    def _scale(self, c) -> "RatPoly":
+        """self * c for a constant c, term by term in the order of num: the
+        product with the constant polynomial c, with no constant built."""
+        if type(c) is int:
+            cr, ci, q = c, 0, 1
+        else:
+            c = _qqi(c)
+            q = lcm(c.re.denominator, c.im.denominator)
+            cr, ci = (f.numerator * (q // f.denominator) for f in (c.re, c.im))
+        return RatPoly.from_num({m: (cr * re - ci * im, cr * im + ci * re)
+                                 for m, (re, im) in self.num.items()}, self.den * q)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -348,18 +366,36 @@ def d_coord(p: RatPoly, var: int) -> RatPoly:
 
 def _frame(p: RatPoly, ax: tuple, ay: tuple, scale: int = 1) -> RatPoly:
     """(ax X + ay Y)/scale applied to p, for Gaussian integers ax, ay, in one
-    pass: X = d/dx + 2y d/dt and Y = d/dy - 2x d/dt."""
+    pass: X = d/dx + 2y d/dt and Y = d/dy - 2x d/dt. Only the nonzero
+    weights are visited (X and Y have one, Z and Zb two), and each term adds
+    its weighted coefficient straight into the monomials its derivatives
+    shift it to, x part before y part, so the terms come out in the order of
+    p's terms."""
     (xr, xi), (yr, yi) = ax, ay
+    on_x, on_y = ax != (0, 0), ay != (0, 0)
     out = {}
     get = out.get
     for (i, j, k), (re, im) in p.num.items():
-        cx = (xr * re - xi * im, xr * im + xi * re)      # ax * coefficient
-        cy = (yr * re - yi * im, yr * im + yi * re)      # ay * coefficient
-        for n, m, (cr, ci) in ((i, (i - 1, j, k), cx), (2 * k, (i, j + 1, k - 1), cx),
-                               (j, (i, j - 1, k), cy), (-2 * k, (i + 1, j, k - 1), cy)):
-            if n and (cr or ci):
+        if on_x:
+            cr, ci = xr * re - xi * im, xr * im + xi * re
+            if i:
+                m = (i - 1, j, k)
                 r0, i0 = get(m, (0, 0))
-                out[m] = (r0 + n * cr, i0 + n * ci)
+                out[m] = (r0 + i * cr, i0 + i * ci)
+            if k:
+                m = (i, j + 1, k - 1)
+                r0, i0 = get(m, (0, 0))
+                out[m] = (r0 + 2 * k * cr, i0 + 2 * k * ci)
+        if on_y:
+            cr, ci = yr * re - yi * im, yr * im + yi * re
+            if j:
+                m = (i, j - 1, k)
+                r0, i0 = get(m, (0, 0))
+                out[m] = (r0 + j * cr, i0 + j * ci)
+            if k:
+                m = (i + 1, j, k - 1)
+                r0, i0 = get(m, (0, 0))
+                out[m] = (r0 - 2 * k * cr, i0 - 2 * k * ci)
     return RatPoly.from_num(out, p.den * scale)
 
 
@@ -371,12 +407,15 @@ _FRAME_OPS = {"X": lambda p: _frame(p, (1, 0), (0, 0)),
               "Zb": lambda p: _frame(p, (1, 0), (0, 1), 2)}
 
 
-def _first_letter(word: str) -> str:
-    """The first letter of a nonempty frame word; an EvalError if it is none."""
+@cache
+def _split_letter(word: str) -> tuple:
+    """(first letter, rest) of a nonempty frame word; an EvalError if the
+    first is no letter. Each word is split once: the words are the code's own
+    and their suffixes, a few dozen."""
     first = "Zb" if word.startswith("Zb") else word[0]
     if first not in _FRAME_OPS:
         raise EvalError(f"bad frame letter {first!r} in {word!r}")
-    return first
+    return first, word[len(first):]
 
 
 def parse_frame_word(word) -> list:
@@ -385,8 +424,8 @@ def parse_frame_word(word) -> list:
         return list(word)
     out = []
     while word:
-        out.append(_first_letter(word))
-        word = word[len(out[-1]):]
+        first, word = _split_letter(word)
+        out.append(first)
     return out
 
 
@@ -404,8 +443,8 @@ def _word_image(table: dict, word: str) -> RatPoly:
     makes to the table. Every letter is checked before any is applied."""
     got = table.get(word)
     if got is None:
-        first = _first_letter(word)
-        got = table[word] = _FRAME_OPS[first](_word_image(table, word[len(first):]))
+        first, rest = _split_letter(word)
+        got = table[word] = _FRAME_OPS[first](_word_image(table, rest))
     return got
 
 
@@ -494,7 +533,11 @@ def real_nullspace(op, monos: list) -> list[RatPoly]:
     matrix holds the numerators of op(monos[c]), whose denominator scales a
     kernel vector back only at the end. Returns the reduced-echelon basis,
     RatPolys with rational coefficients, one per free column in ascending
-    order.
+    order. A basis vector is 1 at its free column fc and
+    -mat[r][fc] dens[pc] / (mat[r][pc] dens[fc]) at the pivot column pc of
+    row r; it is built as integer numerators over the lcm of those
+    denominators, in one `RatPoly.from_num` call that reduces it to lowest
+    terms, with its terms in column order.
 
     Columns whose images share no monomial never meet in the elimination,
     so each connected block of columns (`_blocks`) is row-reduced on its own,
@@ -519,11 +562,13 @@ def real_nullspace(op, monos: list) -> list[RatPoly]:
         pivots = _rref(mat)
         dens = [images[col].den for col in block]
         for fc in sorted(set(range(n)) - set(pivots)):
-            vec = {fc: 1}
+            qs = [mat[r][pc] * dens[fc] for r, pc in enumerate(pivots)]
+            den = reduce(lcm, qs, 1)
+            vec = {fc: den}
             for r, pc in enumerate(pivots):
-                vec[pc] = Fraction(-mat[r][fc] * dens[pc], mat[r][pc] * dens[fc])
-            basis.append((block[fc], RatPoly({monos[block[c]]: v
-                                              for c, v in sorted(vec.items()) if v})))
+                vec[pc] = -mat[r][fc] * dens[pc] * (den // qs[r])
+            basis.append((block[fc], RatPoly.from_num(
+                {monos[block[c]]: (v, 0) for c, v in sorted(vec.items())}, den)))
     return [poly for _, poly in sorted(basis)]
 
 
@@ -585,7 +630,7 @@ def appendix_identities(dmax: int = 6) -> list[tuple[str, str, bool]]:
 
     unconditional = [
         ("commutator [Zb,Z] = 2iT",
-         lambda w: w("ZbZ") - w("ZZb") - w("T") * (2 * QQI_I)),
+         lambda w: w("ZbZ") - w("ZZb") - w("T") * QQi(0, 2)),
         ("commutator [X,Y] = -4T",
          lambda w: w("XY") - w("YX") + w("T") * 4),
         ("2 ZZbZ = ZZZb + ZbZZ",

@@ -419,6 +419,11 @@ def random_word(rng, length: int = 3, allow_invert: bool = True) -> list:
 
 # --- word grammar for the CLI --------------------------------------------------
 
+# each word letter's generator and the number of arguments it takes
+_LETTERS = {"inv": (Invert, 0), "refl": (Reflect, 0), "trans": (lambda *p: Translate(p), 3),
+            "dil": (Dilate, 1), "rot": (Rotate, 1), "sl2": (LinearSL2, 4)}
+
+
 def parse_word(text: str) -> list:
     """'trans(1,0,2) o inv o dil(0.5)' -> generator list. 'id' is empty.
 
@@ -433,11 +438,8 @@ def parse_word(text: str) -> list:
     for part in parts:
         if not part:
             raise ParseError(f"empty word letter in {text!r}")
-        if part == "inv":
-            word.append(Invert())
-            continue
-        if part == "refl":
-            word.append(Reflect())
+        if part in ("inv", "refl"):
+            word.append(_LETTERS[part][0]())
             continue
         if "(" not in part or not part.endswith(")"):
             raise ParseError(f"bad word letter {part!r}")
@@ -448,14 +450,11 @@ def parse_word(text: str) -> list:
             raise ParseError(f"bad arguments in {part!r}") from exc
         if not all(map(math.isfinite, args)):
             raise ParseError(f"an argument in {part!r} is not a finite number")
-        if head == "trans" and len(args) == 3:
-            word.append(Translate(tuple(args)))
-        elif head == "dil" and len(args) == 1:
-            word.append(Dilate(args[0]))
-        elif head == "rot" and len(args) == 1:
-            word.append(Rotate(args[0]))
-        elif head == "sl2" and len(args) == 4:
-            word.append(LinearSL2(*args))
-        else:
+        if head not in _LETTERS:
             raise ParseError(f"unknown word letter {part!r}")
+        make, arity = _LETTERS[head]
+        if len(args) != arity:
+            raise ParseError(f"{head} takes {arity} argument{'' if arity == 1 else 's'}, "
+                             f"got {len(args)}")
+        word.append(make(*args))
     return word

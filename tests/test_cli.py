@@ -357,6 +357,17 @@ def test_exit_codes(capsys, argv, code):
     assert got == code
 
 
+@pytest.mark.parametrize("letter, message", [
+    ("trans(1,2)", "trans takes 3 arguments, got 2"),
+    ("dil(1,2)", "dil takes 1 argument, got 2"),
+    ("inv(3)", "inv takes 0 arguments, got 1"),
+    ("foo(1)", "unknown word letter 'foo(1)'"),
+])
+def test_a_letter_with_the_wrong_arguments_is_named_with_its_arity(capsys, letter, message):
+    code, out, err = run(capsys, "eval", "--map", letter, "--point", "1,1,1")
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_a_tiny_constant_jacobian_has_a_zero_schwarzian(capsys):
     # dil(1e-100) has the constant Jacobian 1e-200, whose log the series in
     # the relative increment takes without forming a power of 1e-200

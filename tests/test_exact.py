@@ -251,3 +251,120 @@ def test_frame_operators_match_the_jet_route(p, q, point):
     for r in (p, p + q, p - q, p * q, p.conj(), p.re_part(), p.im_part(),
               word_apply("T", p)):
         _assert_reduced(r)
+
+
+# --- the kernels against the constructions they replaced ------------------------
+#
+# `_frame` and the basis vectors of `real_nullspace` must give the very
+# RatPolys of the constructions below (the earlier kernel, kept verbatim as
+# references): equal numerators in the same key order over the same
+# denominator. The key order is part of the float bits, because
+# `RatPoly.eval` sums the terms in the order of `num`.
+
+def _frame_reference(p: RatPoly, ax: tuple, ay: tuple, scale: int = 1) -> RatPoly:
+    """(ax X + ay Y)/scale applied to p, for Gaussian integers ax, ay, in one
+    pass: X = d/dx + 2y d/dt and Y = d/dy - 2x d/dt."""
+    (xr, xi), (yr, yi) = ax, ay
+    out = {}
+    get = out.get
+    for (i, j, k), (re, im) in p.num.items():
+        cx = (xr * re - xi * im, xr * im + xi * re)      # ax * coefficient
+        cy = (yr * re - yi * im, yr * im + yi * re)      # ay * coefficient
+        for n, m, (cr, ci) in ((i, (i - 1, j, k), cx), (2 * k, (i, j + 1, k - 1), cx),
+                               (j, (i, j - 1, k), cy), (-2 * k, (i + 1, j, k - 1), cy)):
+            if n and (cr or ci):
+                r0, i0 = get(m, (0, 0))
+                out[m] = (r0 + n * cr, i0 + n * ci)
+    return RatPoly.from_num(out, p.den * scale)
+
+
+def _real_nullspace_reference(op, monos: list) -> list[RatPoly]:
+    """`real_nullspace` with each basis vector built from one Fraction per
+    entry through `RatPoly.__init__`."""
+    images = [op(RatPoly.monomial(*m)) for m in monos]
+    basis = []
+    for block in exact._blocks(images):
+        n = len(block)
+        rows: dict = {}
+        for i, col in enumerate(block):
+            for m, (re, im) in images[col].num.items():
+                if m not in rows:
+                    rows[m] = ([0] * n, [0] * n)
+                rows[m][0][i], rows[m][1][i] = re, im
+        mat = [row for pair in rows.values() for row in pair if any(row)]
+        pivots = exact._rref(mat)
+        dens = [images[col].den for col in block]
+        for fc in sorted(set(range(n)) - set(pivots)):
+            vec = {fc: 1}
+            for r, pc in enumerate(pivots):
+                vec[pc] = Fraction(-mat[r][fc] * dens[pc], mat[r][pc] * dens[fc])
+            basis.append((block[fc], RatPoly({monos[block[c]]: v
+                                              for c, v in sorted(vec.items()) if v})))
+    return [poly for _, poly in sorted(basis)]
+
+
+def _same_polys(got: list, want: list):
+    assert [(list(p.num.items()), p.den) for p in got] == \
+        [(list(p.num.items()), p.den) for p in want]
+
+
+# the letters' weights (ax, ay, scale): Z = (X - iY)/2 and Zb = (X + iY)/2
+_LETTER_WEIGHTS = {"X": ((1, 0), (0, 0), 1), "Y": ((0, 0), (1, 0), 1),
+                   "Z": ((1, 0), (0, -1), 2), "Zb": ((1, 0), (0, 1), 2)}
+# more terms and higher powers than `_polys`, so that the shifted monomials
+# of different terms meet and cancel
+_wide_polys = st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), _coefs,
+                              max_size=10).map(RatPoly)
+_gaussian_ints = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_polys, _gaussian_ints, _gaussian_ints, st.integers(1, 4))
+def test_frame_gives_the_reference_polynomials(p, ax, ay, scale):
+    for letter, weights in _LETTER_WEIGHTS.items():
+        want = _frame_reference(p, *weights)
+        _same_polys([exact._frame(p, *weights), word_apply(letter, p)], [want, want])
+    # any Gaussian-integer weights, zero ones included
+    _same_polys([exact._frame(p, ax, ay, scale)], [_frame_reference(p, ax, ay, scale)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_wide_polys, st.one_of(st.integers(-6, 6), _small_fractions, _coefs,
+                              st.floats(-4, 4), st.complex_numbers(max_magnitude=4)))
+def test_scaling_by_a_constant_is_the_product_with_its_polynomial(p, c):
+    # the general product, with the constant as a one-term RatPoly
+    _same_polys([p * c], [p * RatPoly({(0, 0, 0): c})])
+
+
+def _z2t(p):
+    return word_apply("ZZT", p)
+
+
+def _z3zb(p):
+    return word_apply("ZZZZb", p)
+
+
+@pytest.mark.parametrize("op,monos", [
+    (_z2, monomials_wdeg(7)),
+    (_z2_plus_x_t, [m for m in monomials_wdeg(6) if m[2] or m[0] + m[1] > 2]),
+    (_z2, _tmax(monomials_wdeg(7), 2)),
+    (_z2, random.Random(5).sample(monomials_wdeg(7), 70)),
+] + [(op, monomials_wdeg(d)) for op in (_z2, _z2t, _z3zb, laplacian_h) for d in range(2, 11)],
+    ids=["z2-many-blocks", "one-block", "tmax", "interleaved"]
+    + [f"{name}-d{d}" for name in ("z2", "z2t", "z3zb", "lap") for d in range(2, 11)])
+def test_real_nullspace_gives_the_reference_basis(op, monos):
+    _same_polys(real_nullspace(op, monos), _real_nullspace_reference(op, monos))
+
+
+# dim ker of Z^2, of Z^2 T (the CR Schwarzian's linearisation) and of Z^3 Zb
+# (the classical-type one) on real polynomial potentials of weighted degree <= d
+_KERNEL_DIMENSIONS = {2: (5, 7, 7), 3: (7, 13, 13), 4: (8, 20, 20), 5: (8, 28, 28),
+                      6: (8, 36, 36), 7: (8, 44, 44), 8: (8, 53, 54), 9: (8, 63, 64),
+                      10: (8, 74, 76)}
+
+
+@pytest.mark.parametrize("d", list(_KERNEL_DIMENSIONS))
+def test_kernel_dimensions_of_the_linearised_schwarzians(d):
+    got = tuple(len(real_nullspace(partial(word_apply, w), monomials_wdeg(d)))
+                for w in ("ZZ", "ZZT", "ZZZZb"))
+    assert got == _KERNEL_DIMENSIONS[d]

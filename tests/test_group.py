@@ -143,12 +143,32 @@ def test_parse_word_round_trip():
     assert parse_word("dil(2) * inv") == [Dilate(2.0), Invert()]
 
 
-@pytest.mark.parametrize("bad", [
-    "trans(1,2)", "foo(1)", "dil()", "inv(3)", "trans(a,b,c)", "o o",
-    "inv*", "rot(nan)", "dil(nan)", "trans(inf,0,0)", "dil(1e309)", "sl2(nan,0,0,1)",
-])
+# each rejected word and what its message must say; a known letter with the
+# wrong number of arguments is named with its arity
+_REJECTED_WORDS = {
+    "trans(1,2)": "trans takes 3 arguments, got 2",
+    "dil(1,2)": "dil takes 1 argument, got 2",
+    "rot(1,2)": "rot takes 1 argument, got 2",
+    "sl2(2,0,0.5)": "sl2 takes 4 arguments, got 3",
+    "inv(3)": "inv takes 0 arguments, got 1",
+    "refl(1,2)": "refl takes 0 arguments, got 2",
+    "foo(1)": r"unknown word letter 'foo\(1\)'",
+    "dil()": r"bad arguments in 'dil\(\)'",
+    "trans(a,b,c)": "bad arguments",
+    "trans": "bad word letter 'trans'",
+    "o o": "bad word letter 'o o'",
+    "inv*": "empty word letter",
+    "rot(nan)": "not a finite number",
+    "dil(nan)": "not a finite number",
+    "trans(inf,0,0)": "not a finite number",
+    "dil(1e309)": "not a finite number",
+    "sl2(nan,0,0,1)": "not a finite number",
+}
+
+
+@pytest.mark.parametrize("bad", list(_REJECTED_WORDS))
 def test_parse_word_rejects(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=_REJECTED_WORDS[bad]):
         parse_word(bad)
 
 
