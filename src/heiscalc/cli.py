@@ -14,6 +14,7 @@ import os
 import random
 import sys
 import tempfile
+from typing import NamedTuple
 
 from . import fields, harmonic, schwarzian, verify
 from .errors import HeisError, ParseError
@@ -106,7 +107,19 @@ def _parse_grid(s: str):
     return tuple(axes)
 
 
-_CONFIG_KEYS = {"seed": int, "tol": float, "out": str}
+class _Flag(NamedTuple):
+    type: type        # converts the flag's text, from the command line or a config file
+    default: object   # when neither the command line nor a config file gives the flag
+    help: str | None = None
+
+
+# the flags the commands share; a config file sets any of them but config
+_FLAGS = {"config": _Flag(str, None, "key=value defaults file; flags given on the "
+                                      "command line win"),
+          "seed": _Flag(int, 0),
+          "tol": _Flag(float, None, "verification tolerance"),
+          "out": _Flag(str, None, "write JSON (or CSV for scan) to this path")}
+_CONFIG_KEYS = tuple(k for k in _FLAGS if k != "config")
 
 
 def _load_config(path: str) -> dict:
@@ -125,7 +138,7 @@ def _load_config(path: str) -> dict:
                     raise ParseError(f"{path}:{ln}: unknown key {k!r} "
                                      f"(known: {', '.join(_CONFIG_KEYS)})")
                 try:
-                    cfg[k] = _CONFIG_KEYS[k](v)
+                    cfg[k] = _FLAGS[k].type(v)
                 except ValueError:
                     raise ParseError(f"{path}:{ln}: bad value {v!r} for {k}") from None
     except OSError as e:
@@ -154,7 +167,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else verify.TOL
     if args.out:
         _check_writable(args.out)
     all_ok, results = True, {}
@@ -235,15 +248,11 @@ def cmd_flow(args) -> int:
 
 # --- entry point -----------------------------------------------------------------
 
-_FLAGS = {"config": {"help": "key=value defaults file; flags given on the command line win"},
-          "seed": {"type": int}, "tol": {"type": float, "help": "verification tolerance"},
-          "out": {"help": "write JSON (or CSV for scan) to this path"}}
-
-
 def _add_flags(p: argparse.ArgumentParser, names=tuple(_FLAGS)):
     """The shared flags a command reads; an absent one is filled in later."""
     for name in names:
-        p.add_argument(f"--{name}", default=argparse.SUPPRESS, **_FLAGS[name])
+        p.add_argument(f"--{name}", type=_FLAGS[name].type, default=argparse.SUPPRESS,
+                       help=_FLAGS[name].help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,9 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DEFAULTS = {"config": None, "seed": 0, "tol": None, "out": None}
-
-
 def _settle_args(args):
     """Fill each flag not given (an absent attribute) from the config file or
     the defaults, then check the inputs every command shares."""
@@ -288,9 +294,9 @@ def _settle_args(args):
         for k, v in _load_config(args.config).items():
             if not hasattr(args, k):
                 setattr(args, k, v)
-    for k, v in _DEFAULTS.items():
+    for k, flag in _FLAGS.items():
         if not hasattr(args, k):
-            setattr(args, k, v)
+            setattr(args, k, flag.default)
     if args.tol is not None and not 0 <= args.tol < math.inf:
         raise ParseError(f"tolerance must be a finite number >= 0, got {args.tol}")
 

@@ -35,6 +35,20 @@ import numpy as np
 from . import expr as ex
 from .errors import BadPotential, EvalError, NoConsistentConstant
 
+
+def _binary(method):
+    """A QQi operator on its other operand converted by `_qqi`; for an
+    operand `_qqi` cannot convert (a RatPoly), NotImplemented, so Python
+    tries that operand's reflected operator."""
+    def op(self, o):
+        try:
+            o = _qqi(o)
+        except TypeError:
+            return NotImplemented
+        return method(self, o)
+    return op
+
+
 class QQi:
     """Gaussian rational a + b*i with exact rational parts."""
 
@@ -44,28 +58,29 @@ class QQi:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
+    @_binary
     def __add__(self, o):
-        o = _qqi(o)
         return QQi(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
+    @_binary
     def __sub__(self, o):
-        o = _qqi(o)
         return QQi(self.re - o.re, self.im - o.im)
 
+    @_binary
     def __rsub__(self, o):
-        return _qqi(o) - self
+        return o - self
 
+    @_binary
     def __mul__(self, o):
-        o = _qqi(o)
         return QQi(self.re * o.re - self.im * o.im,
                    self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
+    @_binary
     def __truediv__(self, o):
-        o = _qqi(o)
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by Gaussian-rational zero")
@@ -78,8 +93,8 @@ class QQi:
     def conj(self):
         return QQi(self.re, -self.im)
 
+    @_binary
     def __eq__(self, o):
-        o = _qqi(o)
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):

@@ -7,23 +7,23 @@ kernel's conversion and the tape compiler) visits the nodes in the one order
 interpreter's stack; each keeps only its per-op rules and a memo local to
 the call, so a shared subtree is visited once per call.
 
-Evaluation runs a `Tape`: a tuple of roots compiled once into numbered
-slots and one step `(fn, i, j, k)` per node, in that same order, which
-stores fn(slot i, slot j) in slot k; a run fills a copy of the tape's slot
-template, its constants in place. Scalars and jets run the same
-operations; the jet steps also reuse slots: each writes into the slot of a
-value whose last reader has run, so a batched run holds only the jets it
-will still read. A division by a jet multiplies by the divisor's
-reciprocal, which the jet makes once and keeps (`Jet.reciprocal`). Every
-run takes the one guard of an evaluation, `guarded`, which a map's
-evaluation takes too (`group.HeisMap`, whose maps hold their own tapes or
-run without one). `evaluate` takes one root or a tuple of roots that share
-a DAG and runs their tape from `tape`, which keeps the tapes of the last 8
-tuples of roots (`eval_at` and `jet_eval` only make the seeds). An RK4 flow
-fetches its field's tape once and runs its scalar steps inside each stage,
-on a slot list of the flow's own (`fields._stage`): the one other loop over
-a tape's steps, kept because the flows spend nearly all their time there
-and a run of the tape per stage took 1.45 to 1.7 times as long.
+Evaluation runs a `Tape`: a tuple of roots compiled in one pass over that
+same order into numbered slots and one step `(fn, i, j, k)` per node,
+which stores fn(slot i, slot j) in slot k; a run fills a copy of the
+tape's slot template, its constants in place. Scalars and jets run the
+same steps, which reuse slots: each writes into the slot of a value whose
+last reader has run, so a batched run holds only the jets it will still
+read. A division by a jet multiplies by the divisor's reciprocal, which
+the jet makes once and keeps (`Jet.reciprocal`). Every run takes the one
+guard of an evaluation, `guarded`, which a map's evaluation takes too
+(`group.HeisMap`, whose maps hold their own tapes or run without one).
+`evaluate` takes one root or a tuple of roots that share a DAG and runs
+their tape from `tape`, which keeps the tapes of the last 8 tuples of
+roots (`eval_at` and `jet_eval` only make the seeds). An RK4 flow fetches
+its field's tape once and runs its steps inside each stage, on a slot list
+of the flow's own (`fields._stage`): the one other loop over a tape's
+steps, kept because the flows spend nearly all their time there and a run
+of the tape per stage took 1.45 to 1.7 times as long.
 
 Constants keep their exact type (int / Fraction) on the tree, which is what
 lets the exact polynomial kernel read coefficients off parsed input without
@@ -314,106 +314,77 @@ def _not_finite_at(jets):
     return base if bad.ndim == 0 else tuple(base[bad.argmax()].tolist())
 
 
-def _jet_schedule(steps, last, size, outs) -> tuple:
-    """The steps and the roots' slots of a run on jets, made from the
-    scalar `steps`.
-
-    A scalar slot holds one node's value, so it names the node: `last[s]`
-    is the index of the last step that reads slot s (-1 for a seed, a
-    constant, an exponent or a root, which are never freed), and `at[s]`
-    is where the jet run keeps that value. A step writes into a slot freed
-    by a value whose last reader has run (that step included: it reads its
-    operands before it writes); the scalar steps' slots, empty in a jet
-    run, are free at the start, so there is always one."""
-    at = list(range(size))
-    free = [k for *_, k in reversed(steps)]
-    out = []
-    for n, (fn, i, j, k) in enumerate(steps):
-        a, b = at[i], at[j]
-        if last[i] == n:
-            free.append(a)
-        if last[j] == n and j != i:   # a node that is both operands is freed once
-            free.append(b)
-        at[k] = free.pop()
-        out.append((fn, a, b, at[k]))
-    return tuple(out), tuple(at[s] for s in outs)
-
-
 class Tape:
     """A tuple of roots compiled into numbered slots and steps.
 
-    Slots 0-2 hold the seeds x, y, t; then each constant, each 'pow'
-    exponent and each other node has a slot, in `postorder` order. The
-    constants are lowered to complex here (an exponent stays an int). A
-    step `(fn, i, j, k)` stores fn(slot i, slot j) in slot k, one per node
-    that is no seed or constant, in that same order. Each step is the
-    operation the node names on the values of its arguments, so a run
-    gives the values a walk over the nodes gives, bit for bit. `template`
-    is the slot list before a run: the constants and exponents in place,
-    the other slots empty; a run fills a copy of it.
+    A step `(fn, i, j, k)` stores fn(slot i, slot j) in slot k, one per
+    node that is no seed or constant, in `postorder` order. Each step is
+    the operation the node names on the values of its arguments, so a run
+    gives the values a walk over the nodes gives, bit for bit, on complex
+    scalars and on single or batched jets alike. `template` is the slot
+    list before a run: the seeds x, y, t in slots 0-2 (empty), each
+    constant (lowered to complex) and each 'pow' exponent (an int) in a
+    slot of its own, and the work slots (empty); a run fills a copy of it.
 
-    Scalars run `steps`, which write each node's own slot. Jets run the
-    same operations on a schedule of their own, `jet_steps`: a jet step
-    writes into a slot freed by a value whose last reader (recorded in the
-    one loop over `postorder` that makes the scalar steps) has run, never
-    a root's, a seed's or a constant's. The scan potential's 10 steps write
-    3 slots, the inversion's 17 write 4, so a batched run holds a few jets
-    at a time. A division by a jet multiplies by the divisor's reciprocal,
-    which the jet makes once and keeps (`Jet.reciprocal`), so the
-    inversion's three components divide by one shared denominator with one
-    Horner series.
+    A step writes into a work slot freed by a value whose last reader has
+    run (that step included: it reads its operands before it writes), or
+    into a new one when none is free; a root's slot is never freed. The
+    scan potential's 10 steps write 3 work slots, the inversion's 17 write
+    4, so a batched run holds a few jets at a time. A division by a jet
+    multiplies by the divisor's reciprocal, which the jet makes once and
+    keeps (`Jet.reciprocal`), so the inversion's three components divide
+    by one shared denominator with one Horner series.
     """
-    __slots__ = ("template", "steps", "outs", "jet_steps", "jet_outs")
+    __slots__ = ("template", "steps", "outs")
 
     def __init__(self, roots: tuple):
-        # last[s]: the index of the last step that reads slot s; fixed: the
-        # slots no step writes (the seeds, constants and exponents)
-        slot, template, steps, last, fixed = {}, [None] * 3, [], [-1] * 3, [0, 1, 2]
+        order = postorder(roots)
+        # the index in `order` of the last reader of each node a step makes;
+        # a root has none, so its slot is never freed
+        last = {a: n for n, node in enumerate(order) for a in node.args if a.args}
+        for r in roots:
+            last.pop(r, None)
+        slot, template, steps, free = {}, [None] * 3, [], []
         try:
-            for node in postorder(roots):
+            for n, node in enumerate(order):
                 op = node.op
                 if op == "coord":
                     slot[node] = node.val
                 elif op == "const":
                     slot[node] = len(template)
-                    fixed.append(len(template))
                     template.append(complex(node.val))
-                    last.append(-1)
                 elif op in _STEPS:
-                    args = node.args
-                    i = slot[args[0]]
+                    a, b = node.args[0], node.args[-1]
+                    i = slot[a]
                     if op == "pow":
                         j = len(template)
-                        fixed.append(j)
                         template.append(node.val)
-                        last.append(-1)
                     else:
-                        j = slot[args[-1]]
-                    k = slot[node] = len(template)
-                    template.append(None)
-                    last.append(-1)
-                    last[i] = last[j] = len(steps)   # the steps run in this order
+                        j = slot[b]
+                    if last.get(a) == n:
+                        free.append(i)
+                    if last.get(b) == n and b is not a:   # freed once when both operands
+                        free.append(j)
+                    if not free:
+                        free.append(len(template))
+                        template.append(None)
+                    k = slot[node] = free.pop()
                     steps.append((_STEPS[op], i, j, k))
                 else:
                     raise EvalError(f"unknown node '{op}'")
         except OverflowError as e:
             raise DomainError(f"evaluation overflowed: {e}") from None
-        self.steps, self.outs = tuple(steps), tuple(slot[r] for r in roots)
-        for s in (*fixed, *self.outs):
-            last[s] = -1
-        self.jet_steps, self.jet_outs = _jet_schedule(steps, last, len(template), self.outs)
-        self.template = tuple(template)
+        self.template, self.steps = tuple(template), tuple(steps)
+        self.outs = tuple(slot[r] for r in roots)
 
     def run(self, vx, vy, vt) -> tuple:
         """The roots' values at the seeds, complex scalars or Jets, with no
-        guard: the scalar steps, or on jets the jet steps."""
+        guard."""
         s = list(self.template)
         s[0], s[1], s[2] = vx, vy, vt
-        steps, outs = (self.jet_steps, self.jet_outs) if isinstance(vx, Jet) else \
-            (self.steps, self.outs)
-        for fn, i, j, k in steps:
+        for fn, i, j, k in self.steps:
             s[k] = fn(s[i], s[j])
-        return tuple([s[k] for k in outs])
+        return tuple([s[k] for k in self.outs])
 
     def __call__(self, vx, vy, vt) -> tuple:
         """The roots' values at the seeds, complex scalars or Jets, under

@@ -72,7 +72,7 @@ def field_components(v0) -> tuple[Expr, Expr, Expr]:
 
 def _stage(tape):
     """The field's coordinate velocity at (x, y, t), as one call that runs
-    the tape's scalar steps in place on a slot list of its own, checks the
+    the tape's steps in place on a slot list of its own, checks the
     three outputs for finiteness as a run of the tape does, and combines
     them into (v1, v2, 2y v1 - 2x v2 - 4 v0) in floats. The values, and the
     DomainErrors, are those of a run of the tape."""
@@ -105,8 +105,8 @@ def flow_integrate(v0, p, s: float, steps: int = 200) -> Point:
     """RK4 integration of the field's flow from p over time s.
 
     The field's tape is fetched once, and each stage is one call of
-    `_stage`, which runs the tape's scalar steps in place on a slot list of
-    this call's own. That is the one loop over a tape's steps outside
+    `_stage`, which runs the tape's steps in place on a slot list of this
+    call's own. That is the one loop over a tape's steps outside
     `expr`, kept because the flows spend nearly all their time in it: a run
     of the tape per stage, with its generic dispatch and a fresh slot list,
     took 1.45 to 1.7 times as long (200-step flows of the quadratic and
@@ -176,8 +176,8 @@ def scl_flow_derivative(v0, p) -> complex:
     return -2j * apply_word("ZZZZb", potential_expr(v0), p)
 
 
-# The basis potentials' tapes, held here and not in expr.tape's small cache,
-# where they would evict the map tapes that a run of diagnostics reuses.
+# The basis potentials' tapes, compiled once and held here: `to_expr()` builds
+# a new DAG on each call, so expr.tape's cache, keyed by the roots, would miss.
 _V0_TAPES = tuple(ex.Tape((b.to_expr(),)) for b in V0_BASIS)
 
 

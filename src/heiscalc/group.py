@@ -7,9 +7,9 @@ expression map's tape, a generator's `apply` (written once with the
 arithmetic operators), or a composite's chain. Composition is the chain
 rule on jets: f.compose(g) runs f's function on g's values, and at a single
 point on g's reading there, which every other diagnostic of g at that point
-shares. A word of generators is a fold through `compose`, so its jets run
-the letters' `apply` from the seeds: no expression is built and no tape is
-compiled for it. Each map evaluation takes the one guard of
+shares. A word of generators chains its letters' `apply` as `compose`
+would, so its jets run them from the seeds: no expression is built and no
+tape is compiled for it. Each map evaluation takes the one guard of
 `expr.guarded`. The three coordinate expressions of a map held as a
 function are built only when asked for (`HeisMap.exprs`), as the
 substituted-DAG route the tests check the chain against.
@@ -293,10 +293,6 @@ class HeisMap:
                            else self._fn(ex.X, ex.Y, ex.T))
         return self._exprs
 
-    e1 = property(lambda self: self.exprs[0])
-    e2 = property(lambda self: self.exprs[1])
-    e3 = property(lambda self: self.exprs[2])
-
     def __call__(self, p) -> Point:
         out = ex.guarded(self._fn, complex(p[0]), complex(p[1]), complex(p[2]))
         return Point(*(v.real for v in out))
@@ -354,18 +350,17 @@ IDENTITY = HeisMap(ex.X, ex.Y, ex.T, name="id")
 
 
 def word_to_map(word) -> HeisMap:
-    """Compose a generator word, rightmost generator applied first: a fold
-    through `compose` of the letters' maps, each held as its `apply`. The
-    word's map is a map of its own that holds the fold's function, so its
-    name goes on no composite that a map keeps, and it reads no letter's
-    reading: its jets run the letters from the seeds, under one guard."""
+    """Compose a generator word, rightmost generator applied first: the
+    map whose function chains the letters' `apply` from the last letter
+    out, as `compose` would chain them, so its jets run the letters from
+    the seeds under one guard and read no letter's reading."""
     word = list(word)
     if not word:
         return HeisMap(ex.X, ex.Y, ex.T, "id")
-    m = HeisMap.of(word[-1].apply)
+    fn = word[-1].apply
     for gen in reversed(word[:-1]):
-        m = HeisMap.of(gen.apply).compose(m)
-    return HeisMap.of(m._fn, "∘".join(gen.label() for gen in word))
+        fn = _chain(gen.apply, fn)
+    return HeisMap.of(fn, "∘".join(gen.label() for gen in word))
 
 
 def word_orientation(word) -> int:

@@ -19,6 +19,9 @@ from .group import (Invert, LinearSL2, Point, koranyi_norm, random_word,
                     word_to_map)
 from .horizontal import word_jet
 
+# the bound of the sampled checks when --tol is not given
+TOL = 1e-8
+
 
 class Check(NamedTuple):
     name: str

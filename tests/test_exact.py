@@ -32,6 +32,18 @@ def test_qqi_field_ops():
         a / QQi(0, 0)
 
 
+def test_a_constant_written_first_defers_to_the_polynomial():
+    # a RatPoly is no QQi, so QQi's operators leave it to the RatPoly's own
+    c, p = QQi(1, 2), RP_X * 3 + RP_T * QQi(0, 1)
+    assert c * p == p * c
+    assert c + p == p + c
+    assert c - p == -(p - c)
+    assert (c == RatPoly({(0, 0, 0): c})) and (RatPoly({(0, 0, 0): c}) == c)
+    assert not c == p
+    with pytest.raises(TypeError, match="unsupported operand"):
+        c / p
+
+
 def test_ratpoly_arithmetic_and_eval():
     p = RP_X * RP_X + RP_Y * 2 - RP_T * Fraction(1, 3)
     q = RP_X - RP_ONE

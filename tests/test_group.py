@@ -203,7 +203,7 @@ def test_random_word_deterministic():
 
 
 def _reachable(m) -> int:
-    seen, stack = set(), [m.e1, m.e2, m.e3]
+    seen, stack = set(), list(m.exprs)
     while stack:
         node = stack.pop()
         if node not in seen:
@@ -247,7 +247,7 @@ def test_a_reading_serves_lower_orders_and_reevaluates_higher():
     r3 = m.reading(p, 3)
     assert m.reading(p, 1) is r3 and m.reading(p, 3) is r3
     for k in range(4):   # a truncation has the bits of a direct evaluation
-        assert _bits(m.jets(p, k)) == _bits(expr.jet_eval((m.e1, m.e2, m.e3), p, k))
+        assert _bits(m.jets(p, k)) == _bits(expr.jet_eval(m.exprs, p, k))
     assert m.reading(p, 4) is not r3 and m.reading(p, 4).jets[0].order == 4
     # a new point is read to the order both Schwarzians read, at least
     assert m.reading((0.3, -0.5, 0.8), 1).jets[0].order == 3

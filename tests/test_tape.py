@@ -192,6 +192,7 @@ def _assert_tape_is_the_walk(roots, p):
 _S = ex.add(ex.X, ex.Y)
 _SQUARE = ex.mul(_S, _S)   # s*s with s = x + y one node
 _DEN = ex.add(ex.mul(ex.T, ex.T), ex.const(1))
+_EXY = ex.exp_(ex.mul(ex.X, ex.Y))
 _COMPOSITE = HeisMap(*Invert().exprs()).compose(HeisMap(*Translate((0.5, -0.25, 1.0)).exprs()))
 _WORD = word_to_map(parse_word("inv o rot(0.5) o trans(1,0.5,-0.25) o inv"))
 _SHARED_CASES = {
@@ -207,8 +208,12 @@ _SHARED_CASES = {
     "a divisor's slot reused": (ex.add(ex.add(_DEN, ex.div(ex.X, _DEN)),
                                        ex.div(ex.X, ex.add(ex.exp_(ex.Y), ex.const(2)))),),
     "inversion": Invert().exprs(),
-    "composite": (_COMPOSITE.e1, _COMPOSITE.e2, _COMPOSITE.e3),
-    "word": (_WORD.e1, _WORD.e2, _WORD.e3),
+    "composite": _COMPOSITE.exprs,
+    "word": _WORD.exprs,
+    # exp(x*y) takes the slot of x*y, and then sin(t) + 2 that of sin(t),
+    # on scalars as on jets; the root exp(x*y) keeps its slot to the end
+    "a freed slot reused, a root read by a later root": (
+        _EXY, ex.mul(ex.add(ex.sin_(ex.T), ex.const(2)), _EXY)),
 }
 
 
@@ -229,7 +234,6 @@ def test_the_inversion_takes_one_reciprocal_for_three_divisions(monkeypatch):
     # the three divisions run one Horner series, on the tape and in the
     # generator's apply alike
     t = ex.Tape(Invert().exprs())
-    assert [fn.__name__ for fn, *_ in t.jet_steps].count("_div") == 3
     assert [fn.__name__ for fn, *_ in t.steps].count("_div") == 3
     series, calls = Jet._series, []
     monkeypatch.setattr(Jet, "_series", lambda j, *a: calls.append(j) or series(j, *a))
@@ -246,12 +250,16 @@ def _bits(jets) -> list:
     ((ex.parse_expr("exp(x)*cos(y) + t^2 - 2/3*(x^4+y^4)"),), 3),   # 10 steps
     (Invert().exprs(), 4),                                           # 17 steps
 ])
-def test_the_jet_schedule_writes_only_a_few_slots(roots, most):
-    # a jet step writes into the slot of a value no later step reads;
-    # the scalar schedule keeps one slot per node
+def test_the_steps_write_only_a_few_slots(roots, most):
+    # a step writes into the slot of a value no later step reads, so the
+    # template holds the seeds, the constants and exponents, and the few
+    # slots the steps write, nothing else
     t = ex.Tape(roots)
-    assert len({k for *_, k in t.jet_steps}) <= most < len(t.jet_steps)
-    assert len({k for *_, k in t.steps}) == len(t.steps)
+    work = {k for *_, k in t.steps}
+    assert len(work) <= most < len(t.steps)
+    assert t.template[:3] == (None, None, None) and not work & {0, 1, 2}
+    assert [s for s, v in enumerate(t.template) if v is None] == [0, 1, 2, *sorted(work)]
+    assert all(isinstance(v, (complex, int)) for v in t.template if v is not None)
 
 
 _ORDER1 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
