@@ -9,21 +9,20 @@ the call, so a shared subtree is visited once per call.
 
 Evaluation runs a `Tape`: a tuple of roots compiled in one pass over that
 same order into numbered slots and one step `(fn, i, j, k)` per node,
-which stores fn(slot i, slot j) in slot k; a run fills a copy of the
-tape's slot template, its constants in place. Scalars and jets run the
-same steps, which reuse slots: each writes into the slot of a value whose
-last reader has run, so a batched run holds only the jets it will still
-read. A division by a jet multiplies by the divisor's reciprocal, which
-the jet makes once and keeps (`Jet.reciprocal`). Every run takes the one
-guard of an evaluation, `guarded`, which a map's evaluation takes too
-(`group.HeisMap`, whose maps hold their own tapes or run without one).
-`evaluate` takes one root or a tuple of roots that share a DAG and runs
-their tape from `tape`, which keeps the tapes of the last 8 tuples of
-roots (`eval_at` and `jet_eval` only make the seeds). An RK4 flow fetches
-its field's tape once and runs its steps inside each stage, on a slot list
-of the flow's own (`fields._stage`): the one other loop over a tape's
-steps, kept because the flows spend nearly all their time there and a run
-of the tape per stage took 1.45 to 1.7 times as long.
+which stores fn(slot i, slot j) in slot k, and then, once, into one
+straight-line Python function of the three seeds with one assignment per
+step (`Tape.run`). Scalars and jets run the same steps, which reuse slots:
+each writes into the slot of a value whose last reader has run, so a
+batched run holds only the jets it will still read. A division by a jet
+multiplies by the divisor's reciprocal, which the jet makes once and keeps
+(`Jet.reciprocal`). Every run takes the one guard of an evaluation,
+`guarded`, which a map's evaluation takes too (`group.HeisMap`, whose maps
+hold their own tapes or run without one). `evaluate` takes one root or a
+tuple of roots that share a DAG and runs their tape from `tape`, which
+keeps the tapes of the last 8 tuples of roots (`eval_at` and `jet_eval`
+only make the seeds). An RK4 flow fetches its field's tape once and calls
+its function in each stage under a guard of the stage's own
+(`fields._stage`), so no loop over a tape's steps runs anywhere.
 
 Constants keep their exact type (int / Fraction) on the tree, which is what
 lets the exact polynomial kernel read coefficients off parsed input without
@@ -314,8 +313,43 @@ def _not_finite_at(jets):
     return base if bad.ndim == 0 else tuple(base[bad.argmax()].tolist())
 
 
+_INFIX_STEPS = {operator.add: "+", operator.sub: "-", operator.mul: "*"}
+
+# the code of a straight-line run, by its source text: tapes of one shape,
+# a potential parsed again say, compile once
+_compiled = functools.lru_cache(maxsize=256)(lambda source: compile(source, "<tape>", "exec"))
+
+
+def _straight_line(template, steps, outs):
+    """The function of the seeds x, y, t that runs the steps: one assignment
+    per step, `s6 = s5 * s0` or `s4 = f0(s0, s0)` for a step that is not
+    +, - or *, then the roots' slots as a tuple. The source holds only slot
+    names, the three infix operators and the names f0, f1, ...; the
+    constants, exponents and step functions are its default arguments."""
+    ns, names = {}, {}
+    params = ["s0", "s1", "s2"]
+    for k in range(3, len(template)):
+        if template[k] is not None:
+            params.append(f"s{k}=s{k}")
+            ns[f"s{k}"] = template[k]
+    lines = []
+    for fn, i, j, k in steps:
+        if fn in _INFIX_STEPS:
+            lines.append(f"s{k} = s{i} {_INFIX_STEPS[fn]} s{j}")
+        else:
+            lines.append(f"s{k} = {names.setdefault(fn, f'f{len(names)}')}(s{i}, s{j})")
+    for fn, name in names.items():
+        params.append(f"{name}={name}")
+        ns[name] = fn
+    lines.append(f"return ({''.join(f's{k}, ' for k in outs)})")
+    exec(_compiled(f"def run({', '.join(params)}):\n    " + "\n    ".join(lines)), ns)
+    # the function holds ns as its globals: out of ns, it is in no cycle
+    return ns.pop("run")
+
+
 class Tape:
-    """A tuple of roots compiled into numbered slots and steps.
+    """A tuple of roots compiled into numbered slots and steps, and the
+    steps into one function.
 
     A step `(fn, i, j, k)` stores fn(slot i, slot j) in slot k, one per
     node that is no seed or constant, in `postorder` order. Each step is
@@ -324,7 +358,7 @@ class Tape:
     scalars and on single or batched jets alike. `template` is the slot
     list before a run: the seeds x, y, t in slots 0-2 (empty), each
     constant (lowered to complex) and each 'pow' exponent (an int) in a
-    slot of its own, and the work slots (empty); a run fills a copy of it.
+    slot of its own, and the work slots (empty).
 
     A step writes into a work slot freed by a value whose last reader has
     run (that step included: it reads its operands before it writes), or
@@ -334,8 +368,16 @@ class Tape:
     multiplies by the divisor's reciprocal, which the jet makes once and
     keeps (`Jet.reciprocal`), so the inversion's three components divide
     by one shared denominator with one Horner series.
+
+    `run(vx, vy, vt)` gives the roots' values with no guard. It is the
+    steps as straight-line code, a local variable per slot and one
+    assignment per step (`_straight_line`), made once when the tape is
+    built: a run unpacks no step and indexes no slot list. Its source names
+    only slots and step functions, never a constant, so tapes of one shape
+    share one code object (`_compiled`), and a build whose shape was seen
+    costs a few microseconds more than the steps alone.
     """
-    __slots__ = ("template", "steps", "outs")
+    __slots__ = ("template", "steps", "outs", "run")
 
     def __init__(self, roots: tuple):
         order = postorder(roots)
@@ -376,15 +418,7 @@ class Tape:
             raise DomainError(f"evaluation overflowed: {e}") from None
         self.template, self.steps = tuple(template), tuple(steps)
         self.outs = tuple(slot[r] for r in roots)
-
-    def run(self, vx, vy, vt) -> tuple:
-        """The roots' values at the seeds, complex scalars or Jets, with no
-        guard."""
-        s = list(self.template)
-        s[0], s[1], s[2] = vx, vy, vt
-        for fn, i, j, k in self.steps:
-            s[k] = fn(s[i], s[j])
-        return tuple([s[k] for k in self.outs])
+        self.run = _straight_line(self.template, self.steps, self.outs)
 
     def __call__(self, vx, vy, vt) -> tuple:
         """The roots' values at the seeds, complex scalars or Jets, under

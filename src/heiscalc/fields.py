@@ -72,21 +72,17 @@ def field_components(v0) -> tuple[Expr, Expr, Expr]:
 
 def _stage(tape):
     """The field's coordinate velocity at (x, y, t), as one call that runs
-    the tape's steps in place on a slot list of its own, checks the
-    three outputs for finiteness as a run of the tape does, and combines
-    them into (v1, v2, 2y v1 - 2x v2 - 4 v0) in floats. The values, and the
-    DomainErrors, are those of a run of the tape."""
-    s, steps, (o1, o2, o0) = list(tape.template), tape.steps, tape.outs
-    isfinite = cmath.isfinite
+    the tape's compiled function (`Tape.run`), checks the three outputs for
+    finiteness as a guarded run of the tape does, and combines them into
+    (v1, v2, 2y v1 - 2x v2 - 4 v0) in floats. The values, and the
+    DomainErrors, are those of a guarded run of the tape."""
+    run, isfinite = tape.run, cmath.isfinite
 
     def velocity(x, y, t):
-        s[0], s[1], s[2] = complex(x), complex(y), complex(t)
         try:
-            for fn, i, j, k in steps:
-                s[k] = fn(s[i], s[j])
+            v1, v2, v0 = run(complex(x), complex(y), complex(t))
         except ex.STEP_ERRORS as e:
             raise ex.step_error(e) from None
-        v1, v2, v0 = s[o1], s[o2], s[o0]
         if not (isfinite(v1) and isfinite(v2) and isfinite(v0)):
             raise DomainError(f"evaluation gave a value that is not finite: {(v1, v2, v0)}")
         v1, v2 = v1.real, v2.real
@@ -94,29 +90,50 @@ def _stage(tape):
     return velocity
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _start_point(p) -> tuple[float, float, float]:
+    """p as three floats, or a DomainError when one is NaN or infinite, so
+    that no point outside H starts a flow or reads a velocity."""
+    q = (float(p[0]), float(p[1]), float(p[2]))
+    if not all(map(math.isfinite, q)):
+        raise DomainError(f"the start point {q} is not finite")
+    return q
+
+
+def _flow_start(p, s, steps) -> tuple[float, float, float]:
+    """The start point of a flow as three floats, once steps is an int of
+    at least 1 and p and the flow time s are finite; else a DomainError."""
+    if not (_is_int(steps) and steps >= 1):
+        raise DomainError(f"steps must be an int of at least 1, got {steps!r}")
+    if not math.isfinite(s):
+        raise DomainError(f"the flow time {s} is not finite")
+    return _start_point(p)
+
+
 def vector_field_at(v0, p) -> tuple[float, float, float]:
     """Coordinate velocity (dx, dy, dt) of the field at p: one RK4 stage of
-    `flow_integrate`, which runs the field's cached tape in place, so the
-    flows and this value come from the one stage."""
-    return _stage(ex.tape(field_components(v0)))(*p)
+    `flow_integrate`, so the flows and this value come from the one stage."""
+    q = _start_point(p)
+    return _stage(ex.tape(field_components(v0)))(*q)
 
 
 def flow_integrate(v0, p, s: float, steps: int = 200) -> Point:
-    """RK4 integration of the field's flow from p over time s.
+    """RK4 integration of the field's flow from p over time s, in `steps`
+    steps (an int, at least 1); p and s must be finite.
 
     The field's tape is fetched once, and each stage is one call of
-    `_stage`, which runs the tape's steps in place on a slot list of this
-    call's own. That is the one loop over a tape's steps outside
-    `expr`, kept because the flows spend nearly all their time in it: a run
-    of the tape per stage, with its generic dispatch and a fresh slot list,
-    took 1.45 to 1.7 times as long (200-step flows of the quadratic and
-    exp(x) potentials, on a 2-vCPU Xeon). The endpoint and the DomainErrors
-    are those of a run of the tape per stage, bit for bit."""
-    if steps < 1:
-        raise DomainError("steps must be positive")
+    `_stage`, which calls the tape's compiled function (`Tape.run`) under
+    the stage's own guard and combines the velocity in floats. A loop over
+    the tape's steps inside each stage took 1.22 times as long (200-step
+    flows of the quadratic and exp(x) potentials, median of 40 interleaved
+    rounds on a 2-vCPU Xeon). The endpoint and the DomainErrors are
+    those of a guarded run of the tape per stage, bit for bit."""
+    x, y, t = _flow_start(p, s, steps)
     vel = _stage(ex.tape(field_components(v0)))
     h = s / steps
-    x, y, t = float(p[0]), float(p[1]), float(p[2])
     for _ in range(steps):
         a1, b1, c1 = vel(x, y, t)
         a2, b2, c2 = vel(x + 0.5 * h * a1, y + 0.5 * h * b1, t + 0.5 * h * c1)
@@ -186,8 +203,8 @@ def pushforward_w0(f: HeisMap, case: int, p) -> Jet:
     potential `case` (1..8) along f, as an order-2 jet at the single point
     p, enough for Z^2; .value gives the scalar. The potential's tape runs on
     f's jets, and the reciprocal Jacobian comes from f's reading at p."""
-    if not 1 <= case <= 8:
-        raise DomainError(f"case must be 1..8, got {case}")
+    if not (_is_int(case) and 1 <= case <= 8):
+        raise DomainError(f"case must be an int from 1 to 8, got {case!r}")
     inv = jacobian(f, p, 2, "reciprocal")   # shared by the eight cases
     (num,) = _V0_TAPES[case - 1](*f.jets(p, 2))
     return num * inv
@@ -201,7 +218,7 @@ def flow_contact_residuals(v0, p, s: float, steps: int = 400) -> tuple[float, fl
     endpoint error; keep steps generous when s is large.
     """
     h = 1e-4
-    x, y, t = float(p[0]), float(p[1]), float(p[2])
+    x, y, t = _flow_start(p, s, steps)
     comps = field_components(v0)
 
     def at(q):

@@ -70,6 +70,41 @@ def test_flow_integrate_rejects_bad_steps():
         fields.flow_integrate("t", (0, 0, 0), 1.0, steps=0)
 
 
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, False, -3, "4", None])
+def test_flows_take_an_int_number_of_steps(steps):
+    # a float or a bool is no step count: range() raised a bare TypeError
+    # on 2.5, and True ran one step
+    with pytest.raises(DomainError, match="steps must be an int"):
+        fields.flow_integrate("t", (0, 0, 0), 1.0, steps=steps)
+    with pytest.raises(DomainError, match="steps must be an int"):
+        fields.flow_contact_residuals("t", (0, 0, 0), 1.0, steps=steps)
+
+
+_NOT_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_start_point_that_is_not_finite_is_refused(bad, at):
+    # such a point is not in H: the flow reported that it did not stay
+    # bounded, and the field's velocity came out as numbers
+    p = [0.1, 0.2, 0.3]
+    p[at] = bad
+    for call in (lambda: fields.flow_integrate("exp(x)", p, 0.5, 4),
+                 lambda: fields.vector_field_at("exp(x)", p),
+                 lambda: fields.flow_contact_residuals("exp(x)", p, 0.5, 4)):
+        with pytest.raises(DomainError, match=r"start point .* is not finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+def test_a_flow_time_that_is_not_finite_is_refused(bad):
+    with pytest.raises(DomainError, match="flow time .* is not finite"):
+        fields.flow_integrate("exp(x)", (0.1, 0.2, 0.3), bad, 4)
+    with pytest.raises(DomainError, match="flow time .* is not finite"):
+        fields.flow_contact_residuals("exp(x)", (0.1, 0.2, 0.3), bad, 4)
+
+
 def test_closed_form_flow_is_contact_with_unit_factor():
     from heiscalc.horizontal import assess_contact
     m = fields.flow_closed_form("0.3*x^2 + 0.4*x - 0.2", 1.3)
@@ -211,6 +246,13 @@ def test_pushforward_case_bounds():
         fields.pushforward_w0(m, 0, (0.5, 0.3, 0.2))
     with pytest.raises(DomainError):
         fields.pushforward_w0(m, 9, (0.5, 0.3, 0.2))
+
+
+@pytest.mark.parametrize("case", [2.0, True, "3", None])
+def test_pushforward_cases_are_ints(case):
+    # 2.0 indexed the basis tuple, a bare TypeError; True read case 1
+    with pytest.raises(DomainError, match="case must be an int from 1 to 8"):
+        fields.pushforward_w0(word_to_map([Rotate(0.3)]), case, (0.5, 0.3, 0.2))
 
 
 def test_integrated_flow_stays_contact():

@@ -2,7 +2,9 @@
 agree with finite differences, non-finite jets as domain errors, and one
 tape per flow."""
 import cmath
+import gc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -260,6 +262,50 @@ def test_the_steps_write_only_a_few_slots(roots, most):
     assert t.template[:3] == (None, None, None) and not work & {0, 1, 2}
     assert [s for s, v in enumerate(t.template) if v is None] == [0, 1, 2, *sorted(work)]
     assert all(isinstance(v, (complex, int)) for v in t.template if v is not None)
+
+
+# --- the compiled run ------------------------------------------------------------
+
+def test_tapes_of_one_shape_share_one_code_and_keep_their_constants():
+    # the source names slots, never values: the constants and the exponent
+    # are the function's defaults, so x^2 and x^3 share a code too
+    t1 = ex.Tape((ex.parse_expr("0.3*x^2 + 0.4*x - 0.2"),))
+    t2 = ex.Tape((ex.parse_expr("0.7*x^3 + 0.1*x - 5"),))
+    assert t1.run.__code__ is t2.run.__code__
+    consts = {0.3, 0.4, 0.2, 0.7, 0.1, 5, 2, 3}
+    consts |= {complex(c) for c in consts} | {-c for c in consts}
+    assert not any(c in consts for c in t1.run.__code__.co_consts if c is not None)
+    x = 0.5 - 0.25j
+    assert t1.run(x, 0j, 0j) == (0.3 * x ** 2 + 0.4 * x - 0.2,)
+    assert t2.run(x, 0j, 0j) == (0.7 * x ** 3 + 0.1 * x - 5,)
+
+
+def test_a_dropped_tape_frees_its_function_without_the_cycle_collector():
+    t = ex.Tape((ex.parse_expr("exp(x)*y - 2/t"),))
+    ref = weakref.ref(t.run)
+    gc.disable()
+    try:
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_potential_parsed_again_compiles_no_new_code():
+    text = "0.3*x^2 + 0.4*x - 0.17*x - 0.9"
+    fields.flow_integrate(ex.parse_expr(text), (0.1, 0.2, 0.3), 0.5, steps=4)
+    misses = ex._compiled.cache_info().misses
+    fields.flow_integrate(ex.parse_expr(text), (0.1, 0.2, 0.3), 0.5, steps=4)
+    assert ex._compiled.cache_info().misses == misses
+
+
+def test_a_tape_with_no_steps_runs():
+    t = ex.Tape((ex.X, ex.const(2)))
+    assert t.steps == ()
+    assert t.run(1 + 2j, 0j, 0j) == (1 + 2j, 2 + 0j)
+    assert t(0.5 + 0j, 0j, 0j) == (0.5 + 0j, 2 + 0j)
+    x, two = t(*jet_seed((0.5, 0.0, 0.0), 1))
+    assert x.value == 0.5 and two.coef.tolist() == [2, 0, 0, 0]
 
 
 _ORDER1 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
