@@ -15,7 +15,7 @@ from . import expr as ex
 from .errors import BadPotential, DomainError
 from .exact import RatPoly, potential_expr
 from .expr import Expr
-from .group import HeisMap, Point
+from .group import HeisMap, Point, as_point
 from .horizontal import apply_word, jacobian, sym_x, sym_y
 from .jets import Jet
 
@@ -94,29 +94,25 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _start_point(p) -> tuple[float, float, float]:
-    """p as three floats, or a DomainError when one is NaN or infinite, so
-    that no point outside H starts a flow or reads a velocity."""
-    q = (float(p[0]), float(p[1]), float(p[2]))
-    if not all(map(math.isfinite, q)):
-        raise DomainError(f"the start point {q} is not finite")
-    return q
-
-
-def _flow_start(p, s, steps) -> tuple[float, float, float]:
-    """The start point of a flow as three floats, once steps is an int of
-    at least 1 and p and the flow time s are finite; else a DomainError."""
+def _flow_start(p, s, steps) -> Point:
+    """The start point of a flow as three floats (`group.as_point`), once
+    steps is an int of at least 1 and p and the flow time s are finite;
+    else a DomainError, so that no point outside H starts a flow."""
     if not (_is_int(steps) and steps >= 1):
         raise DomainError(f"steps must be an int of at least 1, got {steps!r}")
-    if not math.isfinite(s):
+    try:
+        finite = math.isfinite(s)
+    except OverflowError:   # an int beyond the float range
+        finite = False
+    if not finite:
         raise DomainError(f"the flow time {s} is not finite")
-    return _start_point(p)
+    return as_point(p, "the start point")
 
 
 def vector_field_at(v0, p) -> tuple[float, float, float]:
     """Coordinate velocity (dx, dy, dt) of the field at p: one RK4 stage of
     `flow_integrate`, so the flows and this value come from the one stage."""
-    q = _start_point(p)
+    q = as_point(p, "the start point")
     return _stage(ex.tape(field_components(v0)))(*q)
 
 

@@ -36,13 +36,30 @@ import numpy as np
 from . import expr as ex
 from .errors import DomainError, NotPositive, ParseError
 from .expr import Expr
-from .jets import Jet, jet_seed
+from .jets import Jet, is_batch, jet_seed
 
 
 class Point(NamedTuple):
     x: float
     y: float
     t: float
+
+
+def _not_a_point(p) -> DomainError:
+    return DomainError(f"a point has three real coordinates, got {p!r}")
+
+
+def as_point(p, what: str = "the point") -> Point:
+    """p as a Point of three finite floats, or a DomainError: for a point of
+    another length, a coordinate that is no real number, or one that is NaN,
+    infinite or an int beyond the float range."""
+    try:
+        q = Point(*map(float, p))
+    except (TypeError, ValueError, OverflowError):
+        raise _not_a_point(p) from None
+    if not all(map(math.isfinite, q)):
+        raise DomainError(f"{what} {tuple(q)} is not finite")
+    return q
 
 
 def group_mul(p, q) -> Point:
@@ -294,7 +311,12 @@ class HeisMap:
         return self._exprs
 
     def __call__(self, p) -> Point:
-        out = ex.guarded(self._fn, complex(p[0]), complex(p[1]), complex(p[2]))
+        """f(p), for a point p of three coordinates."""
+        try:
+            x, y, t = p
+        except (TypeError, ValueError):
+            raise _not_a_point(p) from None
+        out = ex.guarded(self._fn, complex(x), complex(y), complex(t))
         return Point(*(v.real for v in out))
 
     def _evaluate(self, p, order: int) -> tuple:
@@ -304,7 +326,7 @@ class HeisMap:
         there, so the inner map is evaluated once for both; every other
         evaluation runs the map's function on the seeds."""
         inner = self._inner
-        if inner is not None and np.ndim(p) != 2:
+        if inner is not None and not is_batch(p):
             return ex.guarded(self._outer,
                               *(j.truncate(order) for j in inner.reading(p, order).jets))
         return ex.guarded(self._fn, *jet_seed(p, order))
@@ -314,8 +336,12 @@ class HeisMap:
         for a new point or a higher order, and to order 3 at least, the
         order both Schwarzians read, so a gate that reads a lower order
         first does not cost a second evaluation. Points are told apart by
-        their bits, so -0.0 and 0.0 are two points."""
-        key = struct.pack("3d", *p)
+        their bits, so -0.0 and 0.0 are two points; a point that is not
+        three real numbers is a DomainError."""
+        try:
+            key = struct.pack("3d", *p)
+        except struct.error:
+            raise _not_a_point(p) from None
         r = self._reading
         if r is None or r.key != key or r.jets[0].order < order:
             r = self._reading = Reading(key, self._evaluate(p, max(order, 3)))
@@ -324,7 +350,7 @@ class HeisMap:
     def jets(self, p, order: int):
         """The three component jets to `order` at p, from the reading; at
         an (N, 3) array of points, batched jets, evaluated afresh."""
-        if np.ndim(p) == 2:
+        if is_batch(p):
             return self._evaluate(p, order)
         return tuple(j.truncate(order) for j in self.reading(p, order).jets)
 

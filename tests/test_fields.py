@@ -105,6 +105,27 @@ def test_a_flow_time_that_is_not_finite_is_refused(bad):
         fields.flow_contact_residuals("exp(x)", (0.1, 0.2, 0.3), bad, 4)
 
 
+@pytest.mark.parametrize("p", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4),
+                               (0.1, 0.2, 0.3, float("nan")), (0.1, 0.2, 1j), ()])
+def test_a_start_point_of_the_wrong_shape_is_refused(p):
+    # two coordinates raised a bare IndexError, and a fourth was dropped
+    for call in (lambda: fields.flow_integrate("t", p, 1.0, 4),
+                 lambda: fields.vector_field_at("t", p),
+                 lambda: fields.flow_contact_residuals("t", p, 1.0, 4)):
+        with pytest.raises(DomainError, match="three real coordinates"):
+            call()
+
+
+def test_a_flow_time_beyond_the_float_range_is_refused():
+    # math.isfinite of such an int raised a bare OverflowError
+    for s in (10 ** 400, -10 ** 400):
+        with pytest.raises(DomainError, match="flow time .* is not finite"):
+            fields.flow_integrate("t", (0.0, 0.0, 0.0), s, 4)
+        with pytest.raises(DomainError, match="flow time .* is not finite"):
+            fields.flow_contact_residuals("t", (0.0, 0.0, 0.0), s, 4)
+    assert fields.flow_integrate("t", (0.0, 0.0, 0.0), 10 ** 3, 4) == (0.0, 0.0, 0.0)
+
+
 def test_closed_form_flow_is_contact_with_unit_factor():
     from heiscalc.horizontal import assess_contact
     m = fields.flow_closed_form("0.3*x^2 + 0.4*x - 0.2", 1.3)

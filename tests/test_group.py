@@ -307,3 +307,38 @@ def test_a_batch_bypasses_the_reading():
     batch = m.jets(np.array([p, (0.1, 0.2, 0.3)]), 3)
     assert batch[0].coef.shape[1] == 2 and batch[0].coef.flags.writeable
     assert m.reading(p, 2) is r
+
+
+_WRONG_SHAPES = [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), (0.1, 0.2, 0.3, float("nan")), ()]
+
+
+@pytest.mark.parametrize("p", _WRONG_SHAPES)
+def test_a_point_of_the_wrong_shape_is_a_domain_error(p):
+    # the reading's key raised a bare struct.error, and a map dropped a
+    # fourth coordinate
+    from heiscalc import schwarzian as sw
+    from heiscalc.horizontal import assess_contact
+    m = word_to_map([Invert()])
+    for call in (lambda: sw.s_cr(m, p), lambda: sw.s_cl(m, p),
+                 lambda: assess_contact(m, p), lambda: m.jets(p, 2), lambda: m(p)):
+        with pytest.raises(DomainError, match="three real coordinates"):
+            call()
+    assert m((0.1, 0.2, 0.3)) == m([0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("p", [*_WRONG_SHAPES, (0.1, 0.2, 1j), ("a", 0.0, 0.0),
+                               (10 ** 400, 0.0, 0.0)])
+def test_as_point_takes_three_real_coordinates(p):
+    from heiscalc.group import as_point
+    with pytest.raises(DomainError):
+        as_point(p)
+
+
+def test_as_point_gives_three_finite_floats():
+    import numpy as np
+    from heiscalc.group import as_point
+    for p in ((1, -2, 0.5), [1, -2, 0.5], np.array([1.0, -2.0, 0.5]), Point(1, -2, 0.5)):
+        q = as_point(p)
+        assert q == Point(1.0, -2.0, 0.5) and all(type(c) is float for c in q)
+    with pytest.raises(DomainError, match=r"the start point \(0.0, inf, 0.0\) is not finite"):
+        as_point((0, float("inf"), 0), "the start point")

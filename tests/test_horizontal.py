@@ -3,12 +3,15 @@ and finite differences."""
 import itertools
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
 from heiscalc import expr as ex
+from heiscalc import horizontal
 from heiscalc.exact import ratpoly_from_expr, word_apply
 from heiscalc.expr import fd_oracle, jet_eval, parse_expr
+from heiscalc.errors import HeisError
 from heiscalc.group import Invert, LinearSL2, Point, Reflect, Rotate, word_to_map
 from heiscalc.horizontal import (assess_contact, apply_word, frame, jlap, sym_x,
                                  sym_y, word_jet)
@@ -173,3 +176,68 @@ def test_frame_derivative_of_an_order_zero_jet_raises_order_error(letter):
     from heiscalc.errors import OrderError
     with pytest.raises(OrderError):
         frame(_jet("x*y + t", 0), letter)
+
+
+# --- the contact assessment reads its first order from the coefficients ------
+
+def _frame_values(jets):
+    """What `horizontal._xyt_values` reads, by the matrix route of `frame`."""
+    return [(frame(j, "X").value, frame(j, "Y").value, frame(j, "T").value, j.value)
+            for j in jets]
+
+
+# signed zeros first: the sign of a zero is what the two routes could give
+# differently, and no other value shows it
+_DRAWS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -2.5)
+
+
+def _draw(rng):
+    return rng.choice(_DRAWS) if rng.random() < 0.8 else rng.uniform(-3.0, 3.0)
+
+
+def test_first_order_values_are_the_frames_bit_for_bit():
+    from heiscalc.jets import Jet, ncoef
+    import numpy as np
+    rng = random.Random(26)
+    for _ in range(4000):
+        base = (_draw(rng), _draw(rng), _draw(rng))
+        order = rng.choice((1, 1, 2, 3))
+        jets = [Jet(base, order, np.array([complex(_draw(rng), _draw(rng))
+                                           for _ in range(ncoef(order))]))
+                for _ in range(3)]
+        assert repr(horizontal._xyt_values(jets)) == repr(_frame_values(jets)), (base, jets)
+
+
+def _signed_zero_words(rng):
+    from heiscalc.group import Dilate, Translate, random_word
+    zero = lambda: rng.choice((0.0, -0.0))
+    yield [Translate((zero(), zero(), zero()))]
+    yield [Dilate(1.5), Reflect()]
+    yield [LinearSL2(2.0, 0.0, 0.0, 0.5)]
+    for n in range(1, 5):
+        yield random_word(rng, length=n)
+
+
+def test_the_assessment_is_the_frame_routes_bit_for_bit(monkeypatch):
+    # each field by repr, which tells -0.0 from 0.0, at points whose
+    # coordinates may be signed zeros, on words whose jets have signed zero
+    # first-order coefficients
+    rng = random.Random(7)
+    signed_zeros = 0
+    for _ in range(40):
+        for word in _signed_zero_words(rng):
+            p = tuple(rng.choice((0.0, -0.0, rng.uniform(-1.5, 1.5))) for _ in range(3))
+            try:
+                got = horizontal._assess(word_to_map(word), p)
+            except HeisError:
+                with pytest.raises(HeisError), monkeypatch.context() as mp:
+                    mp.setattr(horizontal, "_xyt_values", _frame_values)
+                    horizontal._assess(word_to_map(word), p)
+                continue
+            with monkeypatch.context() as mp:
+                mp.setattr(horizontal, "_xyt_values", _frame_values)
+                want = horizontal._assess(word_to_map(word), p)
+            assert [repr(getattr(got, f.name)) for f in fields(got)] == \
+                [repr(getattr(want, f.name)) for f in fields(want)], (word, p)
+            signed_zeros += "-0.0" in repr(got)
+    assert signed_zeros > 40

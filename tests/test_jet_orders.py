@@ -218,3 +218,16 @@ def test_each_map_and_point_is_evaluated_once(monkeypatch, name):
     DIAGNOSTICS[name]()
     maps_and_points = [(ids, base) for _, ids, base in runs]
     assert runs and len(set(maps_and_points)) == len(runs)
+
+
+def test_the_contact_assessment_makes_no_frame_call(monkeypatch):
+    # its nine first-order values are read from the coefficients; the
+    # Jacobian, read the same way through frame, shows the count sees a call
+    letters = []
+    frame = horizontal.frame
+    monkeypatch.setattr(horizontal, "frame",
+                        lambda j, letter: letters.append(letter) or frame(j, letter))
+    a = DIAGNOSTICS["assess_contact"]()
+    assert isinstance(a, horizontal.ContactAssessment) and letters == []
+    horizontal.jacobian(stretch(), P, 1)
+    assert letters == ["X", "Y", "Y", "X"]

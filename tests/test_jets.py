@@ -7,7 +7,7 @@ import pytest
 
 from heiscalc.errors import DomainError, OrderError
 from heiscalc.horizontal import frame
-from heiscalc.jets import Jet, indices, jet_seed, ncoef
+from heiscalc.jets import Jet, indices, is_batch, jet_seed, ncoef
 
 P = (0.3, -0.2, 0.7)
 
@@ -304,3 +304,47 @@ def test_jet_eval_over_a_batch_matches_per_point():
     const = jet_eval(parse_expr("2/3"), pts, 2)
     assert const.coef.shape == (ncoef(2), 16)
     assert np.allclose(const.value, 2 / 3)
+
+
+def _batches():
+    pts = [(0.1, 0.2, 0.3), (-0.4, 0.5, 0.6)]
+    return [np.array(pts), [list(q) for q in pts], tuple(pts), [np.array(q) for q in pts],
+            np.array(pts[:1])]
+
+
+def _single_points():
+    from heiscalc.group import Point
+    return [Point(0.1, 0.2, 0.3), (0.1, 0.2, 0.3), [0.1, 0.2, 0.3], (1, -2, 0),
+            np.array([0.1, 0.2, 0.3]), (np.float64(0.1), 0.2, 0.3), (np.int64(1), 2, 3)]
+
+
+def test_batches_and_single_points_are_told_apart():
+    # as np.ndim(p) == 2 told them apart, without making an array of a point
+    from heiscalc.group import Invert, word_to_map
+    m = word_to_map([Invert()])
+    for p in _batches():
+        assert np.ndim(p) == 2 and is_batch(p)
+        assert jet_seed(p, 2)[0].coef.shape == (ncoef(2), len(p))
+        assert m.jets(p, 2)[0].coef.shape == (ncoef(2), len(p))
+    for p in _single_points():
+        assert np.ndim(p) == 1 and not is_batch(p)
+        x = jet_seed(p, 2)[0]
+        assert x.coef.shape == (ncoef(2),) and x.base == tuple(map(float, p))
+        assert m.jets(p, 2)[0].coef.shape == (ncoef(2),)
+
+
+def test_the_single_point_product_is_a_fresh_writable_array():
+    # the operands of a reading are read-only; the product is not theirs
+    from heiscalc.group import Invert, word_to_map
+    j1, j2, _ = word_to_map([Invert()]).reading(P, 3).jets
+    assert not j1.coef.flags.writeable and type(j1) is Jet is type(j2)
+    prod = j1 * j2
+    assert prod.coef.dtype == np.complex128 and prod.coef.shape == j1.coef.shape
+    assert prod.coef.flags.writeable and prod.coef.flags.owndata
+    assert not np.shares_memory(prod.coef, j1.coef) and not np.shares_memory(prod.coef, j2.coef)
+    want = [sum(j1.coef[a] * j2.coef[b] for a, ia in enumerate(indices(3))
+                for b, ib in enumerate(indices(3)) if tuple(map(sum, zip(ia, ib))) == m)
+            for m in indices(3)]
+    assert np.allclose(prod.coef, want, rtol=1e-14, atol=0)
+    prod.coef[0] = 1.0
+    assert (j1 * j2).coef[0] != 1.0

@@ -308,6 +308,14 @@ def test_a_tape_with_no_steps_runs():
     assert x.value == 0.5 and two.coef.tolist() == [2, 0, 0, 0]
 
 
+def test_a_tape_with_no_steps_still_guards_its_seeds():
+    # the seeds of a NaN point reach the roots unchanged, so the guard of a
+    # tape with no steps is the only check on them: skipping it would hand
+    # out a NaN jet
+    with pytest.raises(DomainError, match="not finite"):
+        ex.jet_eval(ex.parse_expr("x"), (float("nan"), 0.0, 0.0), 2)
+
+
 _ORDER1 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # Odd multiples of 1/16 in (-2, 2): no coordinate is within 1/16 of zero,
 # where a jet of t/t, say, cancels terms of size 1/t^2 and keeps their
