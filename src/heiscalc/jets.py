@@ -17,13 +17,14 @@ lowest-index failing point raises on its own.
 Products use one of two kernels, chosen by `coef.ndim`. A single jet
 multiplies with one `np.add.at` over the cached `_mul_table`: one fancy
 indexed multiply-accumulate, into a fresh `np.zeros` of the coefficient
-count (0.3 us, where `np.zeros_like` takes 1.2 us). A batch multiplies row by row over the
-grade-major monomials, `out[tgt_a] += A[a] * B[:m_a]` from the cached
-`_mul_rows`, with a = 0 and the top grade done as whole slices. That costs
-a few numpy calls per monomial but spreads them over the batch. At order 5
-(Python 3.11, numpy 2.4, one core of a 2-vCPU Xeon host) the row kernel
-takes about 2.4 ms for 1000 points, where `np.add.at` on the batch takes
-about 21 ms, but about 0.3 ms for one point, where `np.add.at` takes 12 us.
+count (0.3 us, where `np.zeros_like` takes 1.2 us). A batch multiplies row
+by row over the grade-major monomials, `out[tgt_a] += A[a] * B[:m_a]` from
+the cached `_mul_rows`, with a = 0 and the top grade done as whole slices.
+That costs a few numpy calls per monomial but spreads them over the
+batch. At order 5 (Python 3.11, numpy 2.4, one core of a 2-vCPU Xeon host)
+the row kernel takes about 2.4 ms for 1000 points, where `np.add.at` on
+the batch takes about 21 ms, but about 0.3 ms for one point, where
+`np.add.at` takes 12 us.
 Both kernels add each output coefficient's products in the same order, so
 a batched product is bitwise equal to the per-point products.
 
